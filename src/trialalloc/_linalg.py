@@ -11,6 +11,9 @@ import scipy.linalg as sla
 
 from .errors import NumericalError
 
+# order up to which a stacked LU solve beats a loop of triangular solves
+_SMALL_ORDER = 24
+
 
 def sym(a: np.ndarray) -> np.ndarray:
     """Symmetrize ``a`` as (a + aᵀ)/2."""
@@ -23,6 +26,25 @@ def spd_factor(a: np.ndarray, what: str = "matrix"):
         return sla.cho_factor(sym(a), lower=True, check_finite=False)
     except sla.LinAlgError as exc:
         raise NumericalError(f"{what} is not positive definite: {exc}") from None
+
+
+def spd_cholesky(a: np.ndarray, what: str = "matrix") -> np.ndarray:
+    """Lower Cholesky factor of ``a`` or of each matrix in a stack ``a``.
+
+    Reads the lower triangle only, so ``a`` must already be symmetric.
+    """
+    try:
+        return np.linalg.cholesky(a)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"{what} is not positive definite: {exc}") from None
+
+
+def solve_lower(chol: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solve ``chol y = b`` for lower-triangular ``chol`` (or a stack of them)."""
+    if chol.shape[-1] > _SMALL_ORDER:
+        return sla.solve_triangular(chol, b, lower=True, check_finite=False)
+    # numpy's stacked LU has no per-matrix Python overhead, which wins on small orders
+    return np.linalg.solve(chol, b)
 
 
 def spd_solve(a: np.ndarray, b: np.ndarray, what: str = "matrix") -> np.ndarray:

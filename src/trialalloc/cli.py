@@ -327,7 +327,7 @@ def _render_design_table(report: dict) -> None:
         err.write("  " + "  ".join(cell.rjust(w) for cell, w in zip(r, widths)) + "\n")
     err.write(f"  phi       : {report['phi']:.6f}\n")
     err.write(f"  MSE trace : {report['mse_trace']:.4f}\n")
-    for key in ("optimality_gap", "iterations", "restarts_used", "seed", "cost"):
+    for key in ("optimality_gap", "status", "iterations", "restarts_used", "seed", "cost"):
         if report.get(key) is not None:
             err.write(f"  {key:<10}: {report[key]}\n")
     err.write("\n")
@@ -386,7 +386,6 @@ def _solver_settings(config: dict, args) -> dict:
         "restarts": args.restarts if args.restarts is not None else int(block.get("restarts", 20)),
         "seed": args.seed if args.seed is not None else int(block.get("seed", 0)),
         "max_iter": int(block.get("max_iter", 5000)),
-        "workers": block.get("workers"),
         "mode": getattr(args, "mode", None) or block.get("mode", "approx"),
     }
 
@@ -431,8 +430,7 @@ def _cmd_design(args) -> int:
             constraints = _build_constraints(cfg, J, problem.P)
             if solver["mode"] == "exact":
                 report = solve_exact(problem, constraints, seed=solver["seed"],
-                                     restarts=solver["restarts"],
-                                     workers=solver["workers"])
+                                     restarts=solver["restarts"])
             else:
                 report = solve_approximate(problem, constraints, tol=solver["tol"],
                                            max_iter=solver["max_iter"])
@@ -446,6 +444,7 @@ def _cmd_design(args) -> int:
                 "phi": report.phi,
                 "mse_trace": report.mse_trace,
                 "optimality_gap": report.optimality_gap,
+                "status": report.status,
                 "iterations": report.iterations,
                 "restarts_used": report.restarts_used,
                 "seed": report.seed,

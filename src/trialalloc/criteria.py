@@ -16,17 +16,24 @@ to a single P-dimensional one; two-level family-block kinship collapses it to
 two such traces (the ``cbrc`` path) or, equivalently, a block-diagonal
 2P-dimensional one (the ``kbayes`` path).  A general dense kinship has to go
 through the full K·P assembly.  ``Path.AUTO`` picks the cheapest valid path.
+
+Every path is a sum of terms tr[(I_m ⊗ diag(w) + C)^-1 H] (m = 1 twice for
+``cbrc``, m = 2 for ``kbayes``, m = K for ``full``), so all of them share the
+solver's two bulk primitives: ``line`` turns the criterion along a segment
+into a rational function of the step, and ``phi_many`` scores a stack of
+designs with one batched factorization per term.
 """
 from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from itertools import combinations
 
 import numpy as np
 
-from ._linalg import spd_inverse, spd_solve, sym
+from ._linalg import solve_lower, spd_cholesky, spd_inverse, spd_solve, sym
 from .errors import ValidationError
 from .kinship import (BlockCompoundSymmetry, CompoundSymmetry, Identity,
                       KinshipSpec)
@@ -53,6 +60,8 @@ __all__ = [
 ]
 
 _CONTRAST_K_LIMIT = 12
+# matrix entries per batched factorization in phi_many (2 MB of float64)
+_BATCH_ENTRIES = 1 << 18
 
 
 class Target(str, Enum):
@@ -150,227 +159,208 @@ def _block_params(spec: KinshipSpec):
     return None
 
 
-class _ReducedTrace:
-    """One P-dimensional trace term tr[(diag(w) + S^-1)^-1 G] and its gradient."""
+def _block_diag(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    n = len(a)
+    out = np.zeros((2 * n, 2 * n))
+    out[:n, :n], out[n:, n:] = a, b
+    return out
 
-    def __init__(self, s: np.ndarray, g: np.ndarray):
-        self.s_inv = spd_inverse(s, "criterion inner matrix")
-        self.g = sym(g)
+
+class _Term:
+    """One trace term tr[(I_m ⊗ diag(w) + C)^-1 H] over P sub-regions.
+
+    ``C`` is symmetric positive definite and ``H`` symmetric positive
+    semidefinite, both of order m·P.
+    """
+
+    def __init__(self, c: np.ndarray, h: np.ndarray, P: int):
+        self.c, self.h = c, h
+        self.m = c.shape[0] // P
+        self._region = np.arange(c.shape[0]) % P    # sub-region of each row
+
+    def system(self, w: np.ndarray) -> np.ndarray:
+        a = self.c.copy()
+        a.reshape(-1)[::len(a) + 1] += np.asarray(w)[self._region]
+        return a
 
     def phi(self, w: np.ndarray) -> float:
-        a = np.diag(w) + self.s_inv
-        return float(np.trace(spd_solve(a, self.g, "criterion system")))
+        return float(np.trace(spd_solve(self.system(w), self.h, "criterion system")))
 
     def gradient(self, w: np.ndarray) -> np.ndarray:
-        a_inv = spd_inverse(np.diag(w) + self.s_inv, "criterion system")
-        return -np.einsum("ij,jk,ki->i", a_inv, self.g, a_inv)
+        a_inv = spd_inverse(self.system(w), "criterion system")
+        diag = np.einsum("ij,jk,ki->i", a_inv, self.h, a_inv)
+        return diag.reshape(self.m, -1).sum(axis=0)
+
+    @cached_property
+    def root(self) -> np.ndarray:
+        """R with R Rᵀ = H, from the positive part of the spectrum of H.
+
+        Kept in Fortran order, which spares LAPACK a copy per triangular solve.
+        """
+        s, u = np.linalg.eigh(self.h)
+        keep = s > 0
+        return np.asfortranarray(u[:, keep] * np.sqrt(s[keep]))
+
+    def line(self, x: np.ndarray, d: np.ndarray):
+        """(h, λ) with tr[(A(x) + t·A(d))^-1 H] = Σ h_i / (1 + t λ_i)."""
+        chol = spd_cholesky(self.system(x), "criterion system")
+        l_inv = solve_lower(chol, np.eye(len(chol)))
+        lam, q = np.linalg.eigh((l_inv * d[self._region]) @ l_inv.T)
+        y = q.T @ (l_inv @ self.root)
+        return np.einsum("ij,ij->i", y, y), lam
+
+    def phi_many(self, weights: np.ndarray) -> np.ndarray:
+        n, dim = len(weights), self.c.shape[0]
+        out = np.empty(n)
+        step = max(1, _BATCH_ENTRIES // dim ** 2)
+        for lo in range(0, n, step):
+            w = weights[lo:lo + step]
+            a = np.repeat(self.c[None], len(w), axis=0)
+            a.reshape(len(w), -1)[:, ::dim + 1] += w[:, self._region]
+            y = solve_lower(spd_cholesky(a, "criterion system"), self.root)
+            out[lo:lo + step] = np.einsum("nij,nij->n", y, y)
+        return out
 
 
-class _BayesCsEvaluator:
+class _TraceEvaluator:
+    """A criterion as a sum of trace terms, with its MSE traces as affine images.
+
+    phi(w) = Σ_terms tr[(I_m ⊗ diag(w) + C)^-1 H].  The reported MSE trace of
+    each target is ``factor * (Σ_std-terms trace + const)`` over terms of the
+    same shape that carry the unweighted H.
+    """
+
+    def __init__(self, path: Path, terms: list, mse: dict):
+        self.path = path
+        self.terms = terms
+        self._mse = mse
+
+    def phi(self, w) -> float:
+        return sum(t.phi(w) for t in self.terms)
+
+    def gradient(self, w) -> np.ndarray:
+        return -sum(t.gradient(w) for t in self.terms)
+
+    def line(self, x, d):
+        """(h, λ) with phi(x + t·d) = Σ h_i / (1 + t λ_i) while x + t·d >= 0.
+
+        Per term, A(x) = LLᵀ and L^-1 (I_m ⊗ diag(d)) L^-ᵀ = QΛQᵀ, so h is
+        the diagonal of Qᵀ L^-1 H L^-ᵀ Q.  Every h_i >= 0.
+        """
+        parts = [t.line(np.asarray(x, dtype=float), np.asarray(d, dtype=float))
+                 for t in self.terms]
+        return (np.concatenate([h for h, _ in parts]),
+                np.concatenate([lam for _, lam in parts]))
+
+    def phi_many(self, weights) -> np.ndarray:
+        """phi of each row of an (n, P) stack, one batched Cholesky per term.
+
+        Each row's value depends on that row alone, not on the rest of the
+        stack, but may differ from :meth:`phi` in the last digits.
+        """
+        weights = np.atleast_2d(np.asarray(weights, dtype=float))
+        return sum(t.phi_many(weights) for t in self.terms)
+
+    def mse_trace(self, w, target: Target) -> float:
+        factor, terms, const = self._mse[target]
+        return factor * (sum(t.phi(w) for t in terms) + const)
+
+
+def _bayes_cs_evaluator(vc, profile, params, J, spec: CriterionSpec):
     """Exchangeable-kinship path: a single P-dimensional trace.
 
     The exchangeable structure makes the effects and contrasts criteria
-    proportional with the same constant, so one core serves both targets;
+    proportional with the same constant, so one term serves both targets;
     only the reported MSE traces differ.
     """
-
-    path = Path.BAYES_CS
-
-    def __init__(self, vc, profile, params, J, spec: CriterionSpec):
-        k, a1, a = params
-        self.K = k
-        c = effective_error_constant(vc)
-        self.mse_scale = c / J
-        vt = (J / c) * np.asarray(profile.V)
-        rt = scaled_year_matrix(vc, J, profile.P)
-        s = rt + a1 * vt
-        s_inv = spd_inverse(s, "exchangeable inner matrix")
-        lmat = _weight_matrix(profile, spec.weighting)
-        self._core = _ReducedTrace(s, s_inv @ vt @ lmat @ vt @ s_inv)
-        if spec.weighting is Weighting.STANDARD:
-            self._core_std = self._core
-        else:
-            self._core_std = _ReducedTrace(s, s_inv @ vt @ vt @ s_inv)
-        # design-independent parts of the plain MSE traces
-        vsv = vt @ s_inv @ vt
-        contrast_const = a1 * (k - 1) * np.trace(vt - a1 * vsv)
-        self._const_effects = contrast_const + (a * k + a1) * np.trace(vt)
-        self._const_contrasts = contrast_const
-        self._scale = a1 ** 2 * (k - 1)
-
-    def phi(self, w):
-        return self._core.phi(w)
-
-    def gradient(self, w):
-        return self._core.gradient(w)
-
-    def mse_trace(self, w, target: Target) -> float:
-        phi_std = self._scale * self._core_std.phi(w)
-        if target is Target.EFFECTS:
-            return self.mse_scale * (phi_std + self._const_effects)
-        return self.mse_scale * self.K * (phi_std + self._const_contrasts)
+    k, a1, a = params
+    p = profile.P
+    c = effective_error_constant(vc)
+    mse_scale = c / J
+    vt = (J / c) * np.asarray(profile.V)
+    s_inv = spd_inverse(scaled_year_matrix(vc, J, p) + a1 * vt,
+                        "exchangeable inner matrix")
+    lmat = _weight_matrix(profile, spec.weighting)
+    g = sym(s_inv @ vt @ lmat @ vt @ s_inv)
+    if spec.weighting is not Weighting.STANDARD:
+        g_std = sym(s_inv @ vt @ vt @ s_inv)
+    else:
+        g_std = g
+    std = [_Term(s_inv, a1 ** 2 * (k - 1) * g_std, p)]
+    # design-independent parts of the plain MSE traces
+    contrast_const = a1 * (k - 1) * np.trace(vt - a1 * (vt @ s_inv @ vt))
+    return _TraceEvaluator(Path.BAYES_CS, [_Term(s_inv, g, p)], {
+        Target.EFFECTS: (mse_scale, std, contrast_const + (a * k + a1) * np.trace(vt)),
+        Target.CONTRASTS: (mse_scale * k, std, contrast_const),
+    })
 
 
-class _BlockCore:
-    """Shared precomputation for the two family-block paths."""
-
-    def __init__(self, vc, profile, params, J, spec: CriterionSpec):
-        f, m, b1, b = params
-        self.f, self.m, self.K = f, m, f * m
-        c = effective_error_constant(vc)
-        self.mse_scale = c / J
-        vt = (J / c) * np.asarray(profile.V)
-        rt = scaled_year_matrix(vc, J, profile.P)
-        lmat = _weight_matrix(profile, spec.weighting)
-        # within-family contrasts see b1*V, between-family ones (m*b + b1)*V
-        self.v = (b1 * vt, (m * b + b1) * vt)
-        self.s = tuple(rt + v for v in self.v)
-        self.s_inv = tuple(spd_inverse(s, "family-block inner matrix") for s in self.s)
-        self.mult = (f * (m - 1), f - 1)
-        self.cores = tuple(
-            _ReducedTrace(s, si @ v @ lmat @ v @ si)
-            for s, si, v in zip(self.s, self.s_inv, self.v)
-        )
-        if spec.weighting is Weighting.STANDARD:
-            self.cores_std = self.cores
-        else:
-            self.cores_std = tuple(
-                _ReducedTrace(s, si @ v @ v @ si)
-                for s, si, v in zip(self.s, self.s_inv, self.v)
-            )
-        resid = [np.trace(v - v @ si @ v) for v, si in zip(self.v, self.s_inv)]
-        self.const_contrasts = self.mult[0] * resid[0] + self.mult[1] * resid[1]
-        self.const_effects = self.const_contrasts + np.trace(self.v[1])
-
-    def phi_std(self, w):
-        return sum(q * core.phi(w) for q, core in zip(self.mult, self.cores_std))
-
-    def mse_trace(self, w, target: Target) -> float:
-        if target is Target.EFFECTS:
-            return self.mse_scale * (self.phi_std(w) + self.const_effects)
-        return self.mse_scale * self.K * (self.phi_std(w) + self.const_contrasts)
+def _family_block_evaluator(vc, profile, params, J, spec: CriterionSpec, path: Path):
+    """Family-block paths: two P-dimensional traces (``cbrc``) or, with the
+    same value, one block-diagonal 2P-dimensional trace (``kbayes``)."""
+    f, m, b1, b = params
+    p = profile.P
+    c = effective_error_constant(vc)
+    mse_scale = c / J
+    vt = (J / c) * np.asarray(profile.V)
+    rt = scaled_year_matrix(vc, J, p)
+    lmat = _weight_matrix(profile, spec.weighting)
+    # within-family contrasts see b1*V, between-family ones (m*b + b1)*V
+    v = (b1 * vt, (m * b + b1) * vt)
+    s_inv = [spd_inverse(rt + vi, "family-block inner matrix") for vi in v]
+    mult = (f * (m - 1), f - 1)
+    h = [q * sym(si @ vi @ lmat @ vi @ si) for q, si, vi in zip(mult, s_inv, v)]
+    pair = [_Term(si, hi, p) for si, hi in zip(s_inv, h)]
+    if spec.weighting is Weighting.STANDARD:
+        std = pair
+    else:
+        std = [_Term(si, q * sym(si @ vi @ vi @ si), p)
+               for q, si, vi in zip(mult, s_inv, v)]
+    terms = pair if path is Path.CBRC else [_Term(_block_diag(*s_inv), _block_diag(*h), p)]
+    resid = [np.trace(vi - vi @ si @ vi) for vi, si in zip(v, s_inv)]
+    const_contrasts = mult[0] * resid[0] + mult[1] * resid[1]
+    return _TraceEvaluator(path, terms, {
+        Target.EFFECTS: (mse_scale, std, const_contrasts + np.trace(v[1])),
+        Target.CONTRASTS: (mse_scale * f * m, std, const_contrasts),
+    })
 
 
-class _CbrcEvaluator:
-    """Family-block path as two separate P-dimensional traces."""
-
-    path = Path.CBRC
-
-    def __init__(self, vc, profile, params, J, spec):
-        self._core = _BlockCore(vc, profile, params, J, spec)
-
-    def phi(self, w):
-        c = self._core
-        return sum(q * core.phi(w) for q, core in zip(c.mult, c.cores))
-
-    def gradient(self, w):
-        c = self._core
-        return sum(q * core.gradient(w) for q, core in zip(c.mult, c.cores))
-
-    def mse_trace(self, w, target):
-        return self._core.mse_trace(w, target)
-
-
-class _KBayesEvaluator:
-    """Family-block path as one block-diagonal 2P-dimensional trace.
-
-    Numerically identical to the two-trace path; kept as a separate literal
-    assembly because its shape is the natural one for dimension checks.
-    """
-
-    path = Path.KBAYES
-
-    def __init__(self, vc, profile, params, J, spec):
-        core = _BlockCore(vc, profile, params, J, spec)
-        self._core = core
-        self.P = profile.P
-        p = self.P
-        self._s_inv = np.zeros((2 * p, 2 * p))
-        self._q = np.zeros((2 * p, 2 * p))
-        for i in (0, 1):
-            sl = slice(i * p, (i + 1) * p)
-            self._s_inv[sl, sl] = core.s_inv[i]
-            self._q[sl, sl] = core.mult[i] * core.cores[i].g
-
-    def _system(self, w):
-        return np.kron(np.eye(2), np.diag(w)) + self._s_inv
-
-    def phi(self, w):
-        return float(np.trace(spd_solve(self._system(w), self._q, "block criterion")))
-
-    def gradient(self, w):
-        a_inv = spd_inverse(self._system(w), "block criterion")
-        diag = np.einsum("ij,jk,ki->i", a_inv, self._q, a_inv)
-        return -(diag[:self.P] + diag[self.P:])
-
-    def mse_trace(self, w, target):
-        return self._core.mse_trace(w, target)
-
-
-class _FullEvaluator:
+def _full_evaluator(vc, profile, kinship, J, spec: CriterionSpec):
     """General-kinship path: literal K·P-dimensional assembly.
 
     Valid for every structure; required for dense kinship, where the
     all-genotypes mean need not be an eigenvector and effects- and
     contrasts-optimal allocations can genuinely differ.
     """
+    sg = scaled_genetic_covariances(vc, J, profile, kinship)
+    n, vt = sg.N, sg.Vt
+    k, p = sg.K, profile.P
+    c = effective_error_constant(vc)
+    mse_scale = c / J
+    rt = scaled_year_matrix(vc, J, p)
+    t = centering_matrix(k)
+    tnt = sym(t @ n @ t)
+    base = spd_inverse(np.kron(np.eye(k), rt) + np.kron(tnt, vt),
+                       "criterion base matrix")
+    lmat = _weight_matrix(profile, spec.weighting)
+    vv = vt @ vt
+    mid = {Target.EFFECTS: sym(t @ n @ n @ t),
+           Target.CONTRASTS: sym(t @ n @ t @ n @ t)}
 
-    path = Path.FULL
+    def h(target, inner):
+        return sym(base @ np.kron(mid[target], inner) @ base)
 
-    def __init__(self, vc, profile, kinship, J, spec: CriterionSpec):
-        sg = scaled_genetic_covariances(vc, J, profile, kinship)
-        n, vt = sg.N, sg.Vt
-        k, p = sg.K, profile.P
-        self.K, self.P = k, p
-        c = effective_error_constant(vc)
-        self.mse_scale = c / J
-        rt = scaled_year_matrix(vc, J, p)
-        t = centering_matrix(k)
-        tnt = sym(t @ n @ t)
-        self._b = spd_inverse(
-            np.kron(np.eye(k), rt) + np.kron(tnt, vt), "criterion base matrix"
-        )
-        lmat = _weight_matrix(profile, spec.weighting)
-        vlv = sym(vt @ lmat @ vt)
-        vv = vt @ vt
-        mid_eff = sym(t @ n @ n @ t)
-        mid_con = sym(t @ n @ t @ n @ t)
-        mid = mid_eff if spec.target is Target.EFFECTS else mid_con
-        self._h = sym(self._b @ np.kron(mid, vlv) @ self._b)
-        self._h_std = {
-            Target.EFFECTS: sym(self._b @ np.kron(mid_eff, vv) @ self._b),
-            Target.CONTRASTS: sym(self._b @ np.kron(mid_con, vv) @ self._b),
-        }
-        if spec.weighting is Weighting.STANDARD:
-            self._h_std[spec.target] = self._h
-        # design-independent parts of the plain MSE traces
-        self._const = {
-            Target.EFFECTS: np.trace(n) * np.trace(vt)
-            - np.trace(self._b @ np.kron(mid_eff, vv)),
-            Target.CONTRASTS: np.trace(n @ t) * np.trace(vt)
-            - np.trace(self._b @ np.kron(mid_con, vv)),
-        }
-
-    def _system(self, w):
-        return np.kron(np.eye(self.K), np.diag(w)) + self._b
-
-    def phi(self, w):
-        return float(np.trace(spd_solve(self._system(w), self._h, "criterion system")))
-
-    def _phi_h(self, w, h):
-        return float(np.trace(spd_solve(self._system(w), h, "criterion system")))
-
-    def gradient(self, w):
-        a_inv = spd_inverse(self._system(w), "criterion system")
-        diag = np.einsum("ij,jk,ki->i", a_inv, self._h, a_inv)
-        return -diag.reshape(self.K, self.P).sum(axis=0)
-
-    def mse_trace(self, w, target: Target) -> float:
-        phi_std = self._phi_h(w, self._h_std[target])
-        total = self._const[target] + phi_std
-        if target is Target.CONTRASTS:
-            total *= self.K
-        return self.mse_scale * total
+    term = _Term(base, h(spec.target, sym(vt @ lmat @ vt)), p)
+    std = {target: [term] if target is spec.target and spec.weighting is Weighting.STANDARD
+           else [_Term(base, h(target, vv), p)] for target in Target}
+    # design-independent parts of the plain MSE traces
+    const = {Target.EFFECTS: np.trace(n) * np.trace(vt),
+             Target.CONTRASTS: np.trace(n @ t) * np.trace(vt)}
+    return _TraceEvaluator(Path.FULL, [term], {
+        target: (mse_scale * (k if target is Target.CONTRASTS else 1), std[target],
+                 const[target] - np.trace(base @ np.kron(mid[target], vv)))
+        for target in Target
+    })
 
 
 def _route(kinship: KinshipSpec, path: Path) -> Path:
@@ -443,15 +433,13 @@ class DesignProblem:
     def _build(self, J: int):
         path = self.path_used
         if path is Path.BAYES_CS:
-            return _BayesCsEvaluator(self.vc, self.profile, _cs_params(self.kinship),
-                                     J, self.criterion)
-        if path is Path.CBRC:
-            return _CbrcEvaluator(self.vc, self.profile, _block_params(self.kinship),
-                                  J, self.criterion)
-        if path is Path.KBAYES:
-            return _KBayesEvaluator(self.vc, self.profile, _block_params(self.kinship),
-                                    J, self.criterion)
-        return _FullEvaluator(self.vc, self.profile, self.kinship, J, self.criterion)
+            return _bayes_cs_evaluator(self.vc, self.profile, _cs_params(self.kinship),
+                                       J, self.criterion)
+        if path in (Path.CBRC, Path.KBAYES):
+            return _family_block_evaluator(self.vc, self.profile,
+                                           _block_params(self.kinship), J,
+                                           self.criterion, path)
+        return _full_evaluator(self.vc, self.profile, self.kinship, J, self.criterion)
 
     def phi(self, design: Design) -> float:
         return self.evaluator(design.J).phi(design.weights)

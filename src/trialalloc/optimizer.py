@@ -5,20 +5,20 @@ over the constraint polytope
 
     { w : min_i/J <= w_i <= max_i/J,  sum w = 1,  c'w <= budget/J },
 
-whose linear subproblem doubles as an optimality-gap certificate.  The exact
-solver rounds the approximate optimum, adds seeded random feasible starts,
-and runs steepest single-location transfers to a local optimum; the merge
-over starts is deterministic regardless of thread scheduling.
+whose linear subproblem doubles as an optimality-gap certificate.  Its line
+search is exact: along a segment the criterion is a convex rational function
+of the step (see ``line`` in :mod:`trialalloc.criteria`).  The exact solver
+rounds the approximate optimum, adds seeded random feasible starts, and runs
+steepest single-location transfers to a local optimum, scoring all moves of
+a sweep in one batch; the merge over starts is deterministic.
 """
 from __future__ import annotations
 
-import os
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog, minimize_scalar
+# minimize_scalar is unused here; bench/tracing.py still patches it by name
+from scipy.optimize import linprog, minimize_scalar  # noqa: F401
 
 from .criteria import DesignProblem
 from .errors import InfeasibleError, NumericalError, ValidationError
@@ -34,6 +34,28 @@ __all__ = [
 ]
 
 _BUDGET_TOL = 1e-9
+
+
+def _finite(value, name: str) -> np.ndarray:
+    """``value`` as a float array, rejecting non-numbers, NaN and infinities."""
+    try:
+        arr = np.array(value, dtype=float)
+    except (TypeError, ValueError):
+        raise ValidationError(f"{name} must be numeric, got {value!r}") from None
+    if not np.all(np.isfinite(arr)):
+        raise ValidationError(f"{name} must be finite, got {value!r}")
+    return arr
+
+
+def _integers(value, name: str, size: int | None = None) -> np.ndarray:
+    """``value`` as ints: a scalar, or broadcast to a vector of length ``size``."""
+    arr = _finite(value, name)
+    if np.any(arr != np.round(arr)):
+        raise ValidationError(f"{name} must be integral, got {value!r}")
+    if arr.shape not in ((), (size,)):
+        count = "" if size is None else f" or {size} of them"
+        raise ValidationError(f"{name} must be a whole number{count}, got {value!r}")
+    return np.broadcast_to(arr.astype(int), () if size is None else size).copy()
 
 
 @dataclass(frozen=True, eq=False)
@@ -53,7 +75,7 @@ class ConstraintSet:
     P: object = None
 
     def __post_init__(self):
-        j = int(self.J)
+        j = int(_integers(self.J, "J"))
         if j < 1:
             raise ValidationError(f"total number of locations must be >= 1, got {self.J}")
         object.__setattr__(self, "J", j)
@@ -66,16 +88,16 @@ class ConstraintSet:
             raise ValidationError(
                 "number of sub-regions is ambiguous: pass P or a vector bound"
             )
-        p = int(p)
+        p = int(_integers(p, "P"))
         object.__setattr__(self, "P", p)
 
-        lo = np.broadcast_to(np.asarray(self.min_per_region, dtype=int), p).copy()
+        lo = _integers(self.min_per_region, "min_per_region", p)
         if np.any(lo < 0):
             raise ValidationError("min_per_region entries must be >= 0")
         if self.max_per_region is None:
             hi = np.full(p, j, dtype=int)
         else:
-            hi = np.broadcast_to(np.asarray(self.max_per_region, dtype=int), p).copy()
+            hi = _integers(self.max_per_region, "max_per_region", p)
         hi = np.minimum(hi, j)
         if np.any(hi < lo):
             raise ValidationError("max_per_region must be >= min_per_region")
@@ -87,14 +109,15 @@ class ConstraintSet:
         if (self.costs is None) != (self.budget is None):
             raise ValidationError("costs and budget must be given together")
         if self.costs is not None:
-            costs = np.asarray(self.costs, dtype=float)
-            if costs.shape != (p,) or np.any(costs <= 0):
+            costs = _finite(self.costs, "costs")
+            if costs.shape != (p,) or not np.all(costs > 0):
                 raise ValidationError(f"costs must be {p} positive reals")
             costs.setflags(write=False)
             object.__setattr__(self, "costs", costs)
-            object.__setattr__(self, "budget", float(self.budget))
-            if self.budget <= 0:
-                raise ValidationError("budget must be positive")
+            budget = _finite(self.budget, "budget")
+            if budget.shape != () or not budget > 0:
+                raise ValidationError(f"budget must be a positive real, got {self.budget!r}")
+            object.__setattr__(self, "budget", float(budget))
 
         if int(lo.sum()) > j:
             raise InfeasibleError(
@@ -152,12 +175,21 @@ class ConstraintSet:
 
 @dataclass(frozen=True)
 class OptimizerReport:
+    """Result of a solve.
+
+    ``status`` says why the approximate solver stopped: ``converged`` (the
+    gap fell below the tolerance), ``max_iter``, or ``stalled`` (the line
+    search stopped improving the criterion).  An exact solve carries the
+    status of its approximate warm start.
+    """
+
     design: Design
     phi: float
     mse_trace: float
     optimality_gap: float
     iterations: int
     restarts_used: int
+    status: str
     seed: object = None
 
 
@@ -179,6 +211,39 @@ def _linear_minimum(g, lo, hi, costs, budget_w):
     if not res.success:
         raise NumericalError(f"linear subproblem failed: {res.message}")
     return res.x
+
+
+def _rational_argmin(h, lam, t_max: float) -> float:
+    """Minimizer over [0, t_max] of φ(t) = Σ h_i / (1 + t λ_i).
+
+    Needs h >= 0 and 1 + t λ > 0 on [0, t_max], where φ is convex, so φ' is
+    increasing: safeguarded Newton on φ' inside a sign bracket.
+    """
+    def slope(t):
+        q = 1.0 / (1.0 + t * lam)
+        hlq2 = h * lam * q * q
+        return -hlq2.sum(), 2.0 * (hlq2 * lam * q).sum()
+
+    if slope(0.0)[0] >= 0.0:
+        return 0.0
+    if slope(t_max)[0] <= 0.0:
+        return t_max
+    lo, hi, t = 0.0, t_max, 0.0
+    for _ in range(100):
+        d1, d2 = slope(t)
+        if d1 == 0.0:
+            return t
+        if d1 < 0.0:
+            lo = t
+        else:
+            hi = t
+        step = t - d1 / d2 if d2 > 0.0 else t
+        if not lo < step < hi:  # Newton left the bracket: bisect
+            step = 0.5 * (lo + hi)
+        if abs(step - t) <= 1e-15 * t_max:
+            return step
+        t = step
+    return t
 
 
 def solve_approximate(problem: DesignProblem, constraints: ConstraintSet,
@@ -206,11 +271,13 @@ def solve_approximate(problem: DesignProblem, constraints: ConstraintSet,
     gap = np.inf
     stalls = 0
     it = 0
+    status = "max_iter"
     for it in range(1, max_iter + 1):
         g = ev.gradient(x)
         s = _linear_minimum(g, lo, hi, costs, budget_w)
         gap = float(g @ (x - s))
         if gap <= tol * max(1.0, abs(phi_x)):
+            status = "converged"
             break
 
         # away step over the active vertices (pairwise direction)
@@ -223,15 +290,15 @@ def solve_approximate(problem: DesignProblem, constraints: ConstraintSet,
             gamma_max = 1.0
             away_key = None
 
-        res = minimize_scalar(lambda t: ev.phi(x + t * d), bounds=(0.0, gamma_max),
-                              method="bounded",
-                              options={"xatol": 1e-13 * max(1.0, gamma_max),
-                                       "maxiter": 60})
-        candidates = [(float(res.fun), float(res.x)), (ev.phi(x + gamma_max * d), gamma_max)]
-        phi_new, gamma = min(candidates)
+        h, lam = ev.line(x, d)
+        gamma = _rational_argmin(h, lam, gamma_max)
+        if np.sum(h / (1.0 + gamma_max * lam)) < np.sum(h / (1.0 + gamma * lam)):
+            gamma = gamma_max
+        phi_new = ev.phi(x + gamma * d)
         if not phi_new < phi_x:
             stalls += 1
             if stalls >= 5:
+                status = "stalled"
                 break
             continue
         stalls = 0
@@ -272,6 +339,7 @@ def solve_approximate(problem: DesignProblem, constraints: ConstraintSet,
         optimality_gap=max(gap, 0.0),
         iterations=it,
         restarts_used=0,
+        status=status,
         seed=None,
     )
 
@@ -332,62 +400,55 @@ def _random_feasible(rng, constraints: ConstraintSet) -> np.ndarray:
     return counts
 
 
+def _feasible_moves(counts, constraints: ConstraintSet):
+    """Sources and destinations of every feasible single-location move, in
+    lexicographic (i, k) order."""
+    lo, hi = constraints.min_per_region, constraints.max_per_region
+    ok = (counts > lo)[:, None] & (counts < hi)[None, :]
+    np.fill_diagonal(ok, False)
+    if constraints.costs is not None:
+        costs = constraints.costs
+        new_cost = constraints.cost(counts) - costs[:, None] + costs[None, :]
+        ok &= new_cost <= constraints.budget + _BUDGET_TOL
+    return np.nonzero(ok)
+
+
 def _transfer_descent(ev, counts, constraints: ConstraintSet):
     """Steepest single-location transfers to a local optimum.
 
-    Considers every feasible move of one location from region i to region j,
-    applies the best strict improvement (ties resolved toward the smallest
-    (i, j) pair), and repeats until none improves.
+    Each sweep scores the current design and every feasible move of one
+    location from region i to region k in a single ``phi_many`` call, applies
+    the best strict improvement (ties resolved toward the smallest (i, k)
+    pair), and repeats until none improves.  Only ``phi_many`` values are
+    compared, so the descent strictly decreases one deterministic function
+    and cannot cycle.
     """
     counts = np.array(counts)
-    j = constraints.J
-    lo, hi = constraints.min_per_region, constraints.max_per_region
-    current = ev.phi(counts / j)
     moves = 0
-    improved = True
-    while improved:
-        improved = False
-        best = (current, None)
-        for i in range(constraints.P):
-            if counts[i] <= lo[i]:
-                continue
-            for k in range(constraints.P):
-                if k == i or counts[k] >= hi[k]:
-                    continue
-                if constraints.costs is not None:
-                    new_cost = constraints.cost(counts) \
-                        - constraints.costs[i] + constraints.costs[k]
-                    if new_cost > constraints.budget + _BUDGET_TOL:
-                        continue
-                counts[i] -= 1
-                counts[k] += 1
-                val = ev.phi(counts / j)
-                counts[i] += 1
-                counts[k] -= 1
-                if val < best[0]:
-                    best = (val, (i, k))
-        if best[1] is not None:
-            i, k = best[1]
-            counts[i] -= 1
-            counts[k] += 1
-            current = best[0]
-            moves += 1
-            improved = True
-    return current, counts, moves
+    while True:
+        src, dst = _feasible_moves(counts, constraints)
+        trial = np.repeat(counts[None], len(src) + 1, axis=0)
+        rows = np.arange(1, len(src) + 1)
+        trial[rows, src] -= 1
+        trial[rows, dst] += 1
+        values = ev.phi_many(trial / constraints.J)
+        best = 1 + int(np.argmin(values[1:])) if len(src) else 0
+        if not values[best] < values[0]:
+            return values[0], counts, moves
+        counts = trial[best]
+        moves += 1
 
 
 def solve_exact(problem: DesignProblem, constraints: ConstraintSet,
-                seed: int = 0, restarts: int = 20,
-                workers: int | None = None) -> OptimizerReport:
+                seed: int = 0, restarts: int = 20) -> OptimizerReport:
     """Optimal or highly efficient exact design under the constraints.
 
     Warm-starts from the rounded approximate optimum and from ``restarts``
     seeded random feasible allocations, improves each by steepest transfer
     descent, and keeps the best result (criterion value, then
-    lexicographically smallest counts — a deterministic merge whatever the
-    thread count).  The reported gap compares against the continuous
-    relaxation bound, so 0 certifies global optimality of the relaxation
-    value itself, not merely local optimality.
+    lexicographically smallest counts).  The reported gap compares against
+    the continuous relaxation bound, so 0 certifies global optimality of the
+    relaxation value itself, not merely local optimality.
     """
     if restarts < 0:
         raise ValidationError("restarts must be >= 0")
@@ -399,29 +460,19 @@ def solve_exact(problem: DesignProblem, constraints: ConstraintSet,
     for child in np.random.SeedSequence(seed).spawn(restarts):
         starts.append(_random_feasible(np.random.default_rng(child), constraints))
     seen = set()
-    unique_starts = []
+    results = []
     for counts in starts:
         key = tuple(int(v) for v in counts)
         if key not in seen:
             seen.add(key)
-            unique_starts.append(np.array(counts))
-
-    def run(counts):
-        return _transfer_descent(ev, counts, constraints)
-
-    if workers is None:
-        workers = min(8, os.cpu_count() or 1)
-    if workers > 1 and len(unique_starts) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run, unique_starts))
-    else:
-        results = [run(counts) for counts in unique_starts]
+            results.append(_transfer_descent(ev, counts, constraints))
 
     total_moves = sum(moves for _, _, moves in results)
-    best_phi, best_counts, _ = min(
+    _, best_counts, _ = min(
         results, key=lambda r: (r[0], tuple(int(v) for v in r[1]))
     )
     design = Design.exact(best_counts)
+    best_phi = ev.phi(design.weights)
     relaxation_bound = approx.phi - approx.optimality_gap
     return OptimizerReport(
         design=design,
@@ -430,6 +481,7 @@ def solve_exact(problem: DesignProblem, constraints: ConstraintSet,
         optimality_gap=max(best_phi - relaxation_bound, 0.0),
         iterations=total_moves,
         restarts_used=restarts,
+        status=approx.status,
         seed=seed,
     )
 

@@ -105,6 +105,19 @@ class TestDesign:
         assert code == 0
         assert payload["design"]["counts"] == [13, 6, 8, 12, 1]
         assert payload["optimality_gap"] >= 0
+        assert payload["status"] in ("converged", "max_iter", "stalled")
+
+    @pytest.mark.parametrize("constraints, field", [
+        ({"min_per_region": 1.7}, "min_per_region"),
+        ({"costs": [40.0, 44.0, 50.0, 65.0, 60.0], "budget": float("nan")}, "budget"),
+    ])
+    def test_bad_constraint_values_exit_2(self, tmp_path, capsys, network_config,
+                                          constraints, field):
+        network_config["constraints"] = constraints
+        code, payload, err = run_cli(
+            capsys, "design", "--config", write_config(tmp_path, network_config))
+        assert code == 2 and payload is None
+        assert field in err
 
     def test_round_trip_reproduces_phi(self, tmp_path, capsys, network_config):
         code, report, _ = run_cli(capsys, "design", "--config",

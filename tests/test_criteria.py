@@ -6,7 +6,8 @@ import pytest
 import helpers
 from trialalloc import (BlockCompoundSymmetry, CompoundSymmetry,
                         CriterionSpec, Design, DesignProblem, Identity,
-                        Path, SubRegionProfile, Target, ValidationError,
+                        NumericalError, Path, SubRegionProfile, Target,
+                        ValidationError,
                         Weighting, mse_contrasts_full, mse_effects_full,
                         mse_trace_report, phi_bayes_cs, phi_cbrc_blockcs,
                         phi_contrasts, phi_effects, phi_kbayes_blockcs)
@@ -193,6 +194,37 @@ class TestFullMatrices:
         design = Design.exact(np.array([10, 10, 10, 5, 5]))
         with pytest.raises(ValidationError, match="K <= 12"):
             mse_contrasts_full(design, vc5, profile5, Identity(K=31))
+
+
+class TestBulkPrimitives:
+    """``line`` and ``phi_many`` against the scalar ``phi`` on every path."""
+
+    CASES = [("cs", {}, Path.BAYES_CS), ("block", {"path": "cbrc"}, Path.CBRC),
+             ("block", {}, Path.KBAYES), ("dense", {"weighting": "weighted"}, Path.FULL)]
+
+    @pytest.mark.parametrize("kind, crit, path", CASES, ids=[c[2].value for c in CASES])
+    def test_line_and_phi_many_match_phi(self, kind, crit, path):
+        rng = np.random.default_rng(21)
+        ev = _problem(rng, kind, **crit).evaluator(12)
+        assert ev.path is path
+        x = np.array([0.0, 0.45, 0.55])          # one empty sub-region
+        s = np.array([0.8, 0.1, 0.1])
+        for d, gamma_max in ((s - x, 1.0), (np.array([0.0, 0.45, -0.45]), 1.0)):
+            h, lam = ev.line(x, d)
+            assert np.all(h >= 0)
+            for t in (0.0, 0.5 * gamma_max, gamma_max):
+                want = ev.phi(x + t * d)
+                assert np.sum(h / (1.0 + t * lam)) == pytest.approx(want, rel=1e-10)
+        stack = np.vstack([x, s, rng.dirichlet(np.ones(3), size=4)])
+        many = ev.phi_many(stack)
+        np.testing.assert_allclose(many, [ev.phi(w) for w in stack], rtol=1e-12)
+        # a row's value does not depend on the rest of the stack
+        assert [ev.phi_many(w[None])[0] for w in stack] == list(many)
+
+    def test_phi_many_rejects_an_indefinite_system(self, vc5, profile5):
+        ev = DesignProblem(vc5, profile5, Identity(K=6)).evaluator(10)
+        with pytest.raises(NumericalError, match="not positive definite"):
+            ev.phi_many(np.array([[0.2] * 5, [-1e9, 0.0, 0.0, 0.0, 0.0]]))
 
 
 class TestProblemCaching:

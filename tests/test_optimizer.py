@@ -1,13 +1,17 @@
 from __future__ import annotations
 
+from collections import Counter
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import helpers
 from trialalloc import (ConstraintSet, CriterionSpec, Design, DesignProblem,
                         Identity, InfeasibleError, SubRegionProfile,
                         ValidationError, efficiency, round_to_exact,
                         solve_approximate, solve_exact)
+from trialalloc.optimizer import _rational_argmin, _transfer_descent
 from trialalloc.oracle import enumerate_exact_optimum
 
 
@@ -63,7 +67,97 @@ class TestConstraintSet:
         assert cons.cost(np.array([5, 3, 2])) == pytest.approx(19.0)
 
 
+class TestConstraintValidation:
+    @pytest.mark.parametrize("kwargs, field", [
+        ({"min_per_region": 1.7}, "min_per_region"),
+        ({"max_per_region": [5, 5, np.inf]}, "max_per_region"),
+        ({"J": 10.9}, "J"),
+        ({"costs": [1.0, np.nan, 2.0], "budget": 30.0}, "costs"),
+        ({"costs": [1.0, 1.0, 2.0], "budget": np.nan}, "budget"),
+    ])
+    def test_non_integral_or_non_finite_rejected(self, kwargs, field):
+        with pytest.raises(ValidationError, match=field):
+            ConstraintSet(**{"J": 10, "P": 3, **kwargs})
+
+
+class _CountingEvaluator:
+    """Forwards to an evaluator and counts each public call by name."""
+
+    def __init__(self, ev):
+        self._ev = ev
+        self.calls = Counter()
+
+    def __getattr__(self, name):
+        attr = getattr(self._ev, name)
+
+        def counted(*args, **kwargs):
+            self.calls[name] += 1
+            return attr(*args, **kwargs)
+        return counted
+
+
+class TestWorkCounts:
+    """Work per Frank-Wolfe iteration and per descent sweep on one golden row."""
+
+    @pytest.fixture()
+    def counted(self, monkeypatch, vc5, profile5):
+        problem = DesignProblem(vc5, profile5, helpers.family_block_kinship(0.5, 6, 5))
+        ev = _CountingEvaluator(problem.evaluator(40))
+        monkeypatch.setattr(DesignProblem, "evaluator", lambda self, J: ev)
+        return problem, ev
+
+    def test_one_line_search_per_frank_wolfe_iteration(self, counted):
+        problem, ev = counted
+        report = solve_approximate(problem, ConstraintSet(J=40, P=5))
+        its = report.iterations
+        assert its <= 40
+        assert ev.calls["gradient"] == its
+        assert ev.calls["line"] == its - (report.status == "converged")
+        # start, one confirmation per line search, final re-evaluation
+        assert ev.calls["phi"] <= 2 * its
+        assert ev.calls["phi_many"] == 0
+
+    def test_one_phi_many_call_per_descent_sweep(self, counted):
+        problem, ev = counted
+        cons = ConstraintSet(J=40, P=5)
+        rng = np.random.default_rng(3)
+        for start in ([8, 8, 8, 8, 8], [1, 1, 1, 1, 36], helpers.random_counts(rng, 5, 40)):
+            ev.calls.clear()
+            _, counts, moves = _transfer_descent(ev, np.array(start), cons)
+            assert moves > 0 and cons.satisfies(counts)
+            assert ev.calls == Counter(phi_many=moves + 1)
+
+
+class TestRationalLineSearch:
+    @settings(max_examples=50, deadline=None)
+    @given(st.lists(st.tuples(st.floats(1e-6, 1e3), st.floats(-0.999, 50.0)),
+                    min_size=1, max_size=12),
+           st.floats(1e-3, 10.0))
+    def test_matches_a_dense_grid(self, pairs, t_max):
+        h = np.array([p[0] for p in pairs])
+        lam = np.array([p[1] for p in pairs]) / t_max    # 1 + t*lam > 0 on [0, t_max]
+        t = _rational_argmin(h, lam, t_max)
+        assert 0.0 <= t <= t_max
+        grid = np.linspace(0.0, t_max, 20001)
+        on_grid = (h / (1.0 + grid[:, None] * lam)).sum(axis=1)
+        best = np.sum(h / (1.0 + t * lam))
+        assert best <= on_grid.min() + 1e-12 * abs(on_grid.min())
+
+
 class TestApproximateSolver:
+    def test_converged_status(self):
+        report = solve_approximate(_symmetric_problem(), ConstraintSet(J=10, P=2))
+        assert report.status == "converged"
+        assert report.optimality_gap <= 1e-9 * max(1.0, report.phi)
+
+    def test_iteration_cap_reported(self, vc5, profile5):
+        problem = DesignProblem(vc5, profile5, Identity(K=31))
+        report = solve_approximate(problem, ConstraintSet(J=40, P=5), max_iter=1)
+        assert report.status == "max_iter"
+        assert report.iterations == 1
+        exact = solve_exact(problem, ConstraintSet(J=40, P=5), restarts=1)
+        assert exact.status == solve_approximate(problem, ConstraintSet(J=40, P=5)).status
+
     def test_symmetric_problem_balances(self):
         report = solve_approximate(_symmetric_problem(),
                                    ConstraintSet(J=10, P=2), tol=1e-12)
@@ -192,16 +286,14 @@ class TestExactSolver:
         assert many.phi <= few.phi + 1e-12 * abs(few.phi)
         assert many.restarts_used == 12
 
-    def test_worker_count_does_not_change_the_report(self, vc5, profile5):
-        problem = DesignProblem(vc5, profile5, Identity(K=31))
+    def test_repeated_runs_give_identical_reports(self, vc5, profile5):
         cons = ConstraintSet(J=40, P=5)
-        serial = solve_exact(problem, cons, seed=7, restarts=8, workers=1)
-        threaded = solve_exact(problem, cons, seed=7, restarts=8, workers=8)
-        np.testing.assert_array_equal(serial.design.counts,
-                                      threaded.design.counts)
-        assert serial.phi == threaded.phi
-        assert serial.optimality_gap == threaded.optimality_gap
-        assert serial.iterations == threaded.iterations
+        first, again = (solve_exact(DesignProblem(vc5, profile5, Identity(K=31)),
+                                    cons, seed=7, restarts=8) for _ in range(2))
+        np.testing.assert_array_equal(first.design.counts, again.design.counts)
+        for field in ("phi", "mse_trace", "optimality_gap", "iterations",
+                      "restarts_used", "status", "seed"):
+            assert getattr(first, field) == getattr(again, field), field
 
     def test_seed_recorded_and_defaulted(self, vc5, profile5):
         problem = DesignProblem(vc5, profile5, Identity(K=31))
