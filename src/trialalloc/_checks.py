@@ -1,0 +1,44 @@
+"""Input checks shared by the constructors: finite numbers and whole numbers.
+
+Each check raises :class:`ValidationError` naming the offending field, which
+the CLI reports with exit status 2, so that no NaN, infinity or fractional
+count reaches a factorization or a solver.
+"""
+from __future__ import annotations
+
+import reprlib
+
+import numpy as np
+
+from .errors import ValidationError
+
+
+def finite(value, name: str) -> np.ndarray:
+    """``value`` as a float array, rejecting non-numbers, NaN and infinities."""
+    try:
+        arr = np.array(value, dtype=float)
+    except (TypeError, ValueError):
+        raise ValidationError(f"{name} must be numeric, got {reprlib.repr(value)}") from None
+    if not np.all(np.isfinite(arr)):
+        raise ValidationError(f"{name} must be finite, got {reprlib.repr(value)}")
+    return arr
+
+
+def number(value, name: str) -> float:
+    """``value`` as one finite float."""
+    arr = finite(value, name)
+    if arr.shape != ():
+        raise ValidationError(f"{name} must be a single number, got {reprlib.repr(value)}")
+    return float(arr)
+
+
+def integers(value, name: str, size: int | None = None) -> np.ndarray:
+    """``value`` as ints: a scalar, or broadcast to a vector of length ``size``."""
+    arr = finite(value, name)
+    if np.any(arr != np.round(arr)):
+        raise ValidationError(f"{name} must be integral, got {reprlib.repr(value)}")
+    if arr.shape not in ((), (size,)):
+        count = "" if size is None else f" or {size} of them"
+        raise ValidationError(f"{name} must be a whole number{count}, "
+                              f"got {reprlib.repr(value)}")
+    return np.broadcast_to(arr.astype(int), () if size is None else size).copy()

@@ -28,6 +28,7 @@ from pathlib import Path as _FsPath
 import numpy as np
 
 from . import __version__
+from ._checks import integers, number
 from .criteria import CriterionSpec, DesignProblem, Path, Target
 from .errors import InfeasibleError, NumericalError, ValidationError
 from .fixtures import available_fixtures, fixture_path
@@ -158,21 +159,24 @@ def _build_kinship(config: dict, jitter_override=None):
     def _sigma2_alpha(K: int, m: int) -> float:
         raw = block.get("sigma2_alpha", 1.0)
         if raw == "unit_asv":
-            return sigma2_alpha_for_unit_asv(K, m, block["r"])
-        return float(raw)
+            return sigma2_alpha_for_unit_asv(K, m, number(block["r"], "r"))
+        return number(raw, "sigma2_alpha")
+
+    def _count(name: str) -> int:
+        return int(integers(block[name], name))
 
     try:
         if variant == "identity":
-            spec = Identity(K=int(block["K"]), jitter=jitter)
+            spec = Identity(K=block["K"], jitter=jitter)
         elif variant == "cs":
-            K = int(block["K"])
+            K = _count("K")
             spec = CompoundSymmetry(K=K, sigma2_alpha=_sigma2_alpha(K, K),
-                                    r=float(block["r"]), jitter=jitter)
+                                    r=block["r"], jitter=jitter)
         elif variant == "block_cs":
-            f, m = int(block["f"]), int(block["m"])
+            f, m = _count("f"), _count("m")
             spec = BlockCompoundSymmetry(f=f, m=m,
                                          sigma2_alpha=_sigma2_alpha(f * m, m),
-                                         r=float(block["r"]), jitter=jitter)
+                                         r=block["r"], jitter=jitter)
         elif variant == "dense":
             if "csv" in block:
                 csv_path = _FsPath(block["csv"])
@@ -211,9 +215,10 @@ def _j_grid(config: dict) -> list:
     values = raw if isinstance(raw, list) else [raw]
     grid = []
     for value in values:
-        if int(value) != value or int(value) < 1:
+        j = int(integers(value, "J"))
+        if j < 1:
             raise ValidationError(f"J values must be integers >= 1, got {value!r}")
-        grid.append(int(value))
+        grid.append(j)
     if not grid:
         raise ValidationError("'J' grid is empty")
     return grid

@@ -5,23 +5,29 @@ BLUPs (or of all pairwise contrasts between them) as a function of how the
 trials of a multi-environment network are allocated to sub-regions.  All of
 them share one backbone,
 
-    phi(w) = tr[ (I ⊗ diag(w) + B)^-1 H ],
+    phi(w) = tr[ (I_K ⊗ diag(w) + B)^-1 H ],   B = (I_K ⊗ R̃ + TNT ⊗ Ṽ)^-1,
 
 with ``B`` and ``H`` design-independent positive (semi)definite matrices, so
 every path is well defined even when some sub-regions receive weight zero.
 
-Which path evaluates ``phi`` depends on the genetic covariance structure.
-Exchangeable (compound-symmetry) kinship collapses the K·P-dimensional trace
-to a single P-dimensional one; two-level family-block kinship collapses it to
-two such traces (the ``cbrc`` path) or, equivalently, a block-diagonal
-2P-dimensional one (the ``kbayes`` path).  A general dense kinship has to go
-through the full K·P assembly.  ``Path.AUTO`` picks the cheapest valid path.
+Eigendecomposing the centred kinship TNT = QΛQᵀ makes the system
+block-diagonal in the basis Q ⊗ I_P: with B_g = (R̃ + λ_g Ṽ)^-1,
 
-Every path is a sum of terms tr[(I_m ⊗ diag(w) + C)^-1 H] (m = 1 twice for
-``cbrc``, m = 2 for ``kbayes``, m = K for ``full``), so all of them share the
-solver's two bulk primitives: ``line`` turns the criterion along a segment
-into a rational function of the step, and ``phi_many`` scores a stack of
-designs with one batched factorization per term.
+    phi(w) = Σ_g tr[ (diag(w) + B_g)^-1 H_g ],   H_g = s_g B_g Ṽ L Ṽ B_g,
+
+a stack of G traces of order P, where s_g is the g-th diagonal entry of
+QᵀMQ (M = TN²T for effects, (TNT)² for contrasts) and L holds the
+sub-regional weights.  The evaluation path says where the spectrum comes
+from: exchangeable kinship has one eigen-group in closed form (``bayes_cs``,
+reported per unit of its group weight), two-level family blocks have two
+(``kbayes`` and ``cbrc`` are the same stack under two names), and any other
+kinship needs one K×K ``eigh`` per problem (``full``, one group per
+eigenvalue).  ``Path.AUTO`` picks the closed form where it exists.
+
+Every evaluation costs O(G·P³): one batched Cholesky of the G systems.  The
+solver's two bulk primitives work on the same stack: ``line`` turns the
+criterion along a segment into a rational function of the step, and
+``phi_many`` scores a stack of designs with one batched factorization.
 """
 from __future__ import annotations
 
@@ -33,7 +39,7 @@ from itertools import combinations
 
 import numpy as np
 
-from ._linalg import solve_lower, spd_cholesky, spd_inverse, spd_solve, sym
+from ._linalg import solve_lower, spd_cholesky, spd_inverse, sym
 from .errors import ValidationError
 from .kinship import (BlockCompoundSymmetry, CompoundSymmetry, Identity,
                       KinshipSpec)
@@ -104,11 +110,12 @@ class CriterionSpec:
 class CriterionValue:
     """Criterion value at one design, with its gradient and the MSE trace.
 
-    ``phi`` is the value of the evaluation path actually used (reduced paths
-    report the reduced criterion).  ``mse_trace`` is always the plain summed
-    prediction-error variance of the target quantities for the given design
-    and network size, independent of the criterion's weighting, so values
-    are comparable across paths and match what evaluation reports print.
+    ``phi`` is the value of the evaluation path actually used (the
+    ``bayes_cs`` path reports it per unit of its group weight).
+    ``mse_trace`` is always the plain summed prediction-error variance of the
+    target quantities for the given design and network size, independent of
+    the criterion's weighting, so values are comparable across paths and
+    match what evaluation reports print.
     """
 
     phi: float
@@ -125,261 +132,140 @@ def _pairwise_contrasts(k: int) -> np.ndarray:
     return rows
 
 
-def _weight_matrix(profile: SubRegionProfile, weighting: Weighting) -> np.ndarray:
-    if weighting is Weighting.STANDARD:
-        return np.eye(profile.P)
-    if profile.ell is None:
-        raise ValidationError(
-            "weighted criteria need sub-regional genotype counts (profile.ell)"
-        )
-    return np.diag(profile.ell)
+@dataclass(frozen=True, eq=False)
+class _Spectrum:
+    """The centred kinship TNT in eigen-groups, as far as the criteria see it.
 
-
-def _cs_params(spec: KinshipSpec):
-    """Exchangeable-structure parameters (K, a1, a), or None if not exchangeable.
-
-    Degenerate family-block structures collapse to this case: a single family
-    is plain compound symmetry, singleton families are uncorrelated.
-    """
-    if isinstance(spec, Identity):
-        return spec.K, 1.0 + spec.jitter, 0.0
-    if isinstance(spec, CompoundSymmetry):
-        return spec.K, spec.a1 + spec.jitter, spec.a
-    if isinstance(spec, BlockCompoundSymmetry):
-        if spec.f == 1:
-            return spec.m, spec.b1 + spec.jitter, spec.b
-        if spec.m == 1:
-            return spec.f, spec.b + spec.b1 + spec.jitter, 0.0
-    return None
-
-
-def _block_params(spec: KinshipSpec):
-    if isinstance(spec, BlockCompoundSymmetry) and spec.f >= 2 and spec.m >= 2:
-        return spec.f, spec.m, spec.b1 + spec.jitter, spec.b
-    return None
-
-
-def _block_diag(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    n = len(a)
-    out = np.zeros((2 * n, 2 * n))
-    out[:n, :n], out[n:, n:] = a, b
-    return out
-
-
-class _Term:
-    """One trace term tr[(I_m ⊗ diag(w) + C)^-1 H] over P sub-regions.
-
-    ``C`` is symmetric positive definite and ``H`` symmetric positive
-    semidefinite, both of order m·P.
+    ``lam`` holds one eigenvalue per group; ``weight[target]`` the group
+    weights s_g (diagonal of QᵀMQ summed over the group); ``prior[target]``
+    the prior variance scale the MSE trace starts from (tr N for effects,
+    tr TNT for contrasts).
     """
 
-    def __init__(self, c: np.ndarray, h: np.ndarray, P: int):
-        self.c, self.h = c, h
-        self.m = c.shape[0] // P
-        self._region = np.arange(c.shape[0]) % P    # sub-region of each row
+    lam: np.ndarray
+    weight: dict
+    prior: dict
 
-    def system(self, w: np.ndarray) -> np.ndarray:
-        a = self.c.copy()
-        a.reshape(-1)[::len(a) + 1] += np.asarray(w)[self._region]
-        return a
 
-    def phi(self, w: np.ndarray) -> float:
-        return float(np.trace(spd_solve(self.system(w), self.h, "criterion system")))
+def _closed_form_spectrum(spec: KinshipSpec):
+    """Spectrum of exchangeable (one group) or two-level family-block (two
+    groups) kinship, or None for any other structure.
 
-    def gradient(self, w: np.ndarray) -> np.ndarray:
-        a_inv = spd_inverse(self.system(w), "criterion system")
-        diag = np.einsum("ij,jk,ki->i", a_inv, self.h, a_inv)
-        return diag.reshape(self.m, -1).sum(axis=0)
+    Degenerate family-block structures collapse to the exchangeable case: a
+    single family is plain compound symmetry, singleton families are
+    uncorrelated.
+    """
+    if isinstance(spec, (Identity, CompoundSymmetry)):
+        a1, a = (1.0, 0.0) if isinstance(spec, Identity) else (spec.a1, spec.a)
+        a1 += spec.jitter
+        lam, mult, trace_n = [a1], [spec.K - 1], spec.K * (a1 + a)
+    elif isinstance(spec, BlockCompoundSymmetry):
+        f, m, b1, b = spec.f, spec.m, spec.b1 + spec.jitter, spec.b
+        # within-family contrasts see b1, between-family ones b1 + m*b
+        lam, mult, trace_n = [b1, b1 + m * b], [f * (m - 1), f - 1], f * m * (b1 + b)
+    else:
+        return None
+    lam, mult = np.array(lam), np.array(mult, dtype=float)
+    keep = mult > 0
+    lam, mult = lam[keep], mult[keep]
+    weight = mult * lam ** 2       # TN²T and (TNT)² agree on these structures
+    return _Spectrum(lam, {Target.EFFECTS: weight, Target.CONTRASTS: weight},
+                     {Target.EFFECTS: trace_n, Target.CONTRASTS: float(mult @ lam)})
 
-    @cached_property
-    def root(self) -> np.ndarray:
-        """R with R Rᵀ = H, from the positive part of the spectrum of H.
 
-        Kept in Fortran order, which spares LAPACK a copy per triangular solve.
-        """
-        s, u = np.linalg.eigh(self.h)
-        keep = s > 0
-        return np.asfortranarray(u[:, keep] * np.sqrt(s[keep]))
-
-    def line(self, x: np.ndarray, d: np.ndarray):
-        """(h, λ) with tr[(A(x) + t·A(d))^-1 H] = Σ h_i / (1 + t λ_i)."""
-        chol = spd_cholesky(self.system(x), "criterion system")
-        l_inv = solve_lower(chol, np.eye(len(chol)))
-        lam, q = np.linalg.eigh((l_inv * d[self._region]) @ l_inv.T)
-        y = q.T @ (l_inv @ self.root)
-        return np.einsum("ij,ij->i", y, y), lam
-
-    def phi_many(self, weights: np.ndarray) -> np.ndarray:
-        n, dim = len(weights), self.c.shape[0]
-        out = np.empty(n)
-        step = max(1, _BATCH_ENTRIES // dim ** 2)
-        for lo in range(0, n, step):
-            w = weights[lo:lo + step]
-            a = np.repeat(self.c[None], len(w), axis=0)
-            a.reshape(len(w), -1)[:, ::dim + 1] += w[:, self._region]
-            y = solve_lower(spd_cholesky(a, "criterion system"), self.root)
-            out[lo:lo + step] = np.einsum("nij,nij->n", y, y)
-        return out
+def _eigen_spectrum(n: np.ndarray) -> _Spectrum:
+    """Spectrum of TNT for any kinship N: one group per eigenvalue."""
+    t = centering_matrix(len(n))
+    tnt = sym(t @ n @ t)
+    lam, q = np.linalg.eigh(tnt)
+    ntq = n @ (q - q.mean(axis=0))      # N T Q, so diag(QᵀTN²TQ) is its column norms
+    return _Spectrum(lam, {Target.EFFECTS: np.einsum("ij,ij->j", ntq, ntq),
+                           Target.CONTRASTS: lam ** 2},
+                     {Target.EFFECTS: float(np.trace(n)),
+                      Target.CONTRASTS: float(np.trace(tnt))})
 
 
 class _TraceEvaluator:
-    """A criterion as a sum of trace terms, with its MSE traces as affine images.
+    """phi(w) = Σ_g tr[(diag(w) + C_g)^-1 R_g R_gᵀ] over a stack of G groups.
 
-    phi(w) = Σ_terms tr[(I_m ⊗ diag(w) + C)^-1 H].  The reported MSE trace of
-    each target is ``factor * (Σ_std-terms trace + const)`` over terms of the
-    same shape that carry the unweighted H.
+    ``c`` and ``root`` are (G, P, P) arrays: C_g is positive definite and
+    R_g R_gᵀ = H_g, the root being known in closed form from the build.  The
+    reported MSE trace of each target is ``factor * (trace + const)``, the
+    trace taken with that target's unweighted root.
     """
 
-    def __init__(self, path: Path, terms: list, mse: dict):
+    def __init__(self, path: Path, c: np.ndarray, root: np.ndarray, mse: dict):
         self.path = path
-        self.terms = terms
+        self.c = c
+        self.root = root
         self._mse = mse
 
+    def _cholesky(self, w) -> np.ndarray:
+        """Lower factors of diag(w) + C_g for one design (P,) or a stack (n, P)."""
+        w = np.asarray(w, dtype=float)
+        a = self.c + w[..., None, :, None] * np.eye(self.c.shape[-1])
+        return spd_cholesky(a, "criterion system")
+
+    def _trace(self, w, root) -> float:
+        y = solve_lower(self._cholesky(w), root)
+        return float(np.einsum("gij,gij->", y, y))
+
     def phi(self, w) -> float:
-        return sum(t.phi(w) for t in self.terms)
+        return self._trace(w, self.root)
 
     def gradient(self, w) -> np.ndarray:
-        return -sum(t.gradient(w) for t in self.terms)
+        """-diag Σ_g A_g^-1 H_g A_g^-1: row sums of squares of X_g = A_g^-1 R_g."""
+        chol = self._cholesky(w)
+        x = solve_lower(chol, solve_lower(chol, self.root), transpose=True)
+        return -np.einsum("gij,gij->i", x, x)
 
     def line(self, x, d):
         """(h, λ) with phi(x + t·d) = Σ h_i / (1 + t λ_i) while x + t·d >= 0.
 
-        Per term, A(x) = LLᵀ and L^-1 (I_m ⊗ diag(d)) L^-ᵀ = QΛQᵀ, so h is
-        the diagonal of Qᵀ L^-1 H L^-ᵀ Q.  Every h_i >= 0.
+        Per group, A(x) = LLᵀ and L^-1 diag(d) L^-ᵀ = QΛQᵀ, so h is the
+        diagonal of Qᵀ L^-1 H L^-ᵀ Q.  Every h_i >= 0.
         """
-        parts = [t.line(np.asarray(x, dtype=float), np.asarray(d, dtype=float))
-                 for t in self.terms]
-        return (np.concatenate([h for h, _ in parts]),
-                np.concatenate([lam for _, lam in parts]))
+        chol = self._cholesky(x)
+        l_inv = solve_lower(chol, np.eye(chol.shape[-1]))
+        l_inv_t = np.swapaxes(l_inv, 1, 2)
+        lam, q = np.linalg.eigh((l_inv * np.asarray(d, dtype=float)) @ l_inv_t)
+        y = np.swapaxes(q, 1, 2) @ (l_inv @ self.root)
+        return np.einsum("gij,gij->gi", y, y).ravel(), lam.ravel()
 
     def phi_many(self, weights) -> np.ndarray:
-        """phi of each row of an (n, P) stack, one batched Cholesky per term.
+        """phi of each row of an (n, P) stack, one batched Cholesky per chunk.
 
         Each row's value depends on that row alone, not on the rest of the
         stack, but may differ from :meth:`phi` in the last digits.
         """
         weights = np.atleast_2d(np.asarray(weights, dtype=float))
-        return sum(t.phi_many(weights) for t in self.terms)
+        out = np.empty(len(weights))
+        step = max(1, _BATCH_ENTRIES // self.root.size)
+        for lo in range(0, len(weights), step):
+            chol = self._cholesky(weights[lo:lo + step])
+            y = solve_lower(chol, np.broadcast_to(self.root, chol.shape))
+            y = y.reshape(len(y), -1)
+            out[lo:lo + step] = np.einsum("nk,nk->n", y, y)
+        return out
 
     def mse_trace(self, w, target: Target) -> float:
-        factor, terms, const = self._mse[target]
-        return factor * (sum(t.phi(w) for t in terms) + const)
-
-
-def _bayes_cs_evaluator(vc, profile, params, J, spec: CriterionSpec):
-    """Exchangeable-kinship path: a single P-dimensional trace.
-
-    The exchangeable structure makes the effects and contrasts criteria
-    proportional with the same constant, so one term serves both targets;
-    only the reported MSE traces differ.
-    """
-    k, a1, a = params
-    p = profile.P
-    c = effective_error_constant(vc)
-    mse_scale = c / J
-    vt = (J / c) * np.asarray(profile.V)
-    s_inv = spd_inverse(scaled_year_matrix(vc, J, p) + a1 * vt,
-                        "exchangeable inner matrix")
-    lmat = _weight_matrix(profile, spec.weighting)
-    g = sym(s_inv @ vt @ lmat @ vt @ s_inv)
-    if spec.weighting is not Weighting.STANDARD:
-        g_std = sym(s_inv @ vt @ vt @ s_inv)
-    else:
-        g_std = g
-    std = [_Term(s_inv, a1 ** 2 * (k - 1) * g_std, p)]
-    # design-independent parts of the plain MSE traces
-    contrast_const = a1 * (k - 1) * np.trace(vt - a1 * (vt @ s_inv @ vt))
-    return _TraceEvaluator(Path.BAYES_CS, [_Term(s_inv, g, p)], {
-        Target.EFFECTS: (mse_scale, std, contrast_const + (a * k + a1) * np.trace(vt)),
-        Target.CONTRASTS: (mse_scale * k, std, contrast_const),
-    })
-
-
-def _family_block_evaluator(vc, profile, params, J, spec: CriterionSpec, path: Path):
-    """Family-block paths: two P-dimensional traces (``cbrc``) or, with the
-    same value, one block-diagonal 2P-dimensional trace (``kbayes``)."""
-    f, m, b1, b = params
-    p = profile.P
-    c = effective_error_constant(vc)
-    mse_scale = c / J
-    vt = (J / c) * np.asarray(profile.V)
-    rt = scaled_year_matrix(vc, J, p)
-    lmat = _weight_matrix(profile, spec.weighting)
-    # within-family contrasts see b1*V, between-family ones (m*b + b1)*V
-    v = (b1 * vt, (m * b + b1) * vt)
-    s_inv = [spd_inverse(rt + vi, "family-block inner matrix") for vi in v]
-    mult = (f * (m - 1), f - 1)
-    h = [q * sym(si @ vi @ lmat @ vi @ si) for q, si, vi in zip(mult, s_inv, v)]
-    pair = [_Term(si, hi, p) for si, hi in zip(s_inv, h)]
-    if spec.weighting is Weighting.STANDARD:
-        std = pair
-    else:
-        std = [_Term(si, q * sym(si @ vi @ vi @ si), p)
-               for q, si, vi in zip(mult, s_inv, v)]
-    terms = pair if path is Path.CBRC else [_Term(_block_diag(*s_inv), _block_diag(*h), p)]
-    resid = [np.trace(vi - vi @ si @ vi) for vi, si in zip(v, s_inv)]
-    const_contrasts = mult[0] * resid[0] + mult[1] * resid[1]
-    return _TraceEvaluator(path, terms, {
-        Target.EFFECTS: (mse_scale, std, const_contrasts + np.trace(v[1])),
-        Target.CONTRASTS: (mse_scale * f * m, std, const_contrasts),
-    })
-
-
-def _full_evaluator(vc, profile, kinship, J, spec: CriterionSpec):
-    """General-kinship path: literal K·P-dimensional assembly.
-
-    Valid for every structure; required for dense kinship, where the
-    all-genotypes mean need not be an eigenvector and effects- and
-    contrasts-optimal allocations can genuinely differ.
-    """
-    sg = scaled_genetic_covariances(vc, J, profile, kinship)
-    n, vt = sg.N, sg.Vt
-    k, p = sg.K, profile.P
-    c = effective_error_constant(vc)
-    mse_scale = c / J
-    rt = scaled_year_matrix(vc, J, p)
-    t = centering_matrix(k)
-    tnt = sym(t @ n @ t)
-    base = spd_inverse(np.kron(np.eye(k), rt) + np.kron(tnt, vt),
-                       "criterion base matrix")
-    lmat = _weight_matrix(profile, spec.weighting)
-    vv = vt @ vt
-    mid = {Target.EFFECTS: sym(t @ n @ n @ t),
-           Target.CONTRASTS: sym(t @ n @ t @ n @ t)}
-
-    def h(target, inner):
-        return sym(base @ np.kron(mid[target], inner) @ base)
-
-    term = _Term(base, h(spec.target, sym(vt @ lmat @ vt)), p)
-    std = {target: [term] if target is spec.target and spec.weighting is Weighting.STANDARD
-           else [_Term(base, h(target, vv), p)] for target in Target}
-    # design-independent parts of the plain MSE traces
-    const = {Target.EFFECTS: np.trace(n) * np.trace(vt),
-             Target.CONTRASTS: np.trace(n @ t) * np.trace(vt)}
-    return _TraceEvaluator(Path.FULL, [term], {
-        target: (mse_scale * (k if target is Target.CONTRASTS else 1), std[target],
-                 const[target] - np.trace(base @ np.kron(mid[target], vv)))
-        for target in Target
-    })
+        factor, root, const = self._mse[target]
+        return factor * (self._trace(w, root) + const)
 
 
 def _route(kinship: KinshipSpec, path: Path) -> Path:
-    cs = _cs_params(kinship)
-    block = _block_params(kinship)
+    closed = _closed_form_spectrum(kinship)
+    groups = 0 if closed is None else len(closed.lam)
     if path is Path.AUTO:
-        if cs is not None:
-            return Path.BAYES_CS
-        if block is not None:
-            return Path.KBAYES
-        return Path.FULL
-    if path is Path.BAYES_CS and cs is None:
+        return {1: Path.BAYES_CS, 2: Path.KBAYES}.get(groups, Path.FULL)
+    if path is Path.BAYES_CS and groups != 1:
         raise ValidationError(
             "the exchangeable path needs identity, compound-symmetry or "
             "single-level family-block kinship; use the kbayes/cbrc paths for "
             "two-level family blocks or the full path for dense kinship"
         )
-    if path in (Path.KBAYES, Path.CBRC) and block is None:
-        if cs is not None:
+    if path in (Path.KBAYES, Path.CBRC) and groups != 2:
+        if groups == 1:
             raise ValidationError(
                 f"the {path.value} path needs family-block kinship with at least "
                 "two families of at least two genotypes; this structure is "
@@ -396,9 +282,10 @@ def _route(kinship: KinshipSpec, path: Path) -> Path:
 class DesignProblem:
     """A criterion bound to a trial network, reusable across designs.
 
-    Evaluation-path precomputations depend on the design only through the
-    network size J, so they are cached per J; repeated evaluations during
-    optimization cost one small linear solve each.
+    The kinship spectrum is computed once per problem; the evaluator built
+    from it depends on the design only through the network size J, so it is
+    cached per J and every evaluation costs one batched Cholesky of the
+    group systems.
     """
 
     vc: VarianceComponents
@@ -430,16 +317,40 @@ class DesignProblem:
                 self._evaluators[J] = ev
             return ev
 
-    def _build(self, J: int):
-        path = self.path_used
-        if path is Path.BAYES_CS:
-            return _bayes_cs_evaluator(self.vc, self.profile, _cs_params(self.kinship),
-                                       J, self.criterion)
-        if path in (Path.CBRC, Path.KBAYES):
-            return _family_block_evaluator(self.vc, self.profile,
-                                           _block_params(self.kinship), J,
-                                           self.criterion, path)
-        return _full_evaluator(self.vc, self.profile, self.kinship, J, self.criterion)
+    @cached_property
+    def _spectrum(self) -> _Spectrum:
+        if self.path_used is not Path.FULL:
+            return _closed_form_spectrum(self.kinship)
+        # N itself does not depend on J; this validates it positive definite
+        return _eigen_spectrum(scaled_genetic_covariances(self.vc, 1, self.profile,
+                                                          self.kinship).N)
+
+    def _build(self, J: int) -> _TraceEvaluator:
+        """Systems C_g = B_g = (R̃ + λ_g Ṽ)^-1 and roots R_g = √s_g B_g Ṽ L^½."""
+        spectrum = self._spectrum
+        scale = J / effective_error_constant(self.vc)
+        vt = scale * self.profile.V
+        inner = scaled_year_matrix(self.vc, J, self.P) + spectrum.lam[:, None, None] * vt
+        l_inv = solve_lower(spd_cholesky(inner, "criterion inner matrix"), np.eye(self.P))
+        b = np.swapaxes(l_inv, 1, 2) @ l_inv
+        bv = b @ vt
+
+        def root(weight):
+            return np.sqrt(weight)[:, None, None] * bv
+
+        # the exchangeable path reports phi per unit of its one group's weight
+        weight = (np.ones(1) if self.path_used is Path.BAYES_CS
+                  else spectrum.weight[self.criterion.target])
+        ell = (np.sqrt(self.profile.ell) if self.criterion.weighting is Weighting.WEIGHTED
+               else 1.0)
+        trace_bv2 = np.einsum("gij,ji->g", bv, vt)           # tr(B_g Ṽ²)
+        mse = {
+            t: ((1 if t is Target.EFFECTS else self.kinship.K) / scale,
+                root(spectrum.weight[t]),
+                spectrum.prior[t] * np.trace(vt) - spectrum.weight[t] @ trace_bv2)
+            for t in Target
+        }
+        return _TraceEvaluator(self.path_used, b, root(weight) * ell, mse)
 
     def phi(self, design: Design) -> float:
         return self.evaluator(design.J).phi(design.weights)
@@ -550,7 +461,12 @@ def phi_cbrc_blockcs(design: Design, vc: VarianceComponents, profile: SubRegionP
 
 def phi_kbayes_blockcs(design: Design, vc: VarianceComponents, profile: SubRegionProfile,
                        kinship: KinshipSpec, weighting="standard") -> CriterionValue:
-    """Reduced family-block criterion as one block-diagonal 2P-dimensional trace."""
+    """Reduced family-block criterion under the ``kbayes`` label.
+
+    The paper writes it as one block-diagonal 2P-dimensional trace; its two
+    blocks are the two P-dimensional traces of :func:`phi_cbrc_blockcs`, so
+    both return the same value.
+    """
     return _one_shot(design, vc, profile, kinship, Target.EFFECTS, weighting, Path.KBAYES)
 
 

@@ -15,6 +15,7 @@ from typing import Union
 
 import numpy as np
 
+from ._checks import finite, integers, number
 from ._linalg import frozen_array, sym
 from .errors import ValidationError
 
@@ -35,9 +36,15 @@ __all__ = [
 _SYM_RTOL = 1e-10
 
 
-def _check_jitter(jitter: float) -> None:
-    if jitter < 0:
-        raise ValidationError(f"jitter must be non-negative, got {jitter}")
+def _check_numbers(spec, integral=(), real=()) -> None:
+    """Store the named fields of ``spec`` as checked ints and finite floats,
+    and reject a negative jitter."""
+    for name in integral:
+        object.__setattr__(spec, name, int(integers(getattr(spec, name), name)))
+    for name in real + ("jitter",):
+        object.__setattr__(spec, name, number(getattr(spec, name), name))
+    if spec.jitter < 0:
+        raise ValidationError(f"jitter must be non-negative, got {spec.jitter}")
 
 
 @dataclass(frozen=True)
@@ -48,9 +55,9 @@ class Identity:
     jitter: float = 0.0
 
     def __post_init__(self):
+        _check_numbers(self, integral=("K",))
         if self.K < 2:
             raise ValidationError(f"kinship needs at least 2 genotypes, got K={self.K}")
-        _check_jitter(self.jitter)
 
 
 @dataclass(frozen=True)
@@ -74,13 +81,13 @@ class CompoundSymmetry:
     jitter: float = 0.0
 
     def __post_init__(self):
+        _check_numbers(self, integral=("K",), real=("sigma2_alpha", "r"))
         if self.K < 2:
             raise ValidationError(f"kinship needs at least 2 genotypes, got K={self.K}")
         if not self.sigma2_alpha > 0:
             raise ValidationError(f"sigma2_alpha must be positive, got {self.sigma2_alpha}")
         if not 0.0 <= self.r < 1.0:
             raise ValidationError(f"correlation r must lie in [0, 1), got {self.r}")
-        _check_jitter(self.jitter)
 
     @property
     def a(self) -> float:
@@ -106,6 +113,7 @@ class BlockCompoundSymmetry:
     jitter: float = 0.0
 
     def __post_init__(self):
+        _check_numbers(self, integral=("f", "m"), real=("sigma2_alpha", "r"))
         if self.f < 1 or self.m < 1:
             raise ValidationError(f"family layout needs f, m >= 1, got f={self.f}, m={self.m}")
         if self.f * self.m < 2:
@@ -114,7 +122,6 @@ class BlockCompoundSymmetry:
             raise ValidationError(f"sigma2_alpha must be positive, got {self.sigma2_alpha}")
         if not 0.0 <= self.r < 1.0:
             raise ValidationError(f"correlation r must lie in [0, 1), got {self.r}")
-        _check_jitter(self.jitter)
 
     @property
     def K(self) -> int:
@@ -137,7 +144,8 @@ class DenseKinship:
     jitter: float = 0.0
 
     def __post_init__(self):
-        mat = np.asarray(self.matrix, dtype=float)
+        _check_numbers(self)
+        mat = finite(self.matrix, "matrix")
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise ValidationError(f"kinship matrix must be square, got shape {mat.shape}")
         if mat.shape[0] < 2:
@@ -145,7 +153,6 @@ class DenseKinship:
         scale = max(np.abs(mat).max(), 1.0)
         if np.abs(mat - mat.T).max() > _SYM_RTOL * scale:
             raise ValidationError("kinship matrix is not symmetric within 1e-10 relative")
-        _check_jitter(self.jitter)
         object.__setattr__(self, "matrix", frozen_array(sym(mat)))
 
     @property

@@ -14,6 +14,7 @@ from enum import Enum
 import numpy as np
 
 from . import kinship as _kinship
+from ._checks import finite, integers, number
 from ._linalg import frozen_array
 from .errors import ValidationError
 
@@ -90,15 +91,21 @@ class VarianceComponents:
         object.__setattr__(self, "model_variant", ModelVariant(self.model_variant))
         for name in ("sigma2_omega", "sigma2_tau", "sigma2_gamma",
                      "sigma2_phi_plus_err_over_L"):
-            value = getattr(self, name)
-            if not np.isfinite(value) or value < 0:
+            value = number(getattr(self, name), name)
+            if value < 0:
                 raise ValidationError(f"{name} must be a finite non-negative number, got {value}")
+            object.__setattr__(self, name, value)
         if self.sigma2_tau <= 0:
             raise ValidationError("sigma2_tau must be strictly positive")
-        if int(self.H) != self.H or self.H < 1:
+        h = int(integers(self.H, "H"))
+        if h < 1:
             raise ValidationError(f"H must be an integer >= 1, got {self.H}")
-        if self.L is not None and (int(self.L) != self.L or self.L < 1):
-            raise ValidationError(f"L must be an integer >= 1 when given, got {self.L}")
+        object.__setattr__(self, "H", h)
+        if self.L is not None:
+            blocks = int(integers(self.L, "L"))
+            if blocks < 1:
+                raise ValidationError(f"L must be an integer >= 1 when given, got {self.L}")
+            object.__setattr__(self, "L", blocks)
 
     @classmethod
     def from_separate(cls, *, sigma2_omega: float, sigma2_tau: float,
@@ -108,8 +115,10 @@ class VarianceComponents:
                       model_variant: ModelVariant = ModelVariant.CROSS_CLASSIFIED,
                       ) -> "VarianceComponents":
         """Build from separate σ²_φ, σ² and block count L."""
+        L = int(integers(L, "L"))
         if L < 1:
             raise ValidationError(f"L must be >= 1, got {L}")
+        sigma2_phi, sigma2_err = number(sigma2_phi, "sigma2_phi"), number(sigma2_err, "sigma2_err")
         if sigma2_phi < 0 or sigma2_err < 0:
             raise ValidationError("sigma2_phi and sigma2_err must be non-negative")
         return cls(
@@ -159,7 +168,7 @@ class SubRegionProfile:
     ell: np.ndarray | None = None
 
     def __post_init__(self):
-        v = np.asarray(self.V, dtype=float)
+        v = finite(self.V, "V")
         if v.ndim != 2 or v.shape[0] != v.shape[1]:
             raise ValidationError(f"V must be square, got shape {v.shape}")
         if v.shape[0] < 2:
@@ -172,7 +181,7 @@ class SubRegionProfile:
             raise ValidationError("V must be positive definite")
         object.__setattr__(self, "V", frozen_array(v))
         if self.ell is not None:
-            ell = np.asarray(self.ell, dtype=float).ravel()
+            ell = finite(self.ell, "ell").ravel()
             if ell.shape != (v.shape[0],):
                 raise ValidationError(
                     f"ell must have one coefficient per sub-region ({v.shape[0]}), got {ell.shape}"
@@ -201,7 +210,7 @@ class Design:
     counts: np.ndarray | None = None
 
     def __post_init__(self):
-        w = np.asarray(self.weights, dtype=float).ravel()
+        w = finite(self.weights, "weights").ravel()
         if w.size < 2:
             raise ValidationError("a design needs at least 2 sub-regions")
         if np.any(w < -1e-12):
@@ -209,9 +218,10 @@ class Design:
         total = w.sum()
         if abs(total - 1.0) > 1e-8:
             raise ValidationError(f"weights must sum to 1, got sum {total!r}")
-        if int(self.J) != self.J or self.J < 1:
+        j = int(integers(self.J, "J"))
+        if j < 1:
             raise ValidationError(f"J must be an integer >= 1, got {self.J}")
-        object.__setattr__(self, "J", int(self.J))
+        object.__setattr__(self, "J", j)
         object.__setattr__(self, "weights", frozen_array(np.clip(w, 0.0, None) / total))
         if self.counts is not None:
             counts = np.asarray(self.counts)
@@ -228,7 +238,7 @@ class Design:
     @classmethod
     def exact(cls, counts) -> "Design":
         """Integer allocation; weights are induced as counts / J."""
-        counts = np.asarray(counts, dtype=int)
+        counts = integers(counts, "counts", np.size(counts))
         total = int(counts.sum())
         if total < 1:
             raise ValidationError("an exact design needs at least one trial")

@@ -20,6 +20,7 @@ import numpy as np
 # minimize_scalar is unused here; bench/tracing.py still patches it by name
 from scipy.optimize import linprog, minimize_scalar  # noqa: F401
 
+from ._checks import finite, integers, number
 from .criteria import DesignProblem
 from .errors import InfeasibleError, NumericalError, ValidationError
 from .model import Design
@@ -34,28 +35,6 @@ __all__ = [
 ]
 
 _BUDGET_TOL = 1e-9
-
-
-def _finite(value, name: str) -> np.ndarray:
-    """``value`` as a float array, rejecting non-numbers, NaN and infinities."""
-    try:
-        arr = np.array(value, dtype=float)
-    except (TypeError, ValueError):
-        raise ValidationError(f"{name} must be numeric, got {value!r}") from None
-    if not np.all(np.isfinite(arr)):
-        raise ValidationError(f"{name} must be finite, got {value!r}")
-    return arr
-
-
-def _integers(value, name: str, size: int | None = None) -> np.ndarray:
-    """``value`` as ints: a scalar, or broadcast to a vector of length ``size``."""
-    arr = _finite(value, name)
-    if np.any(arr != np.round(arr)):
-        raise ValidationError(f"{name} must be integral, got {value!r}")
-    if arr.shape not in ((), (size,)):
-        count = "" if size is None else f" or {size} of them"
-        raise ValidationError(f"{name} must be a whole number{count}, got {value!r}")
-    return np.broadcast_to(arr.astype(int), () if size is None else size).copy()
 
 
 @dataclass(frozen=True, eq=False)
@@ -75,7 +54,7 @@ class ConstraintSet:
     P: object = None
 
     def __post_init__(self):
-        j = int(_integers(self.J, "J"))
+        j = int(integers(self.J, "J"))
         if j < 1:
             raise ValidationError(f"total number of locations must be >= 1, got {self.J}")
         object.__setattr__(self, "J", j)
@@ -88,16 +67,16 @@ class ConstraintSet:
             raise ValidationError(
                 "number of sub-regions is ambiguous: pass P or a vector bound"
             )
-        p = int(_integers(p, "P"))
+        p = int(integers(p, "P"))
         object.__setattr__(self, "P", p)
 
-        lo = _integers(self.min_per_region, "min_per_region", p)
+        lo = integers(self.min_per_region, "min_per_region", p)
         if np.any(lo < 0):
             raise ValidationError("min_per_region entries must be >= 0")
         if self.max_per_region is None:
             hi = np.full(p, j, dtype=int)
         else:
-            hi = _integers(self.max_per_region, "max_per_region", p)
+            hi = integers(self.max_per_region, "max_per_region", p)
         hi = np.minimum(hi, j)
         if np.any(hi < lo):
             raise ValidationError("max_per_region must be >= min_per_region")
@@ -109,15 +88,15 @@ class ConstraintSet:
         if (self.costs is None) != (self.budget is None):
             raise ValidationError("costs and budget must be given together")
         if self.costs is not None:
-            costs = _finite(self.costs, "costs")
+            costs = finite(self.costs, "costs")
             if costs.shape != (p,) or not np.all(costs > 0):
                 raise ValidationError(f"costs must be {p} positive reals")
             costs.setflags(write=False)
             object.__setattr__(self, "costs", costs)
-            budget = _finite(self.budget, "budget")
-            if budget.shape != () or not budget > 0:
+            budget = number(self.budget, "budget")
+            if not budget > 0:
                 raise ValidationError(f"budget must be a positive real, got {self.budget!r}")
-            object.__setattr__(self, "budget", float(budget))
+            object.__setattr__(self, "budget", budget)
 
         if int(lo.sum()) > j:
             raise InfeasibleError(
@@ -178,8 +157,8 @@ class OptimizerReport:
     """Result of a solve.
 
     ``status`` says why the approximate solver stopped: ``converged`` (the
-    gap fell below the tolerance), ``max_iter``, or ``stalled`` (the line
-    search stopped improving the criterion).  An exact solve carries the
+    gap fell below the tolerance), ``max_iter``, or ``stalled`` (a line-search
+    step did not lower the criterion).  An exact solve carries the
     status of its approximate warm start.
     """
 
@@ -269,7 +248,6 @@ def solve_approximate(problem: DesignProblem, constraints: ConstraintSet,
     atoms = {x.tobytes(): [x, 1.0]}
     phi_x = ev.phi(x)
     gap = np.inf
-    stalls = 0
     it = 0
     status = "max_iter"
     for it in range(1, max_iter + 1):
@@ -296,12 +274,9 @@ def solve_approximate(problem: DesignProblem, constraints: ConstraintSet,
             gamma = gamma_max
         phi_new = ev.phi(x + gamma * d)
         if not phi_new < phi_x:
-            stalls += 1
-            if stalls >= 5:
-                status = "stalled"
-                break
-            continue
-        stalls = 0
+            # nothing changes after a failed step, so a retry would repeat it
+            status = "stalled"
+            break
 
         if away_key is not None:
             if gamma_max - gamma <= 1e-14:

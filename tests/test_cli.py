@@ -119,6 +119,19 @@ class TestDesign:
         assert code == 2 and payload is None
         assert field in err
 
+    @pytest.mark.parametrize("block, value, field", [
+        ("kinship", {"variant": "identity", "K": 2.5}, "K"),
+        ("kinship", {"variant": "block_cs", "f": 2, "m": 3.5, "r": 0.5}, "m"),
+        ("J", 40.5, "J"),
+    ])
+    def test_fractional_config_values_exit_2(self, tmp_path, capsys, network_config,
+                                             block, value, field):
+        network_config[block] = value
+        code, payload, err = run_cli(
+            capsys, "design", "--config", write_config(tmp_path, network_config))
+        assert code == 2 and payload is None
+        assert field in err
+
     def test_round_trip_reproduces_phi(self, tmp_path, capsys, network_config):
         code, report, _ = run_cli(capsys, "design", "--config",
                                   "maize_network", "--mode", "approx")

@@ -2,15 +2,18 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import helpers
 from trialalloc import (BlockCompoundSymmetry, CompoundSymmetry,
-                        CriterionSpec, Design, DesignProblem, Identity,
-                        NumericalError, Path, SubRegionProfile, Target,
-                        ValidationError,
+                        ConstraintSet, CriterionSpec, Design, DesignProblem,
+                        Identity, NumericalError, Path, SubRegionProfile,
+                        Target, ValidationError,
                         Weighting, mse_contrasts_full, mse_effects_full,
                         mse_trace_report, phi_bayes_cs, phi_cbrc_blockcs,
-                        phi_contrasts, phi_effects, phi_kbayes_blockcs)
+                        phi_contrasts, phi_effects, phi_kbayes_blockcs,
+                        solve_approximate)
+from trialalloc import _linalg, criteria
 from trialalloc.oracle import (OracleInstance, finite_difference_gradient,
                                mse_direct, mse_direct_contrasts)
 
@@ -275,3 +278,58 @@ class TestFunctionalFrontends:
         value = problem.value(design)
         assert time.perf_counter() - start < 1.0
         assert np.isfinite(value.phi) and value.mse_trace > 0
+
+
+class TestSpectralFullPath:
+    """The full path as a stack of P×P systems, one per eigenvalue of TNT."""
+
+    def test_only_p_by_p_systems_are_factorized(self, monkeypatch, vc5, profile5):
+        shapes = []
+
+        def recording(factor):
+            def wrapped(a, *args):
+                shapes.append(np.shape(a)[-2:])
+                return factor(a, *args)
+            return wrapped
+
+        monkeypatch.setattr(criteria, "spd_cholesky", recording(criteria.spd_cholesky))
+        monkeypatch.setattr(_linalg, "spd_factor", recording(_linalg.spd_factor))
+        kin = helpers.random_kinship(np.random.default_rng(40), "dense", K=40)
+        problem = DesignProblem(vc5, profile5, kin)
+        report = solve_approximate(problem, ConstraintSet(J=40, P=5))
+        assert problem.path_used is Path.FULL and report.iterations > 0
+        assert shapes and set(shapes) == {(5, 5)}
+
+    def test_large_dense_kinship_is_evaluable(self, vc5, profile5):
+        kin = helpers.random_kinship(np.random.default_rng(400), "dense", K=400)
+        value = DesignProblem(vc5, profile5, kin).value(
+            Design.exact(np.array([13, 6, 8, 12, 1])))
+        assert value.path_used is Path.FULL
+        assert np.isfinite(value.phi) and value.phi > 0
+        assert np.isfinite(value.mse_trace) and value.mse_trace > 0
+        assert np.all(np.isfinite(value.gradient))
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(2, 4).flatmap(lambda p: st.tuples(
+               st.lists(st.integers(1, 3), min_size=p, max_size=p),
+               st.integers(2, 8), st.integers(0, 2 ** 32 - 1))))
+    def test_matches_the_oracle(self, instance):
+        counts, k, seed = instance       # J <= 12 keeps within the oracle's guard
+        rng = np.random.default_rng(seed)
+        vc = helpers.random_vc(rng)
+        profile = helpers.random_profile(rng, len(counts))
+        kin = helpers.random_kinship(rng, "dense", K=k)
+        inst = OracleInstance(vc=vc, profile=profile, kinship=kin, counts=tuple(counts))
+        design = Design.exact(counts)
+        direct = {"effects": np.trace(mse_direct(inst)),
+                  "contrasts": np.trace(mse_direct_contrasts(inst))}
+        for target in Target:
+            for weighting in Weighting:
+                problem = DesignProblem(vc, profile, kin, CriterionSpec(
+                    target=target, weighting=weighting, path="full"))
+                assert problem.mse_trace(design) == pytest.approx(
+                    direct[target.value], rel=1e-9)
+                fd = finite_difference_gradient(problem.evaluator(design.J).phi,
+                                                design.weights)
+                np.testing.assert_allclose(problem.gradient(design), fd, rtol=2e-5,
+                                           atol=1e-7 * np.abs(fd).max())

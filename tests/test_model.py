@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 import helpers
-from trialalloc import (Design, Identity, ModelVariant, SubRegionProfile,
-                        ValidationError, VarianceComponents, centering_matrix,
-                        effective_error_constant, moment_matrix,
-                        scaled_genetic_covariances, scaled_year_matrix)
+from trialalloc import (CompoundSymmetry, Design, Identity, ModelVariant,
+                        SubRegionProfile, ValidationError, VarianceComponents,
+                        centering_matrix, effective_error_constant,
+                        moment_matrix, scaled_genetic_covariances,
+                        scaled_year_matrix)
 from trialalloc.kinship import DenseKinship
 from trialalloc.model import DENSE_KP_LIMIT
 
@@ -176,3 +177,33 @@ class TestScaledGeneticCovariances:
                                         Identity(K=DENSE_KP_LIMIT // 5 + 1))
         with pytest.raises(ValidationError, match="limit"):
             sg.dense()
+
+
+def _with_nan(matrix):
+    out = np.array(matrix, dtype=float)
+    out[0, 1] = out[1, 0] = np.nan
+    return out
+
+
+class TestNonFiniteAndFractionalInputs:
+    """Every constructor rejects NaN, infinities and fractional counts by name."""
+
+    @pytest.mark.parametrize("build, field", [
+        (lambda: Design.approximate([np.nan, 0.5, 0.5], 10), "weights"),
+        (lambda: SubRegionProfile(V=_with_nan(helpers.V5)), "V"),
+        (lambda: SubRegionProfile(V=np.eye(2), ell=[1.0, np.inf]), "ell"),
+        (lambda: CompoundSymmetry(K=4, sigma2_alpha=np.inf, r=0.3), "sigma2_alpha"),
+        (lambda: DenseKinship(matrix=_with_nan(np.eye(3))), "matrix"),
+        (lambda: Identity(K=2.5), "K"),
+        (lambda: VarianceComponents(sigma2_omega=1.0, sigma2_tau=1.0, sigma2_gamma=1.0,
+                                    sigma2_phi_plus_err_over_L=1.0, H=np.inf), "H"),
+        (lambda: Design.exact([2.5, 1.5]), "counts"),
+        (lambda: VarianceComponents.from_separate(
+            sigma2_omega=1.0, sigma2_tau=1.0, sigma2_gamma=1.0, sigma2_phi=1.0,
+            sigma2_err=np.nan, L=2, H=1), "sigma2_err"),
+    ], ids=["design-weights", "profile-V", "profile-ell", "cs-sigma2_alpha",
+            "dense-matrix", "identity-K", "variance-H", "exact-counts",
+            "separate-sigma2_err"])
+    def test_rejected_naming_the_field(self, build, field):
+        with pytest.raises(ValidationError, match=field):
+            build()
