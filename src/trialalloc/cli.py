@@ -332,7 +332,8 @@ def _render_design_table(report: dict) -> None:
         err.write("  " + "  ".join(cell.rjust(w) for cell, w in zip(r, widths)) + "\n")
     err.write(f"  phi       : {report['phi']:.6f}\n")
     err.write(f"  MSE trace : {report['mse_trace']:.4f}\n")
-    for key in ("optimality_gap", "status", "iterations", "restarts_used", "seed", "cost"):
+    for key in ("optimality_gap", "status", "iterations", "restarts_used", "seed",
+                "best_start", "starts_descended", "cost"):
         if report.get(key) is not None:
             err.write(f"  {key:<10}: {report[key]}\n")
     err.write("\n")
@@ -454,6 +455,9 @@ def _cmd_design(args) -> int:
                 "restarts_used": report.restarts_used,
                 "seed": report.seed,
             }
+            if solver["mode"] == "exact":
+                entry["best_start"] = report.best_start
+                entry["starts_descended"] = report.starts_descended
             if constraints.costs is not None and report.design.counts is not None:
                 entry["cost"] = float(constraints.cost(report.design.counts))
             reports.append(entry)

@@ -27,11 +27,12 @@ eigenvalue).  ``Path.AUTO`` picks the closed form where it exists.
 Every evaluation costs O(G·P³): one batched Cholesky of the G systems.  The
 solver's two bulk primitives work on the same stack: ``line`` turns the
 criterion along a segment into a rational function of the step, and
-``phi_many`` scores a stack of designs with one batched factorization.
+``transfer_scores`` prices every single-location transfer of a stack of
+designs from one batched factorization, each move being a rank-2 update of
+the group systems that Woodbury's identity resolves as a 2×2 system.
 """
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
@@ -66,7 +67,7 @@ __all__ = [
 ]
 
 _CONTRAST_K_LIMIT = 12
-# matrix entries per batched factorization in phi_many (2 MB of float64)
+# matrix entries per batched factorization in transfer_scores (2 MB of float64)
 _BATCH_ENTRIES = 1 << 18
 
 
@@ -232,21 +233,40 @@ class _TraceEvaluator:
         y = np.swapaxes(q, 1, 2) @ (l_inv @ self.root)
         return np.einsum("gij,gij->gi", y, y).ravel(), lam.ravel()
 
-    def phi_many(self, weights) -> np.ndarray:
-        """phi of each row of an (n, P) stack, one batched Cholesky per chunk.
+    def transfer_scores(self, weights, step: float):
+        """phi of each row of an (n, P) stack, and the exact change of phi
+        when ``step`` weight moves from region i to region k.
 
-        Each row's value depends on that row alone, not on the rest of the
-        stack, but may differ from :meth:`phi` in the last digits.
+        Returns (phi (n,), delta (n, P, P)) from one batched Cholesky per
+        chunk.  Per group a transfer is the rank-2 update A + U D Uᵀ with
+        U = [e_i, e_k] and D = diag(-step, step); with M = A^-1 and
+        N = A^-1 H A^-1, Woodbury gives the change as -tr(S^-1 Uᵀ N U),
+        S = D^-1 + Uᵀ M U, a 2×2 system solved in closed form.  The diagonal
+        i = k is zero up to rounding.  Each row's values depend on that row
+        alone, not on the rest of the stack; its phi may differ from
+        :meth:`phi` in the last digits.
         """
         weights = np.atleast_2d(np.asarray(weights, dtype=float))
-        out = np.empty(len(weights))
-        step = max(1, _BATCH_ENTRIES // self.root.size)
-        for lo in range(0, len(weights), step):
-            chol = self._cholesky(weights[lo:lo + step])
-            y = solve_lower(chol, np.broadcast_to(self.root, chol.shape))
-            y = y.reshape(len(y), -1)
-            out[lo:lo + step] = np.einsum("nk,nk->n", y, y)
-        return out
+        n, p = weights.shape
+        phi, delta = np.empty(n), np.empty((n, p, p))
+        inv_step = 1.0 / step
+        chunk = max(1, _BATCH_ENTRIES // self.root.size)
+        for lo in range(0, n, chunk):
+            rows = slice(lo, lo + chunk)
+            l_inv = solve_lower(self._cholesky(weights[rows]), np.eye(p))
+            l_inv_t = np.swapaxes(l_inv, -1, -2)
+            y = l_inv @ self.root
+            phi[rows] = np.einsum("sgij,sgij->s", y, y)
+            m = l_inv_t @ l_inv
+            x = l_inv_t @ y                                   # A^-1 R
+            nn = x @ np.swapaxes(x, -1, -2)
+            m_d = np.diagonal(m, axis1=-2, axis2=-1)
+            n_d = np.diagonal(nn, axis1=-2, axis2=-1)
+            s_ii = m_d[..., :, None] - inv_step
+            s_kk = m_d[..., None, :] + inv_step
+            num = s_kk * n_d[..., :, None] - 2.0 * m * nn + s_ii * n_d[..., None, :]
+            delta[rows] = -(num / (s_ii * s_kk - m * m)).sum(axis=1)
+        return phi, delta
 
     def mse_trace(self, w, target: Target) -> float:
         factor, root, const = self._mse[target]
@@ -303,19 +323,16 @@ class DesignProblem:
         # resolve (and validate) the path once, design-independently
         object.__setattr__(self, "path_used", _route(self.kinship, self.criterion.path))
         object.__setattr__(self, "_evaluators", {})
-        object.__setattr__(self, "_lock", threading.Lock())
 
     @property
     def P(self) -> int:
         return self.profile.P
 
     def evaluator(self, J: int):
-        with self._lock:
-            ev = self._evaluators.get(J)
-            if ev is None:
-                ev = self._build(J)
-                self._evaluators[J] = ev
-            return ev
+        ev = self._evaluators.get(J)
+        if ev is None:
+            ev = self._evaluators[J] = self._build(J)
+        return ev
 
     @cached_property
     def _spectrum(self) -> _Spectrum:

@@ -9,8 +9,10 @@ whose linear subproblem doubles as an optimality-gap certificate.  Its line
 search is exact: along a segment the criterion is a convex rational function
 of the step (see ``line`` in :mod:`trialalloc.criteria`).  The exact solver
 rounds the approximate optimum, adds seeded random feasible starts, and runs
-steepest single-location transfers to a local optimum, scoring all moves of
-a sweep in one batch; the merge over starts is deterministic.
+steepest single-location transfers from all of them in lockstep: one sweep
+prices every move of every still-active start in a single batched call,
+each move by a rank-2 update of the current systems (see
+``transfer_scores``).  The merge over starts is deterministic.
 """
 from __future__ import annotations
 
@@ -77,9 +79,10 @@ class ConstraintSet:
             hi = np.full(p, j, dtype=int)
         else:
             hi = integers(self.max_per_region, "max_per_region", p)
-        hi = np.minimum(hi, j)
-        if np.any(hi < lo):
-            raise ValidationError("max_per_region must be >= min_per_region")
+            if np.any(hi < lo):
+                raise ValidationError("max_per_region must be >= min_per_region")
+        # a floor above J is certified infeasible below, not a bound conflict
+        hi = np.maximum(np.minimum(hi, j), lo)
         lo.setflags(write=False)
         hi.setflags(write=False)
         object.__setattr__(self, "min_per_region", lo)
@@ -159,7 +162,11 @@ class OptimizerReport:
     ``status`` says why the approximate solver stopped: ``converged`` (the
     gap fell below the tolerance), ``max_iter``, or ``stalled`` (a line-search
     step did not lower the criterion).  An exact solve carries the
-    status of its approximate warm start.
+    status of its approximate warm start, the number of distinct starts it
+    descended from (``starts_descended``) and which start won
+    (``best_start``: 0 is the rounded approximate optimum, 1 to
+    ``restarts`` the seeded random starts); both are None for approximate
+    solves.
     """
 
     design: Design
@@ -170,6 +177,8 @@ class OptimizerReport:
     restarts_used: int
     status: str
     seed: object = None
+    best_start: int | None = None
+    starts_descended: int | None = None
 
 
 def _linear_minimum(g, lo, hi, costs, budget_w):
@@ -365,53 +374,78 @@ def round_to_exact(weights, constraints: ConstraintSet) -> Design:
 
 
 def _random_feasible(rng, constraints: ConstraintSet) -> np.ndarray:
+    """A random feasible allocation: each location in turn goes to a region
+    drawn uniformly among those below their cap."""
     lo, hi = constraints.min_per_region, constraints.max_per_region
-    counts = np.array(lo)
+    counts = lo.tolist()
+    caps = hi.tolist()
+    open_regions = [i for i in range(constraints.P) if counts[i] < caps[i]]
     for _ in range(constraints.J - int(lo.sum())):
-        open_regions = np.flatnonzero(counts < hi)
-        counts[rng.choice(open_regions)] += 1
+        j = int(rng.integers(0, len(open_regions)))
+        region = open_regions[j]
+        counts[region] += 1
+        if counts[region] == caps[region]:
+            del open_regions[j]
+    counts = np.array(counts)
     if constraints.costs is not None:
         counts = round_to_exact(counts / constraints.J, constraints).counts
     return counts
 
 
-def _feasible_moves(counts, constraints: ConstraintSet):
-    """Sources and destinations of every feasible single-location move, in
-    lexicographic (i, k) order."""
+def _feasible_moves(counts, constraints: ConstraintSet) -> np.ndarray:
+    """(n, P, P) mask of the feasible single-location moves i -> k of each
+    row of an (n, P) stack of counts."""
     lo, hi = constraints.min_per_region, constraints.max_per_region
-    ok = (counts > lo)[:, None] & (counts < hi)[None, :]
-    np.fill_diagonal(ok, False)
+    ok = (counts > lo)[:, :, None] & (counts < hi)[:, None, :]
+    ok[:, np.arange(constraints.P), np.arange(constraints.P)] = False
     if constraints.costs is not None:
         costs = constraints.costs
-        new_cost = constraints.cost(counts) - costs[:, None] + costs[None, :]
+        new_cost = (counts @ costs)[:, None, None] - costs[:, None] + costs[None, :]
         ok &= new_cost <= constraints.budget + _BUDGET_TOL
-    return np.nonzero(ok)
+    return ok
 
 
-def _transfer_descent(ev, counts, constraints: ConstraintSet):
-    """Steepest single-location transfers to a local optimum.
+def _transfer_descent(ev, starts, constraints: ConstraintSet):
+    """Steepest single-location transfers from every start to a local optimum.
 
-    Each sweep scores the current design and every feasible move of one
-    location from region i to region k in a single ``phi_many`` call, applies
-    the best strict improvement (ties resolved toward the smallest (i, k)
-    pair), and repeats until none improves.  Only ``phi_many`` values are
-    compared, so the descent strictly decreases one deterministic function
-    and cannot cycle.
+    All starts descend in lockstep: each sweep scores the designs of the
+    still-active starts and every move of one location from region i to
+    region k in a single ``transfer_scores`` call.  A start takes its best
+    feasible move (first strict minimum in (i, k) order, so ties go to the
+    smallest pair) and stops when no move lowers phi.  A move whose design
+    does not score a strictly lower phi at the next sweep is undone and the
+    start stops, so each descent strictly decreases one deterministic
+    function and cannot cycle.
+
+    Returns the final phi, counts and number of moves of each start.
     """
-    counts = np.array(counts)
-    moves = 0
-    while True:
-        src, dst = _feasible_moves(counts, constraints)
-        trial = np.repeat(counts[None], len(src) + 1, axis=0)
-        rows = np.arange(1, len(src) + 1)
-        trial[rows, src] -= 1
-        trial[rows, dst] += 1
-        values = ev.phi_many(trial / constraints.J)
-        best = 1 + int(np.argmin(values[1:])) if len(src) else 0
-        if not values[best] < values[0]:
-            return values[0], counts, moves
-        counts = trial[best]
-        moves += 1
+    counts = np.array(starts, dtype=int)
+    n, p = counts.shape
+    phi = np.full(n, np.inf)
+    moves = np.zeros(n, dtype=int)
+    before = counts.copy()                 # each start's design before its last move
+    active = np.arange(n)
+    while len(active):
+        value, delta = ev.transfer_scores(counts[active] / constraints.J,
+                                          1.0 / constraints.J)
+        undo = ~(value < phi[active]) & (moves[active] > 0)
+        if undo.any():
+            back = active[undo]
+            counts[back] = before[back]
+            moves[back] -= 1
+            active, value, delta = active[~undo], value[~undo], delta[~undo]
+        phi[active] = value
+        scores = np.where(_feasible_moves(counts[active], constraints), delta, np.inf)
+        scores = scores.reshape(len(active), p * p)
+        best = np.argmin(scores, axis=1)
+        keep = scores[np.arange(len(active)), best] < 0.0
+        active, best = active[keep], best[keep]
+        before[active] = counts[active]
+        src, dst = np.divmod(best, p)
+        counts[active, src] -= 1
+        counts[active, dst] += 1
+        moves[active] += 1
+    return phi, counts, moves
 
 
 def solve_exact(problem: DesignProblem, constraints: ConstraintSet,
@@ -419,9 +453,10 @@ def solve_exact(problem: DesignProblem, constraints: ConstraintSet,
     """Optimal or highly efficient exact design under the constraints.
 
     Warm-starts from the rounded approximate optimum and from ``restarts``
-    seeded random feasible allocations, improves each by steepest transfer
-    descent, and keeps the best result (criterion value, then
-    lexicographically smallest counts).  The reported gap compares against
+    seeded random feasible allocations, improves each distinct one by
+    steepest transfer descent, and keeps the best result (criterion value,
+    then lexicographically smallest counts; ``best_start`` says which start
+    reached it first).  The reported gap compares against
     the continuous relaxation bound, so 0 certifies global optimality of the
     relaxation value itself, not merely local optimality.
     """
@@ -434,19 +469,16 @@ def solve_exact(problem: DesignProblem, constraints: ConstraintSet,
     starts = [round_to_exact(approx.design.weights, constraints).counts]
     for child in np.random.SeedSequence(seed).spawn(restarts):
         starts.append(_random_feasible(np.random.default_rng(child), constraints))
-    seen = set()
-    results = []
-    for counts in starts:
-        key = tuple(int(v) for v in counts)
-        if key not in seen:
-            seen.add(key)
-            results.append(_transfer_descent(ev, counts, constraints))
+    first = {}                              # distinct starts, by first index
+    for index, counts in enumerate(starts):
+        first.setdefault(tuple(int(v) for v in counts), index)
+    distinct = list(first.values())
+    phi, counts, moves = _transfer_descent(ev, [starts[i] for i in distinct],
+                                           constraints)
 
-    total_moves = sum(moves for _, _, moves in results)
-    _, best_counts, _ = min(
-        results, key=lambda r: (r[0], tuple(int(v) for v in r[1]))
-    )
-    design = Design.exact(best_counts)
+    win = min(range(len(distinct)),
+              key=lambda s: (phi[s], tuple(int(v) for v in counts[s])))
+    design = Design.exact(counts[win])
     best_phi = ev.phi(design.weights)
     relaxation_bound = approx.phi - approx.optimality_gap
     return OptimizerReport(
@@ -454,10 +486,12 @@ def solve_exact(problem: DesignProblem, constraints: ConstraintSet,
         phi=best_phi,
         mse_trace=ev.mse_trace(design.weights, problem.criterion.target),
         optimality_gap=max(best_phi - relaxation_bound, 0.0),
-        iterations=total_moves,
+        iterations=int(moves.sum()),
         restarts_used=restarts,
         status=approx.status,
         seed=seed,
+        best_start=distinct[win],
+        starts_descended=len(distinct),
     )
 
 

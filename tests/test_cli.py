@@ -107,6 +107,16 @@ class TestDesign:
         assert payload["optimality_gap"] >= 0
         assert payload["status"] in ("converged", "max_iter", "stalled")
 
+    def test_exact_rows_say_which_start_won(self, capsys):
+        code, exact, _ = run_cli(capsys, "design", "--config", "maize_network",
+                                 "--mode", "exact", "--restarts", "6")
+        assert code == 0
+        assert 1 <= exact["starts_descended"] <= 7
+        assert 0 <= exact["best_start"] <= 6
+        code, approx, _ = run_cli(capsys, "design", "--config", "maize_network")
+        assert code == 0
+        assert "best_start" not in approx and "starts_descended" not in approx
+
     @pytest.mark.parametrize("constraints, field", [
         ({"min_per_region": 1.7}, "min_per_region"),
         ({"costs": [40.0, 44.0, 50.0, 65.0, 60.0], "budget": float("nan")}, "budget"),
@@ -192,6 +202,7 @@ class TestDesign:
         assert code == 0
         assert "MSE trace" in err
         assert "region" in err
+        assert "best_start" in err and "starts_descended" in err
 
 
 class TestEfficiency:

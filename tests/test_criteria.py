@@ -200,13 +200,13 @@ class TestFullMatrices:
 
 
 class TestBulkPrimitives:
-    """``line`` and ``phi_many`` against the scalar ``phi`` on every path."""
+    """``line`` and ``transfer_scores`` against the scalar ``phi`` on every path."""
 
     CASES = [("cs", {}, Path.BAYES_CS), ("block", {"path": "cbrc"}, Path.CBRC),
              ("block", {}, Path.KBAYES), ("dense", {"weighting": "weighted"}, Path.FULL)]
 
     @pytest.mark.parametrize("kind, crit, path", CASES, ids=[c[2].value for c in CASES])
-    def test_line_and_phi_many_match_phi(self, kind, crit, path):
+    def test_line_and_transfer_scores_match_phi(self, kind, crit, path):
         rng = np.random.default_rng(21)
         ev = _problem(rng, kind, **crit).evaluator(12)
         assert ev.path is path
@@ -218,16 +218,30 @@ class TestBulkPrimitives:
             for t in (0.0, 0.5 * gamma_max, gamma_max):
                 want = ev.phi(x + t * d)
                 assert np.sum(h / (1.0 + t * lam)) == pytest.approx(want, rel=1e-10)
-        stack = np.vstack([x, s, rng.dirichlet(np.ones(3), size=4)])
-        many = ev.phi_many(stack)
-        np.testing.assert_allclose(many, [ev.phi(w) for w in stack], rtol=1e-12)
-        # a row's value does not depend on the rest of the stack
-        assert [ev.phi_many(w[None])[0] for w in stack] == list(many)
 
-    def test_phi_many_rejects_an_indefinite_system(self, vc5, profile5):
+        counts = np.vstack([[0, 5, 7], [10, 1, 1], rng.multinomial(12, np.ones(3) / 3, 4)])
+        phi, delta = ev.transfer_scores(counts / 12, 1 / 12)
+        np.testing.assert_allclose(phi, [ev.phi(c / 12) for c in counts], rtol=1e-12)
+        for row, c in enumerate(counts):
+            for i, k in np.argwhere(~np.eye(3, dtype=bool)):
+                if c[i] == 0:
+                    continue
+                moved = c.copy()
+                moved[i] -= 1
+                moved[k] += 1
+                want = ev.phi(moved / 12) - ev.phi(c / 12)
+                assert delta[row, i, k] == pytest.approx(want, rel=1e-10,
+                                                         abs=1e-13 * phi[row])
+        # a row's scores do not depend on the rest of the stack
+        for row, c in enumerate(counts):
+            one_phi, one_delta = ev.transfer_scores(c[None] / 12, 1 / 12)
+            assert one_phi[0] == phi[row]
+            np.testing.assert_array_equal(one_delta[0], delta[row])
+
+    def test_transfer_scores_rejects_an_indefinite_system(self, vc5, profile5):
         ev = DesignProblem(vc5, profile5, Identity(K=6)).evaluator(10)
         with pytest.raises(NumericalError, match="not positive definite"):
-            ev.phi_many(np.array([[0.2] * 5, [-1e9, 0.0, 0.0, 0.0, 0.0]]))
+            ev.transfer_scores(np.array([[0.2] * 5, [-1e9, 0.0, 0.0, 0.0, 0.0]]), 0.1)
 
 
 class TestProblemCaching:

@@ -1,17 +1,19 @@
 from __future__ import annotations
 
 from collections import Counter
+from itertools import product
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import helpers
 from trialalloc import (ConstraintSet, CriterionSpec, Design, DesignProblem,
                         Identity, InfeasibleError, SubRegionProfile,
-                        ValidationError, efficiency, round_to_exact,
+                        ValidationError, efficiency, optimizer, round_to_exact,
                         solve_approximate, solve_exact)
-from trialalloc.optimizer import _rational_argmin, _transfer_descent
+from trialalloc.optimizer import (_random_feasible, _rational_argmin,
+                                  _transfer_descent)
 from trialalloc.oracle import enumerate_exact_optimum
 
 
@@ -37,9 +39,12 @@ class TestConstraintSet:
             ConstraintSet(J=10, P=2, min_per_region=4, max_per_region=3)
 
     def test_mins_exceeding_j_certified(self):
-        with pytest.raises(InfeasibleError) as exc_info:
-            ConstraintSet(J=5, P=3, min_per_region=2)
-        assert exc_info.value.certificate["reason"] == "min-total-exceeds-J"
+        # a single floor above J is the same infeasibility, not a bound conflict
+        for kwargs in ({"min_per_region": 2}, {"min_per_region": [6, 0, 0]},
+                       {"min_per_region": [6, 0, 0], "max_per_region": 7}):
+            with pytest.raises(InfeasibleError) as exc_info:
+                ConstraintSet(J=5, P=3, **kwargs)
+            assert exc_info.value.certificate["reason"] == "min-total-exceeds-J"
 
     def test_maxes_below_j_certified(self):
         with pytest.raises(InfeasibleError) as exc_info:
@@ -115,17 +120,139 @@ class TestWorkCounts:
         assert ev.calls["line"] == its - (report.status == "converged")
         # start, one confirmation per line search, final re-evaluation
         assert ev.calls["phi"] <= 2 * its
-        assert ev.calls["phi_many"] == 0
+        assert ev.calls["transfer_scores"] == 0
 
-    def test_one_phi_many_call_per_descent_sweep(self, counted):
+    def test_one_scoring_call_per_lockstep_sweep(self, counted, monkeypatch):
         problem, ev = counted
+        seen = {}
+
+        def descent(*args):
+            before = Counter(ev.calls)
+            seen["result"] = _transfer_descent(*args)
+            seen["calls"] = ev.calls - before
+            return seen["result"]
+
+        monkeypatch.setattr(optimizer, "_transfer_descent", descent)
         cons = ConstraintSet(J=40, P=5)
-        rng = np.random.default_rng(3)
-        for start in ([8, 8, 8, 8, 8], [1, 1, 1, 1, 36], helpers.random_counts(rng, 5, 40)):
-            ev.calls.clear()
-            _, counts, moves = _transfer_descent(ev, np.array(start), cons)
-            assert moves > 0 and cons.satisfies(counts)
-            assert ev.calls == Counter(phi_many=moves + 1)
+        report = solve_exact(problem, cons, seed=0)
+        phi, counts, moves = seen["result"]
+        assert len(moves) == report.starts_descended > 1
+        assert report.iterations == moves.sum() and moves.max() > 0
+        assert all(cons.satisfies(c) for c in counts)
+        # every start descends in the same sweeps: longest descent + 1 calls
+        assert seen["calls"] == Counter(transfer_scores=moves.max() + 1)
+        assert ev.calls["transfer_scores"] == moves.max() + 1
+        assert report.phi == pytest.approx(phi.min(), rel=1e-12)
+
+    def test_a_move_that_does_not_lower_phi_is_undone(self):
+        class Flat:
+            """Claims every move gains, but phi never changes."""
+            calls = 0
+
+            def transfer_scores(self, weights, step):
+                Flat.calls += 1
+                return np.ones(len(weights)), -np.ones((len(weights), 3, 3))
+
+        start = np.array([[3, 3, 3], [1, 1, 7]])
+        phi, counts, moves = _transfer_descent(Flat(), start, ConstraintSet(J=9, P=3))
+        np.testing.assert_array_equal(counts, start)
+        np.testing.assert_array_equal(moves, [0, 0])
+        np.testing.assert_array_equal(phi, [1.0, 1.0])
+        assert Flat.calls == 2
+
+
+def _random_feasible_reference(rng, constraints):
+    """The plain form of the random start: recompute the open regions and
+    draw one with ``rng.choice`` for every location."""
+    lo, hi = constraints.min_per_region, constraints.max_per_region
+    counts = np.array(lo)
+    for _ in range(constraints.J - int(lo.sum())):
+        counts[rng.choice(np.flatnonzero(counts < hi))] += 1
+    if constraints.costs is not None:
+        counts = round_to_exact(counts / constraints.J, constraints).counts
+    return counts
+
+
+class TestRandomStarts:
+    @pytest.mark.parametrize("cons", [
+        ConstraintSet(J=40, P=5),
+        ConstraintSet(J=12, P=5, min_per_region=0, max_per_region=3),
+        ConstraintSet(J=20, min_per_region=[0, 2, 1, 3, 0],
+                      max_per_region=[10, 4, 40, 6, 2]),
+    ], ids=["default", "tight-caps", "mixed"])
+    def test_same_draws_as_the_plain_form(self, cons):
+        for child in np.random.SeedSequence(2024).spawn(200):
+            got = _random_feasible(np.random.default_rng(child), cons)
+            want = _random_feasible_reference(np.random.default_rng(child), cons)
+            np.testing.assert_array_equal(got, want)
+            assert cons.satisfies(got)
+
+
+@st.composite
+def _constraint_args(draw, min_p=1):
+    """Keyword arguments of a small ConstraintSet (P <= 3, J <= 9): bounds
+    and an optional budget."""
+    p = draw(st.integers(min_p, 3))
+    j = draw(st.integers(1, 9))
+    lo = draw(st.lists(st.integers(0, 4), min_size=p, max_size=p))
+    hi = [v + draw(st.integers(0, 9)) for v in lo]
+    args = {"J": j, "P": p, "min_per_region": lo, "max_per_region": hi}
+    if draw(st.booleans()):
+        args["costs"] = draw(st.lists(st.integers(1, 5), min_size=p, max_size=p))
+        args["budget"] = draw(st.integers(1, 5 * j))
+    return args
+
+
+def _box_has_a_feasible_vector(args):
+    hi = [min(h, args["J"]) for h in args["max_per_region"]]
+    for counts in product(*(range(lo, h + 1) for lo, h in zip(args["min_per_region"], hi))):
+        if sum(counts) != args["J"]:
+            continue
+        if "costs" in args and np.dot(args["costs"], counts) > args["budget"]:
+            continue
+        return True
+    return False
+
+
+class TestGeneratedInstances:
+    """Exact solver and feasibility certificate on generated small instances."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(_constraint_args())
+    def test_infeasible_iff_enumeration_is_empty(self, args):
+        try:
+            ConstraintSet(**args)
+            raised = False
+        except InfeasibleError:
+            raised = True
+        assert raised != _box_has_a_feasible_vector(args)
+
+    @settings(max_examples=25, deadline=None)
+    @given(_constraint_args(min_p=2), st.sampled_from(["cs", "block", "dense"]),
+           st.integers(0, 2 ** 32 - 1))
+    def test_exact_design_is_a_feasible_local_optimum(self, args, kind, seed):
+        try:
+            cons = ConstraintSet(**args)
+        except InfeasibleError:
+            assume(False)
+        rng = np.random.default_rng(seed)
+        problem = DesignProblem(helpers.random_vc(rng), helpers.random_profile(rng, cons.P),
+                                helpers.random_kinship(rng, kind, K=6))
+        report = solve_exact(problem, cons, seed=seed % 1000, restarts=4)
+        counts = report.design.counts
+        assert cons.satisfies(counts)
+        assert report.phi == problem.phi(report.design)
+        slack = 1e-12 * abs(report.phi)
+        for i, k in product(range(cons.P), repeat=2):
+            moved = counts.copy()
+            moved[i] -= 1
+            moved[k] += 1
+            if i != k and cons.satisfies(moved):
+                assert problem.phi(Design.exact(moved)) >= report.phi - slack
+        best = enumerate_exact_optimum(problem, cons)
+        assert report.phi >= problem.phi(best) - slack
+        assert 0 <= report.best_start <= 4
+        assert 1 <= report.starts_descended <= 5
 
 
 class TestRationalLineSearch:
@@ -292,8 +419,28 @@ class TestExactSolver:
                                     cons, seed=7, restarts=8) for _ in range(2))
         np.testing.assert_array_equal(first.design.counts, again.design.counts)
         for field in ("phi", "mse_trace", "optimality_gap", "iterations",
-                      "restarts_used", "status", "seed"):
+                      "restarts_used", "status", "seed", "best_start",
+                      "starts_descended"):
             assert getattr(first, field) == getattr(again, field), field
+
+    def test_best_start_names_the_winning_start(self, vc5, profile5):
+        problem = DesignProblem(vc5, profile5, Identity(K=31))
+        # a tight budget leaves the rounded optimum in a worse local optimum
+        cons = ConstraintSet(J=20, P=5, min_per_region=0,
+                             costs=[40.0, 44.0, 50.0, 65.0, 60.0], budget=43.0 * 20)
+        only = solve_exact(problem, cons, seed=2, restarts=0)
+        assert (only.best_start, only.starts_descended) == (0, 1)
+        assert solve_approximate(problem, cons).best_start is None
+
+        # seed 2 repeats some starts before the winning one, so its index
+        # among the starts differs from its index among the distinct starts
+        report = solve_exact(problem, cons, seed=2, restarts=12)
+        assert report.phi < only.phi
+        assert report.best_start > 0 and report.starts_descended < 13
+        child = np.random.SeedSequence(2).spawn(12)[report.best_start - 1]
+        start = _random_feasible(np.random.default_rng(child), cons)
+        _, counts, _ = _transfer_descent(problem.evaluator(20), [start], cons)
+        np.testing.assert_array_equal(counts[0], report.design.counts)
 
     def test_seed_recorded_and_defaulted(self, vc5, profile5):
         problem = DesignProblem(vc5, profile5, Identity(K=31))
