@@ -1,4 +1,5 @@
-"""Input checks shared by the constructors: finite numbers and whole numbers.
+"""Input checks shared by the constructors and the solver settings: finite
+numbers, positive numbers and whole numbers.
 
 Each check raises :class:`ValidationError` naming the offending field, which
 the CLI reports with exit status 2, so that no NaN, infinity or fractional
@@ -6,6 +7,7 @@ count reaches a factorization or a solver.
 """
 from __future__ import annotations
 
+import operator
 import reprlib
 
 import numpy as np
@@ -42,3 +44,22 @@ def integers(value, name: str, size: int | None = None) -> np.ndarray:
         raise ValidationError(f"{name} must be a whole number{count}, "
                               f"got {reprlib.repr(value)}")
     return np.broadcast_to(arr.astype(int), () if size is None else size).copy()
+
+
+def positive(value, name: str) -> float:
+    """``value`` as one finite float above zero."""
+    x = number(value, name)
+    if not x > 0:
+        raise ValidationError(f"{name} must be > 0, got {reprlib.repr(value)}")
+    return x
+
+
+def count(value, name: str, minimum: int = 0) -> int:
+    """``value`` as one int no smaller than ``minimum``."""
+    try:
+        n = operator.index(value)           # exact for ints beyond float range
+    except TypeError:
+        n = int(integers(value, name))
+    if n < minimum:
+        raise ValidationError(f"{name} must be >= {minimum}, got {reprlib.repr(value)}")
+    return n

@@ -28,7 +28,7 @@ from pathlib import Path as _FsPath
 import numpy as np
 
 from . import __version__
-from ._checks import integers, number
+from ._checks import count, integers, number, positive
 from .criteria import CriterionSpec, DesignProblem, Path, Target
 from .errors import InfeasibleError, NumericalError, ValidationError
 from .fixtures import available_fixtures, fixture_path
@@ -301,8 +301,11 @@ def _criterion_payload(problem: DesignProblem) -> dict:
 
 
 def _emit(payload, pretty: bool, render) -> None:
-    json.dump(payload, sys.stdout, default=_json_default)
-    sys.stdout.write("\n")
+    try:
+        text = json.dumps(payload, default=_json_default, allow_nan=False)
+    except ValueError as exc:
+        raise NumericalError(f"report holds a non-finite number ({exc})") from None
+    sys.stdout.write(text + "\n")
     if pretty:
         render(payload)
         sys.stderr.flush()
@@ -387,11 +390,18 @@ def _solver_settings(config: dict, args) -> dict:
     block = config.get("solver", {})
     if not isinstance(block, dict):
         raise ValidationError("'solver' must be an object")
+
+    def setting(name, default, check):
+        flag = getattr(args, name, None)
+        if flag is not None:
+            return check(flag, f"--{name}")
+        return check(block.get(name, default), f"solver.{name}")
+
     return {
-        "tol": args.tol if args.tol is not None else float(block.get("tol", 1e-9)),
-        "restarts": args.restarts if args.restarts is not None else int(block.get("restarts", 20)),
-        "seed": args.seed if args.seed is not None else int(block.get("seed", 0)),
-        "max_iter": int(block.get("max_iter", 5000)),
+        "tol": setting("tol", 1e-9, positive),
+        "restarts": setting("restarts", 20, count),
+        "seed": setting("seed", 0, count),
+        "max_iter": setting("max_iter", 5000, lambda v, name: count(v, name, 1)),
         "mode": getattr(args, "mode", None) or block.get("mode", "approx"),
     }
 
@@ -436,7 +446,8 @@ def _cmd_design(args) -> int:
             constraints = _build_constraints(cfg, J, problem.P)
             if solver["mode"] == "exact":
                 report = solve_exact(problem, constraints, seed=solver["seed"],
-                                     restarts=solver["restarts"])
+                                     restarts=solver["restarts"], tol=solver["tol"],
+                                     max_iter=solver["max_iter"])
             else:
                 report = solve_approximate(problem, constraints, tol=solver["tol"],
                                            max_iter=solver["max_iter"])

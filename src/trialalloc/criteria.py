@@ -25,11 +25,12 @@ kinship needs one K×K ``eigh`` per problem (``full``, one group per
 eigenvalue).  ``Path.AUTO`` picks the closed form where it exists.
 
 Every evaluation costs O(G·P³): one batched Cholesky of the G systems.  The
-solver's two bulk primitives work on the same stack: ``line`` turns the
-criterion along a segment into a rational function of the step, and
-``transfer_scores`` prices every single-location transfer of a stack of
-designs from one batched factorization, each move being a rank-2 update of
-the group systems that Woodbury's identity resolves as a 2×2 system.
+solvers' primitives work on the same stack: ``newton_terms`` gives the
+criterion with its gradient and Hessian, ``line`` turns the criterion along a
+segment into a rational function of the step, and ``transfer_scores``
+prices every single-location transfer of a stack of designs from one batched
+factorization, each move being a rank-2 update of the group systems that
+Woodbury's identity resolves as a 2×2 system.
 """
 from __future__ import annotations
 
@@ -233,6 +234,26 @@ class _TraceEvaluator:
         y = np.swapaxes(q, 1, 2) @ (l_inv @ self.root)
         return np.einsum("gij,gij->gi", y, y).ravel(), lam.ravel()
 
+    def _inverse_terms(self, w):
+        """phi, M = A^-1 and N = A^-1 H A^-1 per group, for one design (P,)
+        or a stack (n, P), from one batched Cholesky."""
+        l_inv = solve_lower(self._cholesky(w), np.eye(self.c.shape[-1]))
+        l_inv_t = np.swapaxes(l_inv, -1, -2)
+        y = l_inv @ self.root
+        x = l_inv_t @ y                                       # A^-1 R
+        return (np.einsum("...gij,...gij->...", y, y), l_inv_t @ l_inv,
+                x @ np.swapaxes(x, -1, -2))
+
+    def newton_terms(self, w):
+        """phi, gradient and Hessian at one design.
+
+        The gradient is -diag Σ_g N_g and the Hessian 2 Σ_g M_g ∘ N_g, with
+        M = A^-1 and N = A^-1 H A^-1; both come from one factorization.
+        """
+        phi, m, nn = self._inverse_terms(w)
+        return (float(phi), -np.einsum("gii->i", nn),
+                2.0 * np.einsum("gij,gij->ij", m, nn))
+
     def transfer_scores(self, weights, step: float):
         """phi of each row of an (n, P) stack, and the exact change of phi
         when ``step`` weight moves from region i to region k.
@@ -253,13 +274,7 @@ class _TraceEvaluator:
         chunk = max(1, _BATCH_ENTRIES // self.root.size)
         for lo in range(0, n, chunk):
             rows = slice(lo, lo + chunk)
-            l_inv = solve_lower(self._cholesky(weights[rows]), np.eye(p))
-            l_inv_t = np.swapaxes(l_inv, -1, -2)
-            y = l_inv @ self.root
-            phi[rows] = np.einsum("sgij,sgij->s", y, y)
-            m = l_inv_t @ l_inv
-            x = l_inv_t @ y                                   # A^-1 R
-            nn = x @ np.swapaxes(x, -1, -2)
+            phi[rows], m, nn = self._inverse_terms(weights[rows])
             m_d = np.diagonal(m, axis1=-2, axis2=-1)
             n_d = np.diagonal(nn, axis1=-2, axis2=-1)
             s_ii = m_d[..., :, None] - inv_step

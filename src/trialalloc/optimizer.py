@@ -1,18 +1,24 @@
 """Optimal allocation search: approximate weights and exact integer designs.
 
-The approximate solver is a pairwise vertex-direction (Frank-Wolfe) method
-over the constraint polytope
+The approximate solver is a projected Newton method over the constraint
+polytope
 
-    { w : min_i/J <= w_i <= max_i/J,  sum w = 1,  c'w <= budget/J },
+    { w : min_i/J <= w_i <= max_i/J,  sum w = 1,  c'w <= budget/J }.
 
-whose linear subproblem doubles as an optimality-gap certificate.  Its line
-search is exact: along a segment the criterion is a convex rational function
-of the step (see ``line`` in :mod:`trialalloc.criteria`).  The exact solver
-rounds the approximate optimum, adds seeded random feasible starts, and runs
-steepest single-location transfers from all of them in lockstep: one sweep
-prices every move of every still-active start in a single batched call,
-each move by a rank-2 update of the current systems (see
-``transfer_scores``).  The merge over starts is deterministic.
+Each iteration takes the criterion with its gradient and Hessian
+(``newton_terms`` in :mod:`trialalloc.criteria`), minimizes the quadratic
+model over the polytope exactly by a primal active-set method, and steps
+along that direction by an exact line search: along a segment the criterion
+is a convex rational function of the step (``line``).  The polytope's best
+vertex for the linearized criterion serves only as the optimality-gap
+certificate.  A solve ends ``converged`` (gap below the tolerance),
+``max_iter``, or ``stalled`` (a step that neither lowered the criterion nor,
+at rounding level, halved the gap).  The exact solver rounds the
+approximate optimum, adds seeded random feasible starts, and runs steepest
+single-location transfers from all of them in lockstep: one sweep prices
+every move of every still-active start in a single batched call, each move
+by a rank-2 update of the current systems (see ``transfer_scores``).  The
+merge over starts is deterministic.
 """
 from __future__ import annotations
 
@@ -20,9 +26,9 @@ from dataclasses import dataclass
 
 import numpy as np
 # minimize_scalar is unused here; bench/tracing.py still patches it by name
-from scipy.optimize import linprog, minimize_scalar  # noqa: F401
+from scipy.optimize import minimize_scalar  # noqa: F401
 
-from ._checks import finite, integers, number
+from ._checks import count, finite, integers, number, positive
 from .criteria import DesignProblem
 from .errors import InfeasibleError, NumericalError, ValidationError
 from .model import Design
@@ -37,6 +43,10 @@ __all__ = [
 ]
 
 _BUDGET_TOL = 1e-9
+# relative size below which a QP multiplier or step component is rounding
+_QP_TOL = 1e-12
+# a Newton step whose phi rises by at most this many ulps is rounding
+_PHI_ULPS = 4
 
 
 @dataclass(frozen=True, eq=False)
@@ -160,8 +170,9 @@ class OptimizerReport:
     """Result of a solve.
 
     ``status`` says why the approximate solver stopped: ``converged`` (the
-    gap fell below the tolerance), ``max_iter``, or ``stalled`` (a line-search
-    step did not lower the criterion).  An exact solve carries the
+    gap fell below the tolerance), ``max_iter``, or ``stalled`` (a Newton
+    step neither lowered the criterion nor, at rounding level, halved the
+    gap).  An exact solve carries the
     status of its approximate warm start, the number of distinct starts it
     descended from (``starts_descended``) and which start won
     (``best_start``: 0 is the rounded approximate optimum, 1 to
@@ -182,23 +193,53 @@ class OptimizerReport:
 
 
 def _linear_minimum(g, lo, hi, costs, budget_w):
-    """Vertex of the weight polytope minimizing the linear form g."""
-    if costs is None:
+    """Vertex of the weight polytope minimizing the linear form g.
+
+    Without a budget it is the fill of the box in order of g.  With one, the
+    fill in order of g + μ·costs solves the problem for the budget row's
+    multiplier μ >= 0.  That order changes only where two regions swap
+    places, so the answer is the first of these fills that meets the budget,
+    or the point of the budget row between it and the fill just before: an
+    exact certificate, free of an LP solver's tolerances.
+    """
+    def fill(key):
         x = np.array(lo)
         slack = 1.0 - x.sum()
-        for i in np.argsort(g, kind="stable"):
+        for i in np.argsort(key, kind="stable"):
             take = min(hi[i] - x[i], slack)
             x[i] += take
             slack -= take
             if slack <= 0:
                 break
         return x
-    res = linprog(g, A_ub=costs[None, :], b_ub=[budget_w],
-                  A_eq=np.ones((1, g.size)), b_eq=[1.0],
-                  bounds=list(zip(lo, hi)), method="highs-ds")
-    if not res.success:
-        raise NumericalError(f"linear subproblem failed: {res.message}")
-    return res.x
+
+    if costs is None:
+        return fill(g)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        swaps = (g[None, :] - g[:, None]) / (costs[:, None] - costs[None, :])
+    swaps = np.unique(swaps[np.isfinite(swaps) & (swaps > 0)])
+    edges = np.concatenate([[0.0], swaps, [2.0 * swaps[-1] + 1.0 if swaps.size else 1.0]])
+    probes = 0.5 * (edges[:-1] + edges[1:])     # one μ inside each interval
+    fills = {}
+
+    def at(k):
+        if k not in fills:
+            fills[k] = fill(g + probes[k] * costs)
+        return fills[k]
+
+    # spend falls as μ grows: bisect for the first fill within the budget
+    over, under = -1, len(probes) - 1
+    while under - over > 1:
+        mid = (over + under) // 2
+        if costs @ at(mid) <= budget_w:
+            under = mid
+        else:
+            over = mid
+    if over < 0:
+        return at(0)
+    spend_over, spend_under = costs @ at(over), costs @ at(under)
+    theta = min((spend_over - budget_w) / (spend_over - spend_under), 1.0)
+    return at(over) + theta * (at(under) - at(over))
 
 
 def _rational_argmin(h, lam, t_max: float) -> float:
@@ -234,16 +275,120 @@ def _rational_argmin(h, lam, t_max: float) -> float:
     return t
 
 
+def _box_qp(g, q, lower, upper, costs=None, slack=None):
+    """Minimizer of g·d + ½ dᵀq d over lower <= d <= upper, Σd = 0 and, with
+    ``costs``, costs·d <= slack.
+
+    ``q`` must be positive definite and d = 0 feasible.  A primal active-set
+    method: from d = 0 it minimizes over the free coordinates with the fixed
+    ones at their bounds (in the null space of the equality rows, so that a
+    working set without freedom gives exactly no step), steps until a bound
+    or the budget row blocks and adds it, and at each working-set minimum
+    drops the constraint with the most negative multiplier until none is
+    negative.  Every step lowers the quadratic, so if the iteration cap is
+    ever reached the returned d is still a feasible descent step.
+    """
+    p = g.size
+    d = np.zeros(p)
+    at_lo, at_hi = np.zeros(p, dtype=bool), np.zeros(p, dtype=bool)
+    budget_on = False
+    # Σd = 0 and the budget row, scaled alike so their multipliers compare
+    rows = np.ones((1, p)) if costs is None else np.stack([np.ones(p), costs / costs.max()])
+    tol = _QP_TOL * float(np.abs(g).max())
+    width = float((upper - lower).max())
+    if not width > 0.0:
+        return d                            # the box is the single point 0
+    for _ in range(10 * (p + 2)):
+        free = np.flatnonzero(~(at_lo | at_hi))
+        m = 1 + budget_on
+        basis, tri = np.linalg.qr(rows[:m, free].T, mode="complete")
+        null = basis[:, m:]
+        step = np.zeros(p)
+        if null.size:
+            reduced = null.T @ q[np.ix_(free, free)] @ null
+            step[free] = null @ np.linalg.solve(reduced, -(null.T @ (g + q @ d)[free]))
+        # components at rounding level would add a constraint that the
+        # working set already implies, so they are dropped
+        step[np.abs(step) <= _QP_TOL * max(width, float(np.abs(step).max()))] = 0.0
+
+        # longest step in [0, 1] before a constraint outside the working set blocks
+        alpha, block = 1.0, None
+        for mask, room in ((step < 0.0, lower - d), (step > 0.0, upper - d)):
+            if mask.any():
+                ratio = room[mask] / step[mask]
+                k = int(np.argmin(ratio))
+                if ratio[k] < alpha:
+                    alpha, block = max(float(ratio[k]), 0.0), int(np.flatnonzero(mask)[k])
+        if costs is not None and not budget_on:
+            rate = float(costs @ step)
+            if rate > _QP_TOL * float(costs @ np.abs(step)):
+                ratio = (slack - float(costs @ d)) / rate
+                if ratio < alpha:
+                    alpha, block = max(ratio, 0.0), "budget"
+        d += alpha * step
+        if block == "budget":
+            budget_on = True
+        elif block is not None:
+            upper_hit = step[block] > 0
+            (at_hi if upper_hit else at_lo)[block] = True
+            d[block] = upper[block] if upper_hit else lower[block]
+        if block is not None:
+            continue
+
+        # at the minimum of the working set: the multipliers of its bounds
+        # and budget row follow from the gradient there
+        r = g + q @ d
+        nu = np.linalg.solve(tri[:m], -(basis[:, :m].T @ r[free]))
+        base = r + rows[:m].T @ nu
+        mult = np.where(at_lo, base, np.where(at_hi, -base, np.inf))
+        k = int(np.argmin(mult))
+        if budget_on and nu[1] < min(mult[k], -tol):
+            budget_on = False
+        elif mult[k] < -tol:
+            at_lo[k] = at_hi[k] = False
+        else:
+            break
+    return d
+
+
+def _centre(lo, hi, costs, budget_w):
+    """Feasible start: the box point lo + (1 - Σlo)(hi - lo)/Σ(hi - lo),
+    moved towards the cheapest vertex until the budget row holds."""
+    room = hi - lo
+    x = lo + (1.0 - lo.sum()) * (room / room.sum() if room.any() else room)
+    if costs is not None and costs @ x > budget_w:
+        cheapest = _linear_minimum(costs, lo, hi, costs, budget_w)
+        x += min((costs @ x - budget_w) / (costs @ (x - cheapest)), 1.0) * (cheapest - x)
+    return x
+
+
+def _step_kept(phi_new, gap_new, phi, gap) -> bool:
+    """Whether a Newton step from (phi, gap) to (phi_new, gap_new) is kept.
+
+    Near the optimum phi changes by less than its rounding error while the
+    gap is still above the tolerance, so a step that raises phi by a few
+    ulps counts as progress when it at least halves the gap.
+    """
+    return phi_new < phi or (phi_new <= phi + _PHI_ULPS * np.spacing(abs(phi))
+                             and gap_new <= 0.5 * gap)
+
+
 def solve_approximate(problem: DesignProblem, constraints: ConstraintSet,
                       tol: float = 1e-9, max_iter: int = 5000) -> OptimizerReport:
     """Optimal approximate design over the constraint polytope.
 
-    Runs a pairwise vertex-direction scheme with exact line searches on the
-    convex criterion.  Stops when the linearization gap g'(w - s) drops below
-    ``tol`` relative to the criterion value; the report carries the absolute
-    gap, a valid bound on the distance to the true optimum.  Deterministic —
-    no randomness is involved.
+    Projected Newton: each iteration evaluates the criterion, its gradient
+    and Hessian at the current weights, solves the quadratic model over the
+    polytope exactly (:func:`_box_qp`) and takes the exact line-search step
+    along that direction.  Stops ``converged`` when the linearization gap
+    g'(w - s) to the best vertex s drops below ``tol`` relative to the
+    criterion value; the report carries the absolute gap, a valid bound on
+    the distance to the true optimum.  A step that is not kept
+    (:func:`_step_kept`) ends the solve ``stalled`` at the last kept point.
+    Deterministic — no randomness is involved.
     """
+    tol = positive(tol, "tol")
+    max_iter = count(max_iter, "max_iter", 1)
     if constraints.P != problem.P:
         raise ValidationError(
             f"constraints describe {constraints.P} sub-regions, problem has {problem.P}"
@@ -253,72 +398,32 @@ def solve_approximate(problem: DesignProblem, constraints: ConstraintSet,
     costs = constraints.costs
     budget_w = constraints.budget / constraints.J if costs is not None else None
 
-    x = _linear_minimum(np.zeros(constraints.P), lo, hi, costs, budget_w)
-    atoms = {x.tobytes(): [x, 1.0]}
-    phi_x = ev.phi(x)
-    gap = np.inf
-    it = 0
+    y = _centre(lo, hi, costs, budget_w)
     status = "max_iter"
     for it in range(1, max_iter + 1):
-        g = ev.gradient(x)
-        s = _linear_minimum(g, lo, hi, costs, budget_w)
-        gap = float(g @ (x - s))
+        phi_y, g, hess = ev.newton_terms(y)
+        gap_y = float(g @ (y - _linear_minimum(g, lo, hi, costs, budget_w)))
+        if it > 1 and not _step_kept(phi_y, gap_y, phi_x, gap):
+            status = "stalled"
+            break
+        x, phi_x, gap = y, phi_y, gap_y
         if gap <= tol * max(1.0, abs(phi_x)):
             status = "converged"
             break
-
-        # away step over the active vertices (pairwise direction)
-        away_key = max(atoms, key=lambda k: float(g @ atoms[k][0]))
-        v, lam_v = atoms[away_key]
-        d = s - v
-        gamma_max = lam_v
-        if float(g @ d) >= 0.0 or gamma_max <= 1e-14:
-            d = s - x
-            gamma_max = 1.0
-            away_key = None
-
-        h, lam = ev.line(x, d)
-        gamma = _rational_argmin(h, lam, gamma_max)
-        if np.sum(h / (1.0 + gamma_max * lam)) < np.sum(h / (1.0 + gamma * lam)):
-            gamma = gamma_max
-        phi_new = ev.phi(x + gamma * d)
-        if not phi_new < phi_x:
-            # nothing changes after a failed step, so a retry would repeat it
-            status = "stalled"
+        if it == max_iter:
             break
-
-        if away_key is not None:
-            if gamma_max - gamma <= 1e-14:
-                gamma = gamma_max
-                del atoms[away_key]
-            else:
-                atoms[away_key][1] = gamma_max - gamma
-        else:
-            # plain step: scale every active weight down
-            if gamma >= 1.0 - 1e-14:
-                gamma = 1.0
-                atoms.clear()
-            else:
-                for rec in atoms.values():
-                    rec[1] *= 1.0 - gamma
-        key = s.tobytes()
-        if key in atoms:
-            atoms[key][1] += gamma
-        else:
-            atoms[key] = [s, gamma]
-
-        x = x + gamma * d
-        phi_x = phi_new
-        if it % 50 == 0:
-            # resynchronize against accumulated drift
-            x = sum(rec[1] * rec[0] for rec in atoms.values())
-            phi_x = ev.phi(x)
+        slack = None if costs is None else budget_w - costs @ x
+        d = _box_qp(g, hess, lo - x, hi - x, costs, slack)
+        h, lam = ev.line(x, d)
+        t = _rational_argmin(h, lam, 1.0)
+        if np.sum(h / (1.0 + lam)) < np.sum(h / (1.0 + t * lam)):
+            t = 1.0
+        y = x + t * d
 
     design = Design.approximate(x, constraints.J)
-    phi_x = ev.phi(design.weights)
     return OptimizerReport(
         design=design,
-        phi=phi_x,
+        phi=ev.phi(design.weights),
         mse_trace=ev.mse_trace(design.weights, problem.criterion.target),
         optimality_gap=max(gap, 0.0),
         iterations=it,
@@ -449,21 +554,22 @@ def _transfer_descent(ev, starts, constraints: ConstraintSet):
 
 
 def solve_exact(problem: DesignProblem, constraints: ConstraintSet,
-                seed: int = 0, restarts: int = 20) -> OptimizerReport:
+                seed: int = 0, restarts: int = 20, tol: float = 1e-9,
+                max_iter: int = 5000) -> OptimizerReport:
     """Optimal or highly efficient exact design under the constraints.
 
     Warm-starts from the rounded approximate optimum and from ``restarts``
     seeded random feasible allocations, improves each distinct one by
     steepest transfer descent, and keeps the best result (criterion value,
     then lexicographically smallest counts; ``best_start`` says which start
-    reached it first).  The reported gap compares against
+    reached it first).  ``tol`` and ``max_iter`` go to the approximate warm
+    start.  The reported gap compares against
     the continuous relaxation bound, so 0 certifies global optimality of the
     relaxation value itself, not merely local optimality.
     """
-    if restarts < 0:
-        raise ValidationError("restarts must be >= 0")
-    seed = 0 if seed is None else int(seed)
-    approx = solve_approximate(problem, constraints)
+    restarts = count(restarts, "restarts")
+    seed = 0 if seed is None else count(seed, "seed")
+    approx = solve_approximate(problem, constraints, tol=tol, max_iter=max_iter)
     ev = problem.evaluator(constraints.J)
 
     starts = [round_to_exact(approx.design.weights, constraints).counts]

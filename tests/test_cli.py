@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import json
 import shutil
 import subprocess
@@ -9,6 +10,7 @@ import pytest
 
 import helpers
 from trialalloc import Design, DesignProblem, Identity, ValidationError
+from trialalloc import cli
 from trialalloc.cli import main
 from trialalloc.fixtures import available_fixtures, fixture_path, load_fixture
 
@@ -141,6 +143,50 @@ class TestDesign:
             capsys, "design", "--config", write_config(tmp_path, network_config))
         assert code == 2 and payload is None
         assert field in err
+
+    @pytest.mark.parametrize("solver, flags, field", [
+        ({"max_iter": 2.5}, (), "solver.max_iter"),
+        ({"max_iter": 0}, (), "solver.max_iter"),
+        ({"max_iter": -3}, (), "solver.max_iter"),
+        ({"restarts": 1.7}, (), "solver.restarts"),
+        ({"seed": 3.9}, (), "solver.seed"),
+        ({"tol": float("nan")}, (), "solver.tol"),
+        ({"tol": -1.0}, (), "solver.tol"),
+        ({}, ("--tol", "nan"), "--tol"),
+        ({}, ("--tol", "0"), "--tol"),
+        ({}, ("--restarts", "-1"), "--restarts"),
+    ])
+    @pytest.mark.parametrize("mode", ["approx", "exact"])
+    def test_bad_solver_settings_exit_2(self, tmp_path, capsys, network_config,
+                                       solver, flags, field, mode):
+        network_config["solver"] = solver
+        code, payload, err = run_cli(
+            capsys, "design", "--config", write_config(tmp_path, network_config),
+            "--mode", mode, *flags)
+        assert code == 2 and payload is None
+        assert field in err
+
+    def test_exact_mode_honours_the_warm_start_settings(self, tmp_path, capsys,
+                                                        network_config):
+        network_config["solver"] = {"max_iter": 1}
+        code, payload, _ = run_cli(
+            capsys, "design", "--config", write_config(tmp_path, network_config),
+            "--mode", "exact")
+        assert code == 0 and payload["status"] == "max_iter"
+        code, payload, _ = run_cli(capsys, "design", "--config", "maize_network",
+                                   "--mode", "exact", "--tol", "0.5")
+        assert code == 0 and payload["status"] == "converged"
+
+    def test_non_finite_report_is_refused(self, capsys, monkeypatch):
+        real = cli.solve_approximate
+
+        def unbounded(*args, **kwargs):
+            return dataclasses.replace(real(*args, **kwargs), optimality_gap=float("inf"))
+
+        monkeypatch.setattr(cli, "solve_approximate", unbounded)
+        code, payload, err = run_cli(capsys, "design", "--config", "maize_network")
+        assert code == 4 and payload is None
+        assert "non-finite" in err
 
     def test_round_trip_reproduces_phi(self, tmp_path, capsys, network_config):
         code, report, _ = run_cli(capsys, "design", "--config",

@@ -149,6 +149,26 @@ class TestGradients:
         assert np.all(problem.gradient(Design.approximate(w, 10)) < 0)
 
 
+class TestSegmentConvexity:
+    @settings(max_examples=25, deadline=None)
+    @given(st.sampled_from(["cs", "block", "dense"]), st.integers(2, 4),
+           st.integers(0, 2 ** 32 - 1))
+    def test_phi_is_convex_along_random_feasible_segments(self, kind, p, seed):
+        rng = np.random.default_rng(seed)
+        ev = _problem(rng, kind, P=p, weighting="weighted").evaluator(10)
+        x, s = rng.dirichlet(np.ones(p), size=2)
+        x[rng.integers(p)] = 0.0                 # one end may leave a region empty
+        x /= x.sum()
+        h, lam = ev.line(x, s - x)
+        grid = np.linspace(0.0, 1.0, 11)
+        assert np.all(h >= 0) and np.all(1.0 + lam > 0)
+        direct = np.array([ev.phi(x + t * (s - x)) for t in grid])
+        np.testing.assert_allclose((h / (1.0 + grid[:, None] * lam)).sum(axis=1), direct,
+                                   rtol=1e-10)
+        curvature = direct[:-2] - 2.0 * direct[1:-1] + direct[2:]
+        assert np.all(curvature >= -1e-12 * direct.max())
+
+
 class TestZeroWeights:
     def test_criteria_accept_empty_regions(self):
         rng = np.random.default_rng(7)
@@ -200,7 +220,8 @@ class TestFullMatrices:
 
 
 class TestBulkPrimitives:
-    """``line`` and ``transfer_scores`` against the scalar ``phi`` on every path."""
+    """``newton_terms``, ``line`` and ``transfer_scores`` against the scalar
+    ``phi`` and ``gradient`` on every path."""
 
     CASES = [("cs", {}, Path.BAYES_CS), ("block", {"path": "cbrc"}, Path.CBRC),
              ("block", {}, Path.KBAYES), ("dense", {"weighting": "weighted"}, Path.FULL)]
@@ -237,6 +258,23 @@ class TestBulkPrimitives:
             one_phi, one_delta = ev.transfer_scores(c[None] / 12, 1 / 12)
             assert one_phi[0] == phi[row]
             np.testing.assert_array_equal(one_delta[0], delta[row])
+
+    @pytest.mark.parametrize("kind, crit, path", CASES, ids=[c[2].value for c in CASES])
+    def test_newton_terms_match_gradient_differences(self, kind, crit, path):
+        rng = np.random.default_rng(22)
+        ev = _problem(rng, kind, **crit).evaluator(12)
+        assert ev.path is path
+        step = 1e-6
+        for x in (np.array([0.0, 0.45, 0.55]), np.array([0.2, 0.3, 0.5])):
+            phi, grad, hess = ev.newton_terms(x)
+            assert phi == pytest.approx(ev.phi(x), rel=1e-12)
+            np.testing.assert_allclose(grad, ev.gradient(x), rtol=1e-12)
+            np.testing.assert_allclose(hess, hess.T, rtol=0, atol=1e-14 * np.abs(hess).max())
+            central = np.column_stack([
+                (ev.gradient(x + step * e) - ev.gradient(x - step * e)) / (2 * step)
+                for e in np.eye(3)])
+            np.testing.assert_allclose(hess, central, rtol=1e-6,
+                                       atol=1e-8 * np.abs(central).max())
 
     def test_transfer_scores_rejects_an_indefinite_system(self, vc5, profile5):
         ev = DesignProblem(vc5, profile5, Identity(K=6)).evaluator(10)

@@ -5,7 +5,8 @@ from itertools import product
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
+from scipy.optimize import linprog
 
 import helpers
 from trialalloc import (ConstraintSet, CriterionSpec, Design, DesignProblem,
@@ -102,7 +103,7 @@ class _CountingEvaluator:
 
 
 class TestWorkCounts:
-    """Work per Frank-Wolfe iteration and per descent sweep on one golden row."""
+    """Work per Newton iteration and per descent sweep on one golden row."""
 
     @pytest.fixture()
     def counted(self, monkeypatch, vc5, profile5):
@@ -111,16 +112,14 @@ class TestWorkCounts:
         monkeypatch.setattr(DesignProblem, "evaluator", lambda self, J: ev)
         return problem, ev
 
-    def test_one_line_search_per_frank_wolfe_iteration(self, counted):
+    def test_one_newton_evaluation_per_iteration(self, counted):
         problem, ev = counted
         report = solve_approximate(problem, ConstraintSet(J=40, P=5))
         its = report.iterations
-        assert its <= 40
-        assert ev.calls["gradient"] == its
-        assert ev.calls["line"] == its - (report.status == "converged")
-        # start, one confirmation per line search, final re-evaluation
-        assert ev.calls["phi"] <= 2 * its
-        assert ev.calls["transfer_scores"] == 0
+        assert report.status == "converged" and its <= 10
+        # one evaluation per iteration, one line search between two of them,
+        # and the reported phi and MSE trace once at the end
+        assert ev.calls == Counter(newton_terms=its, line=its - 1, phi=1, mse_trace=1)
 
     def test_one_scoring_call_per_lockstep_sweep(self, counted, monkeypatch):
         problem, ev = counted
@@ -143,6 +142,38 @@ class TestWorkCounts:
         assert seen["calls"] == Counter(transfer_scores=moves.max() + 1)
         assert ev.calls["transfer_scores"] == moves.max() + 1
         assert report.phi == pytest.approx(phi.min(), rel=1e-12)
+
+    def test_a_newton_step_that_does_not_lower_phi_stalls(self, monkeypatch):
+        class Flat:
+            """phi and gradient never change, so no step can make progress."""
+            calls = 0
+
+            def newton_terms(self, x):
+                Flat.calls += 1
+                return 1.0, np.array([0.0, -1.0]), np.eye(2)
+
+            def line(self, x, d):
+                return np.ones(1), np.zeros(1)
+
+            def phi(self, w):
+                return 1.0
+
+            def mse_trace(self, w, target):
+                return 1.0
+
+        monkeypatch.setattr(DesignProblem, "evaluator", lambda self, J: Flat())
+        report = solve_approximate(_symmetric_problem(), ConstraintSet(J=10, P=2))
+        assert (report.status, report.iterations, Flat.calls) == ("stalled", 2, 2)
+        np.testing.assert_array_equal(report.design.weights, [0.5, 0.5])
+        assert report.optimality_gap == pytest.approx(0.4)
+
+    def test_rounding_level_rise_is_kept_only_when_the_gap_halves(self):
+        ulp = np.spacing(100.0)
+        assert optimizer._step_kept(100.0 - ulp, 1e-6, 100.0, 1e-6)
+        assert optimizer._step_kept(100.0 + 2 * ulp, 0.5e-6, 100.0, 1e-6)
+        assert not optimizer._step_kept(100.0 + 2 * ulp, 0.6e-6, 100.0, 1e-6)
+        assert not optimizer._step_kept(100.0, 0.6e-6, 100.0, 1e-6)
+        assert not optimizer._step_kept(100.0 + 64 * ulp, 1e-9, 100.0, 1e-6)
 
     def test_a_move_that_does_not_lower_phi_is_undone(self):
         class Flat:
@@ -271,6 +302,130 @@ class TestRationalLineSearch:
         assert best <= on_grid.min() + 1e-12 * abs(on_grid.min())
 
 
+def _equality_qp(g, q, rows, rhs):
+    """Minimizer of g·d + ½ dᵀq d subject to rows·d = rhs, or None when the
+    rows are dependent."""
+    p, m = g.size, len(rows)
+    kkt = np.block([[q, rows.T], [rows, np.zeros((m, m))]])
+    if np.linalg.matrix_rank(kkt) < p + m:
+        return None
+    return np.linalg.solve(kkt, np.concatenate([-g, rhs]))[:p]
+
+
+def _qp_by_enumeration(g, q, lower, upper, costs, slack):
+    """Best feasible candidate over every active-set pattern: each bound at
+    its lower end, its upper end or free, the budget row on or off."""
+    p = g.size
+    best, best_value = None, np.inf
+    for pattern in product(range(3), repeat=p):
+        for budget_on in ((False, True) if costs is not None else (False,)):
+            fixed = [i for i in range(p) if pattern[i] < 2]
+            rows = [np.ones(p)] + [np.eye(p)[i] for i in fixed]
+            rhs = [0.0] + [(lower, upper)[pattern[i]][i] for i in fixed]
+            if budget_on:
+                rows.append(np.asarray(costs, dtype=float))
+                rhs.append(slack)
+            d = _equality_qp(g, q, np.array(rows), np.array(rhs))
+            if d is None or np.any(d < lower - 1e-9) or np.any(d > upper + 1e-9) \
+                    or (costs is not None and costs @ d > slack + 1e-9):
+                continue
+            value = g @ d + 0.5 * d @ q @ d
+            if value < best_value:
+                best, best_value = d, value
+    return best, best_value
+
+
+@st.composite
+def _box_qps(draw):
+    """A positive-definite QP over a box around 0 (some sides at 0, some
+    coordinates pinned), with or without a budget row that d = 0 meets."""
+    p = draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    a = rng.normal(size=(p, p))
+    q = a @ a.T + draw(st.sampled_from([1e-3, 0.1, 1.0])) * np.eye(p)
+    g = rng.normal(size=p) * draw(st.sampled_from([1e-3, 1.0, 1e3]))
+    lower = -rng.uniform(0.0, 1.0, p) * (rng.random(p) < 0.7)
+    upper = rng.uniform(0.0, 1.0, p) * (rng.random(p) < 0.7)
+    costs = slack = None
+    if draw(st.booleans()):
+        costs = rng.uniform(1.0, 5.0, p)
+        slack = draw(st.sampled_from([0.0, 0.05, 0.5]))
+    return g, q, lower, upper, costs, slack
+
+
+def _vertex_minimum(g, lo, hi, costs, budget_w):
+    """min g·x over lo <= x <= hi, Σx = 1, costs·x <= budget_w by trying every
+    vertex: each coordinate at a bound except one or two, which the equality
+    rows (the sum, and the budget row for two) determine."""
+    p = g.size
+    best = np.inf
+    for free in [(i,) for i in range(p)] + [(i, k) for i in range(p) for k in range(i + 1, p)]:
+        others = [i for i in range(p) if i not in free]
+        for ends in product((lo, hi), repeat=len(others)):
+            x = np.zeros(p)
+            x[others] = [end[i] for end, i in zip(ends, others)]
+            rows = np.ones((1, len(free))) if len(free) == 1 else np.stack([np.ones(2), costs[list(free)]])
+            rhs = [1.0 - x.sum()] + ([budget_w - costs @ x] if len(free) == 2 else [])
+            if abs(np.linalg.det(rows)) < 1e-12:
+                continue
+            x[list(free)] = np.linalg.solve(rows, rhs)
+            if np.all(x >= lo - 1e-12) and np.all(x <= hi + 1e-12) \
+                    and costs @ x <= budget_w + 1e-12:
+                best = min(best, g @ x)
+    return best
+
+
+class TestNewtonStep:
+    """The exact QP under the Newton direction, on generated instances."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(_box_qps())
+    # the first step runs into the budget row, which the optimum then leaves
+    @example(qp=(np.array([0.7, -1.1, -0.8]),
+                 np.array([[1.65, 0.34, 0.49], [0.34, 1.65, 0.51], [0.49, 0.51, 2.38]]),
+                 np.array([-0.6, -0.7, -1.0]), np.array([0.3, 0.6, 0.7]),
+                 np.array([2.0, 1.0, 5.0]), 0.1))
+    def test_qp_answer_is_kkt_and_beats_every_active_set(self, qp):
+        g, q, lower, upper, costs, slack = qp
+        d = optimizer._box_qp(g, q, lower, upper, costs, slack)
+        assert np.all(d >= lower - 1e-12) and np.all(d <= upper + 1e-12)
+        assert abs(d.sum()) <= 1e-12
+        if costs is not None:
+            assert costs @ d <= slack + 1e-12
+        # KKT for linear constraints: d minimizes the linearization at d
+        r = g + q @ d
+        lp = linprog(r, A_ub=None if costs is None else costs[None, :],
+                     b_ub=None if costs is None else [slack],
+                     A_eq=np.ones((1, g.size)), b_eq=[0.0],
+                     bounds=list(zip(lower, upper)), method="highs")
+        assert lp.success
+        scale = np.abs(r).max() * max(np.abs(lower).max(), upper.max(), 1e-300)
+        assert r @ d <= lp.fun + 1e-9 * scale
+        best, best_value = _qp_by_enumeration(g, q, lower, upper, costs, slack)
+        value = g @ d + 0.5 * d @ q @ d
+        assert value == pytest.approx(best_value, rel=1e-9, abs=1e-8 * np.abs(g).max())
+        np.testing.assert_allclose(d, best, atol=1e-6)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(2, 5), st.integers(0, 2 ** 32 - 1))
+    def test_budgeted_certificate_is_the_best_vertex(self, p, seed):
+        rng = np.random.default_rng(seed)
+        lo = rng.uniform(0.0, 0.15, p) * (rng.random(p) < 0.6)
+        hi = lo + rng.uniform(0.1, 1.0, p)
+        assume(lo.sum() <= 1.0 <= hi.sum())
+        costs = rng.uniform(1.0, 5.0, p)
+        cheapest = optimizer._linear_minimum(costs, lo, hi, None, None) @ costs
+        budget_w = cheapest + rng.uniform(0.0, 1.0) * (costs @ hi - cheapest)
+        # nearly flat forms are where an LP solver's tolerances show
+        g = -1.0 + rng.normal(size=p) * rng.choice([1e-9, 1e-3, 1.0])
+        s = optimizer._linear_minimum(g, lo, hi, costs, budget_w)
+        assert np.all(s >= lo - 1e-15) and np.all(s <= hi + 1e-15)
+        assert s.sum() == pytest.approx(1.0, abs=1e-14)
+        assert costs @ s <= budget_w + 1e-14
+        assert g @ s == pytest.approx(_vertex_minimum(g, lo, hi, costs, budget_w),
+                                      rel=1e-14, abs=1e-14)
+
+
 class TestApproximateSolver:
     def test_converged_status(self):
         report = solve_approximate(_symmetric_problem(), ConstraintSet(J=10, P=2))
@@ -284,6 +439,21 @@ class TestApproximateSolver:
         assert report.iterations == 1
         exact = solve_exact(problem, ConstraintSet(J=40, P=5), restarts=1)
         assert exact.status == solve_approximate(problem, ConstraintSet(J=40, P=5)).status
+        capped = solve_exact(problem, ConstraintSet(J=40, P=5), restarts=1, max_iter=1)
+        assert capped.status == "max_iter"
+        assert solve_exact(problem, ConstraintSet(J=40, P=5), restarts=1,
+                           tol=0.5).status == "converged"
+
+    @pytest.mark.parametrize("kwargs, field", [
+        ({"tol": float("nan")}, "tol"), ({"tol": -1.0}, "tol"), ({"tol": 0.0}, "tol"),
+        ({"max_iter": 0}, "max_iter"), ({"max_iter": 2.5}, "max_iter"),
+    ])
+    def test_bad_settings_rejected(self, kwargs, field):
+        cons = ConstraintSet(J=10, P=2)
+        with pytest.raises(ValidationError, match=field):
+            solve_approximate(_symmetric_problem(), cons, **kwargs)
+        with pytest.raises(ValidationError, match=field):
+            solve_exact(_symmetric_problem(), cons, **kwargs)
 
     def test_symmetric_problem_balances(self):
         report = solve_approximate(_symmetric_problem(),
@@ -340,6 +510,38 @@ class TestApproximateSolver:
         boxed = solve_approximate(problem, ConstraintSet(J=40, P=5,
                                                          min_per_region=4))
         assert boxed.phi >= free.phi - 1e-10 * abs(free.phi)
+
+
+class TestPermutationEquivariance:
+    @settings(max_examples=20, deadline=None)
+    @given(st.integers(2, 5), st.sampled_from(["cs", "block", "dense"]), st.booleans(),
+           st.integers(0, 2 ** 32 - 1))
+    def test_permuted_regions_permute_the_optimum(self, p, kind, budget, seed):
+        rng = np.random.default_rng(seed)
+        vc, kinship = helpers.random_vc(rng), helpers.random_kinship(rng, kind, K=6)
+        profile = helpers.random_profile(rng, p)
+        j = int(rng.integers(10, 41))
+        lo = rng.integers(0, 3, p)
+        hi = lo + rng.integers(j // 4, j + 1, p)
+        costs = rng.uniform(1.0, 5.0, p) if budget else None
+        spend = None if costs is None else float(costs @ np.full(p, j / p)) * rng.uniform(0.8, 1.2)
+        perm = rng.permutation(p)
+
+        def solve(order):
+            moved = SubRegionProfile(V=profile.V[np.ix_(order, order)], ell=profile.ell[order])
+            cons = ConstraintSet(J=j, min_per_region=lo[order], max_per_region=hi[order],
+                                 costs=None if costs is None else costs[order],
+                                 budget=spend)
+            return solve_approximate(DesignProblem(vc, moved, kinship), cons, tol=1e-12)
+
+        try:
+            base = solve(np.arange(p))
+        except InfeasibleError:
+            assume(False)
+        permuted = solve(perm)
+        np.testing.assert_allclose(permuted.design.weights, base.design.weights[perm],
+                                   rtol=0, atol=1e-8)
+        assert permuted.phi == pytest.approx(base.phi, rel=1e-12)
 
 
 class TestRounding:
@@ -441,6 +643,14 @@ class TestExactSolver:
         start = _random_feasible(np.random.default_rng(child), cons)
         _, counts, _ = _transfer_descent(problem.evaluator(20), [start], cons)
         np.testing.assert_array_equal(counts[0], report.design.counts)
+
+    @pytest.mark.parametrize("kwargs, field", [
+        ({"restarts": 1.5}, "restarts"), ({"restarts": -1}, "restarts"),
+        ({"seed": 3.9}, "seed"), ({"seed": -2}, "seed"),
+    ])
+    def test_bad_start_settings_rejected(self, kwargs, field):
+        with pytest.raises(ValidationError, match=field):
+            solve_exact(_symmetric_problem(), ConstraintSet(J=10, P=2), **kwargs)
 
     def test_seed_recorded_and_defaulted(self, vc5, profile5):
         problem = DesignProblem(vc5, profile5, Identity(K=31))
