@@ -1,5 +1,5 @@
 """Input checks shared by the constructors and the solver settings: finite
-numbers, positive numbers and whole numbers.
+numbers, positive numbers and whole numbers, none of them booleans.
 
 Each check raises :class:`ValidationError` naming the offending field, which
 the CLI reports with exit status 2, so that no NaN, infinity or fractional
@@ -15,8 +15,17 @@ import numpy as np
 from .errors import ValidationError
 
 
+def _holds_bool(value) -> bool:
+    if isinstance(value, (list, tuple)):
+        return any(map(_holds_bool, value))
+    return isinstance(value, (bool, np.bool_, np.ndarray)) and np.asarray(value).dtype == bool
+
+
 def finite(value, name: str) -> np.ndarray:
-    """``value`` as a float array, rejecting non-numbers, NaN and infinities."""
+    """``value`` as a float array, rejecting non-numbers (JSON ``true`` and
+    ``false`` too), NaN and infinities."""
+    if _holds_bool(value):
+        raise ValidationError(f"{name} must be numeric, got {reprlib.repr(value)}")
     try:
         arr = np.array(value, dtype=float)
     except (TypeError, ValueError):
@@ -56,9 +65,9 @@ def positive(value, name: str) -> float:
 
 def count(value, name: str, minimum: int = 0) -> int:
     """``value`` as one int no smaller than ``minimum``."""
-    try:
+    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
         n = operator.index(value)           # exact for ints beyond float range
-    except TypeError:
+    else:
         n = int(integers(value, name))
     if n < minimum:
         raise ValidationError(f"{name} must be >= {minimum}, got {reprlib.repr(value)}")

@@ -21,6 +21,7 @@ problem, 4 numerical failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path as _FsPath
@@ -28,7 +29,7 @@ from pathlib import Path as _FsPath
 import numpy as np
 
 from . import __version__
-from ._checks import count, integers, number, positive
+from ._checks import count, finite, integers, number, positive
 from .criteria import CriterionSpec, DesignProblem, Path, Target
 from .errors import InfeasibleError, NumericalError, ValidationError
 from .fixtures import available_fixtures, fixture_path
@@ -213,15 +214,12 @@ def _build_criterion(config: dict) -> CriterionSpec:
 def _j_grid(config: dict) -> list:
     raw = _require(config, "J")
     values = raw if isinstance(raw, list) else [raw]
-    grid = []
-    for value in values:
-        j = int(integers(value, "J"))
-        if j < 1:
-            raise ValidationError(f"J values must be integers >= 1, got {value!r}")
-        grid.append(j)
-    if not grid:
+    if not values:
         raise ValidationError("'J' grid is empty")
-    return grid
+    grid = integers(values, "J", len(values))
+    if np.any(grid < 1):
+        raise ValidationError(f"J values must be integers >= 1, got {raw!r}")
+    return grid.tolist()
 
 
 def _build_constraints(config: dict, J: int, P: int) -> ConstraintSet:
@@ -261,15 +259,18 @@ def _parse_design(raw, P: int, default_J=None, field: str = "design") -> Design:
             )
         return design
     if "weights" in raw:
-        J = raw.get("J", default_J)
-        if J is None:
+        if "J" in raw:
+            J = count(raw["J"], f"{field}.J", 1)
+        elif default_J is None:
             raise ValidationError(f"'{field}' gives weights, so a total size J is needed")
-        weights = np.asarray(raw["weights"], dtype=float)
+        else:
+            J = default_J
+        weights = finite(raw["weights"], f"{field}.weights")
         if weights.shape != (P,):
             raise ValidationError(
                 f"'{field}' has {weights.size} weights but the problem has {P} sub-regions"
             )
-        return Design.approximate(weights, int(J))
+        return Design.approximate(weights, J)
     raise ValidationError(f"'{field}' needs either 'counts' or 'weights'")
 
 
@@ -416,15 +417,18 @@ def _cmd_eval(args) -> int:
         fixed_counts = isinstance(raw, list) or (isinstance(raw, dict) and "counts" in raw)
         if fixed_counts and len(grid) > 1:
             raise ValidationError("a counts design fixes J; use weights with a J grid")
-        for J in grid:
-            design = _parse_design(raw, problem.P, default_J=J)
-            value = problem.value(design)
+        design = _parse_design(raw, problem.P, default_J=grid[0])
+        # a design that names its own J is evaluated there on every row
+        js = [design.J] * len(grid) if fixed_counts or "J" in raw else grid
+        shown = _design_payload(design)
+        criterion = _criterion_payload(problem)
+        for J, value in zip(js, problem.values(design, js)):
             reports.append({
                 "command": "eval",
                 "label": label,
-                "J": design.J,
-                "criterion": _criterion_payload(problem),
-                "design": _design_payload(design),
+                "J": J,
+                "criterion": criterion,
+                "design": dict(shown, J=J),
                 "phi": value.phi,
                 "mse_trace": value.mse_trace,
                 "gradient": [float(g) for g in value.gradient],
@@ -662,6 +666,7 @@ def _cmd_selftest(args) -> int:
 # Entry point
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="trialalloc",

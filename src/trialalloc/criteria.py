@@ -24,13 +24,18 @@ reported per unit of its group weight), two-level family blocks have two
 kinship needs one K×K ``eigh`` per problem (``full``, one group per
 eigenvalue).  ``Path.AUTO`` picks the closed form where it exists.
 
-Every evaluation costs O(G·P³): one batched Cholesky of the G systems.  The
-solvers' primitives work on the same stack: ``newton_terms`` gives the
-criterion with its gradient and Hessian, ``line`` turns the criterion along a
-segment into a rational function of the step, and ``transfer_scores``
-prices every single-location transfer of a stack of designs from one batched
-factorization, each move being a rank-2 update of the group systems that
-Woodbury's identity resolves as a 2×2 system.
+The network size J enters only as a scale: C_g(J) = C_g(1)/J while the roots
+R_g of H_g = R_g R_gᵀ do not depend on J.  A problem therefore builds its
+stack once, at J = 1, and derives the evaluator of any J from it by one
+division, without a factorization.  Every evaluation costs O(G·P³): one
+batched Cholesky of the G systems, and a whole J grid is one batched
+Cholesky of the (n_J, G, P, P) stack.  The solvers' primitives work on the
+same stack: ``newton_terms`` gives the criterion with its gradient and
+Hessian, ``line`` turns the criterion along a segment into a rational
+function of the step, and ``transfer_scores`` prices every single-location
+transfer of a stack of designs from one batched factorization, each move
+being a rank-2 update of the group systems that Woodbury's identity
+resolves as a 2×2 system.
 """
 from __future__ import annotations
 
@@ -193,7 +198,9 @@ class _TraceEvaluator:
     ``c`` and ``root`` are (G, P, P) arrays: C_g is positive definite and
     R_g R_gᵀ = H_g, the root being known in closed form from the build.  The
     reported MSE trace of each target is ``factor * (trace + const)``, the
-    trace taken with that target's unweighted root.
+    trace taken with that target's unweighted root.  :meth:`scaled` gives the
+    evaluator of a larger network and :meth:`over_sizes` evaluates one design
+    over many network sizes at once.
     """
 
     def __init__(self, path: Path, c: np.ndarray, root: np.ndarray, mse: dict):
@@ -201,6 +208,42 @@ class _TraceEvaluator:
         self.c = c
         self.root = root
         self._mse = mse
+
+    def scaled(self, s: float) -> "_TraceEvaluator":
+        """The evaluator of a network ``s`` times as large: C_g/s with the same
+        roots, the MSE factor divided and the MSE constant multiplied by s."""
+        return _TraceEvaluator(self.path, self.c / s, self.root,
+                               {t: (factor / s, root, const * s)
+                                for t, (factor, root, const) in self._mse.items()})
+
+    def over_sizes(self, w, sizes, target: Target):
+        """phi (n,), MSE trace (n,) and gradient (n, P) of one design ``w`` in
+        the networks ``sizes`` (n,) times as large as this one.
+
+        One batched Cholesky of the (n, G, P, P) stack, one triangular solve
+        for the criterion and MSE roots together and one back-substitution
+        for the gradient; a long ``sizes`` is taken in chunks of bounded
+        memory, as in :meth:`transfer_scores`.
+        """
+        s = np.asarray(sizes, dtype=float)
+        w = np.asarray(w, dtype=float)
+        p = self.c.shape[-1]
+        factor, mse_root, const = self._mse[target]
+        rhs = np.concatenate([self.root, mse_root], axis=-1)
+        phi, mse, grad = np.empty(s.size), np.empty(s.size), np.empty((s.size, p))
+        chunk = max(1, _BATCH_ENTRIES // self.root.size)
+        for lo in range(0, s.size, chunk):
+            rows = slice(lo, lo + chunk)
+            a = self.c / s[rows, None, None, None] + w[:, None] * np.eye(p)
+            chol = spd_cholesky(a, "criterion system")
+            y = solve_lower(chol, np.broadcast_to(rhs, chol.shape[:-1] + rhs.shape[-1:]))
+            y, y_mse = y[..., :p], y[..., p:]
+            x = solve_lower(chol, y, transpose=True)          # A^-1 R
+            phi[rows] = np.einsum("ngij,ngij->n", y, y)
+            mse[rows] = factor / s[rows] * (np.einsum("ngij,ngij->n", y_mse, y_mse)
+                                            + const * s[rows])
+            grad[rows] = -np.einsum("ngij,ngij->ni", x, x)
+        return phi, mse, grad
 
     def _cholesky(self, w) -> np.ndarray:
         """Lower factors of diag(w) + C_g for one design (P,) or a stack (n, P)."""
@@ -221,38 +264,42 @@ class _TraceEvaluator:
         x = solve_lower(chol, solve_lower(chol, self.root), transpose=True)
         return -np.einsum("gij,gij->i", x, x)
 
-    def line(self, x, d):
+    def line(self, l_inv, d):
         """(h, λ) with phi(x + t·d) = Σ h_i / (1 + t λ_i) while x + t·d >= 0.
 
-        Per group, A(x) = LLᵀ and L^-1 diag(d) L^-ᵀ = QΛQᵀ, so h is the
-        diagonal of Qᵀ L^-1 H L^-ᵀ Q.  Every h_i >= 0.
+        ``l_inv`` is L^-1 per group for A(x) = LLᵀ, as :meth:`newton_terms`
+        returns it at x.  With L^-1 diag(d) L^-ᵀ = QΛQᵀ, h is the diagonal of
+        Qᵀ L^-1 H L^-ᵀ Q.  Every h_i >= 0.
         """
-        chol = self._cholesky(x)
-        l_inv = solve_lower(chol, np.eye(chol.shape[-1]))
         l_inv_t = np.swapaxes(l_inv, 1, 2)
         lam, q = np.linalg.eigh((l_inv * np.asarray(d, dtype=float)) @ l_inv_t)
         y = np.swapaxes(q, 1, 2) @ (l_inv @ self.root)
         return np.einsum("gij,gij->gi", y, y).ravel(), lam.ravel()
 
+    def _inverse_factor(self, w) -> np.ndarray:
+        """L^-1 of the Cholesky factors of diag(w) + C_g."""
+        return solve_lower(self._cholesky(w), np.eye(self.c.shape[-1]))
+
     def _inverse_terms(self, w):
-        """phi, M = A^-1 and N = A^-1 H A^-1 per group, for one design (P,)
-        or a stack (n, P), from one batched Cholesky."""
-        l_inv = solve_lower(self._cholesky(w), np.eye(self.c.shape[-1]))
+        """phi, M = A^-1, N = A^-1 H A^-1 and L^-1 per group, for one design
+        (P,) or a stack (n, P), from one batched Cholesky."""
+        l_inv = self._inverse_factor(w)
         l_inv_t = np.swapaxes(l_inv, -1, -2)
         y = l_inv @ self.root
         x = l_inv_t @ y                                       # A^-1 R
         return (np.einsum("...gij,...gij->...", y, y), l_inv_t @ l_inv,
-                x @ np.swapaxes(x, -1, -2))
+                x @ np.swapaxes(x, -1, -2), l_inv)
 
     def newton_terms(self, w):
-        """phi, gradient and Hessian at one design.
+        """phi, gradient, Hessian and the factor L^-1 at one design.
 
         The gradient is -diag Σ_g N_g and the Hessian 2 Σ_g M_g ∘ N_g, with
-        M = A^-1 and N = A^-1 H A^-1; both come from one factorization.
+        M = A^-1 and N = A^-1 H A^-1; all come from one factorization, whose
+        L^-1 :meth:`line` takes at the same design.
         """
-        phi, m, nn = self._inverse_terms(w)
+        phi, m, nn, l_inv = self._inverse_terms(w)
         return (float(phi), -np.einsum("gii->i", nn),
-                2.0 * np.einsum("gij,gij->ij", m, nn))
+                2.0 * np.einsum("gij,gij->ij", m, nn), l_inv)
 
     def transfer_scores(self, weights, step: float):
         """phi of each row of an (n, P) stack, and the exact change of phi
@@ -274,7 +321,7 @@ class _TraceEvaluator:
         chunk = max(1, _BATCH_ENTRIES // self.root.size)
         for lo in range(0, n, chunk):
             rows = slice(lo, lo + chunk)
-            phi[rows], m, nn = self._inverse_terms(weights[rows])
+            phi[rows], m, nn, _ = self._inverse_terms(weights[rows])
             m_d = np.diagonal(m, axis1=-2, axis2=-1)
             n_d = np.diagonal(nn, axis1=-2, axis2=-1)
             s_ii = m_d[..., :, None] - inv_step
@@ -317,10 +364,10 @@ def _route(kinship: KinshipSpec, path: Path) -> Path:
 class DesignProblem:
     """A criterion bound to a trial network, reusable across designs.
 
-    The kinship spectrum is computed once per problem; the evaluator built
-    from it depends on the design only through the network size J, so it is
-    cached per J and every evaluation costs one batched Cholesky of the
-    group systems.
+    The group stack is built once per problem, at J = 1; the evaluator of any
+    network size J is derived from it by one division (C_g/J), so every
+    evaluation costs one batched Cholesky of the group systems, and
+    :meth:`values` evaluates a whole J grid with one.
     """
 
     vc: VarianceComponents
@@ -337,17 +384,16 @@ class DesignProblem:
             )
         # resolve (and validate) the path once, design-independently
         object.__setattr__(self, "path_used", _route(self.kinship, self.criterion.path))
-        object.__setattr__(self, "_evaluators", {})
 
     @property
     def P(self) -> int:
         return self.profile.P
 
-    def evaluator(self, J: int):
-        ev = self._evaluators.get(J)
-        if ev is None:
-            ev = self._evaluators[J] = self._build(J)
-        return ev
+    def evaluator(self, J: int) -> _TraceEvaluator:
+        """The evaluator at network size J, derived from the J = 1 stack."""
+        if not J >= 1:
+            raise ValidationError(f"J must be >= 1, got {J!r}")
+        return self._core.scaled(J)
 
     @cached_property
     def _spectrum(self) -> _Spectrum:
@@ -357,12 +403,18 @@ class DesignProblem:
         return _eigen_spectrum(scaled_genetic_covariances(self.vc, 1, self.profile,
                                                           self.kinship).N)
 
-    def _build(self, J: int) -> _TraceEvaluator:
-        """Systems C_g = B_g = (R̃ + λ_g Ṽ)^-1 and roots R_g = √s_g B_g Ṽ L^½."""
+    @cached_property
+    def _core(self) -> _TraceEvaluator:
+        """The stack at J = 1: systems C_g = B_g = (R̃ + λ_g Ṽ)^-1 and roots
+        R_g = √s_g B_g Ṽ L^½.
+
+        R̃ and Ṽ grow as J, so at size J the systems are C_g/J and the roots
+        stay; the MSE factor falls as 1/J and the MSE constant grows as J.
+        """
         spectrum = self._spectrum
-        scale = J / effective_error_constant(self.vc)
+        scale = 1.0 / effective_error_constant(self.vc)
         vt = scale * self.profile.V
-        inner = scaled_year_matrix(self.vc, J, self.P) + spectrum.lam[:, None, None] * vt
+        inner = scaled_year_matrix(self.vc, 1, self.P) + spectrum.lam[:, None, None] * vt
         l_inv = solve_lower(spd_cholesky(inner, "criterion inner matrix"), np.eye(self.P))
         b = np.swapaxes(l_inv, 1, 2) @ l_inv
         bv = b @ vt
@@ -394,15 +446,20 @@ class DesignProblem:
         return self.evaluator(design.J).mse_trace(design.weights,
                                                   self.criterion.target)
 
+    def values(self, design: Design, Js=None) -> list:
+        """The design's weights evaluated at every network size in ``Js``
+        (default: the design's own J), one :class:`CriterionValue` per size,
+        from one batched Cholesky."""
+        js = np.array([design.J] if Js is None else Js)
+        if js.ndim != 1 or not np.issubdtype(js.dtype, np.integer) or np.any(js < 1):
+            raise ValidationError(f"Js must be a list of integers >= 1, got {Js!r}")
+        phi, mse, grad = self._core.over_sizes(design.weights, js, self.criterion.target)
+        return [CriterionValue(phi=float(phi[k]), mse_trace=float(mse[k]),
+                               path_used=self.path_used, gradient=grad[k])
+                for k in range(len(js))]
+
     def value(self, design: Design) -> CriterionValue:
-        ev = self.evaluator(design.J)
-        w = design.weights
-        return CriterionValue(
-            phi=ev.phi(w),
-            mse_trace=ev.mse_trace(w, self.criterion.target),
-            path_used=ev.path,
-            gradient=ev.gradient(w),
-        )
+        return self.values(design)[0]
 
 
 # ---------------------------------------------------------------------------

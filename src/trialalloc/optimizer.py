@@ -25,8 +25,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-# minimize_scalar is unused here; bench/tracing.py still patches it by name
-from scipy.optimize import minimize_scalar  # noqa: F401
 
 from ._checks import count, finite, integers, number, positive
 from .criteria import DesignProblem
@@ -47,6 +45,16 @@ _BUDGET_TOL = 1e-9
 _QP_TOL = 1e-12
 # a Newton step whose phi rises by at most this many ulps is rounding
 _PHI_ULPS = 4
+
+
+def __getattr__(name):
+    # minimize_scalar is unused here, but bench/tracing.py still patches it by
+    # name; importing scipy.optimize only on that request keeps ~20 MB of
+    # modules out of every other process
+    if name == "minimize_scalar":
+        from scipy.optimize import minimize_scalar
+        return minimize_scalar
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -401,12 +409,12 @@ def solve_approximate(problem: DesignProblem, constraints: ConstraintSet,
     y = _centre(lo, hi, costs, budget_w)
     status = "max_iter"
     for it in range(1, max_iter + 1):
-        phi_y, g, hess = ev.newton_terms(y)
+        phi_y, g, hess, l_inv_y = ev.newton_terms(y)
         gap_y = float(g @ (y - _linear_minimum(g, lo, hi, costs, budget_w)))
         if it > 1 and not _step_kept(phi_y, gap_y, phi_x, gap):
             status = "stalled"
             break
-        x, phi_x, gap = y, phi_y, gap_y
+        x, phi_x, gap, l_inv = y, phi_y, gap_y, l_inv_y
         if gap <= tol * max(1.0, abs(phi_x)):
             status = "converged"
             break
@@ -414,7 +422,7 @@ def solve_approximate(problem: DesignProblem, constraints: ConstraintSet,
             break
         slack = None if costs is None else budget_w - costs @ x
         d = _box_qp(g, hess, lo - x, hi - x, costs, slack)
-        h, lam = ev.line(x, d)
+        h, lam = ev.line(l_inv, d)
         t = _rational_argmin(h, lam, 1.0)
         if np.sum(h / (1.0 + lam)) < np.sum(h / (1.0 + t * lam)):
             t = 1.0

@@ -2,15 +2,18 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import os
 import shutil
 import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 import helpers
 from trialalloc import Design, DesignProblem, Identity, ValidationError
-from trialalloc import cli
+from trialalloc import cli, criteria
+from trialalloc._linalg import spd_cholesky
 from trialalloc.cli import main
 from trialalloc.fixtures import available_fixtures, fixture_path, load_fixture
 
@@ -44,6 +47,10 @@ class TestFixtures:
     def test_unknown_name_rejected(self):
         with pytest.raises(ValidationError, match="unknown fixture"):
             fixture_path("no_such_thing")
+
+    def test_parser_is_built_once_per_process(self, capsys):
+        run_cli(capsys, "eval", "--config", "maize_network")
+        assert cli._build_parser() is cli._build_parser()
 
     def test_fixture_carries_both_variants(self):
         config = load_fixture("maize_network")
@@ -90,6 +97,61 @@ class TestEval:
             capsys, "eval", "--config", write_config(tmp_path, network_config))
         assert code == 2
         assert "sum" in err
+
+    @pytest.mark.parametrize("top_j, design, field", [
+        (None, {"weights": [0.2] * 5, "J": 12.7}, "design.J"),
+        (None, {"weights": [0.2] * 5, "J": True}, "design.J"),
+        (40, {"weights": [0.2] * 5, "J": 0}, "design.J"),
+        (12.7, {"weights": [0.2] * 5}, "J"),
+        (True, {"weights": [0.2] * 5}, "J"),
+        ([10, True], {"weights": [0.2] * 5}, "J"),
+        (40, {"weights": [0.2, 0.2, 0.2, 0.2, True]}, "design.weights"),
+    ])
+    def test_non_integral_or_boolean_j_exits_2(self, tmp_path, capsys, network_config,
+                                               top_j, design, field):
+        network_config.pop("J")
+        if top_j is not None:
+            network_config["J"] = top_j
+        network_config["design"] = design
+        code, payload, err = run_cli(
+            capsys, "eval", "--config", write_config(tmp_path, network_config))
+        assert code == 2 and payload is None
+        assert f"error: {field} " in err
+
+    def test_j_grid_is_one_batched_evaluation(self, tmp_path, capsys, monkeypatch,
+                                              network_config):
+        grid = list(range(10, 201, 5))
+        network_config["J"] = grid
+        network_config["design"] = {"weights": [0.3, 0.1, 0.2, 0.3, 0.1]}
+        factored = []
+
+        def recording(a, what="matrix"):
+            factored.append((what, np.shape(a)))
+            return spd_cholesky(a, what)
+
+        monkeypatch.setattr(criteria, "spd_cholesky", recording)
+        code, payload, _ = run_cli(
+            capsys, "eval", "--config", write_config(tmp_path, network_config))
+        assert code == 0 and [r["J"] for r in payload] == grid
+        # the J = 1 inner matrices once, then all 39 criterion stacks at once
+        assert factored == [("criterion inner matrix", (1, 5, 5)),
+                            ("criterion system", (len(grid), 1, 5, 5))]
+        problem = cli._build_problem(network_config)
+        for row in payload:
+            want = problem.value(Design.approximate(row["design"]["weights"], row["J"]))
+            assert row["phi"] == pytest.approx(want.phi, rel=1e-12)
+            assert row["mse_trace"] == pytest.approx(want.mse_trace, rel=1e-12)
+            np.testing.assert_allclose(row["gradient"], want.gradient, rtol=1e-12)
+
+    def test_a_design_with_its_own_j_ignores_the_grid(self, tmp_path, capsys,
+                                                      network_config):
+        network_config["J"] = [10, 20]
+        network_config["design"] = {"weights": [0.2] * 5, "J": 30}
+        code, payload, _ = run_cli(
+            capsys, "eval", "--config", write_config(tmp_path, network_config))
+        assert code == 0
+        assert [(r["J"], r["design"]["J"]) for r in payload] == [(30, 30)] * 2
+        assert payload[0]["phi"] == payload[1]["phi"]
 
     def test_batch_labels_preserved(self, capsys):
         code, payload, _ = run_cli(capsys, "eval", "--config",
@@ -382,6 +444,22 @@ class TestSelftest:
         assert payload["passed"]
         assert all(c["status"] == "pass" for c in payload["checks"])
         assert len(payload["checks"]) == 8
+
+
+def test_cli_eval_leaves_scipy_optimize_unimported():
+    script = (
+        "import sys, contextlib, io\n"
+        "import trialalloc.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert trialalloc.cli.main(['eval', '--config', 'maize_network']) == 0\n"
+        "assert 'scipy.optimize' not in sys.modules, 'scipy.optimize was imported'\n"
+        "from trialalloc import optimizer\n"
+        "assert callable(optimizer.minimize_scalar)\n"
+        "assert 'scipy.optimize' in sys.modules\n"
+    )
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+    assert out.returncode == 0, out.stderr
 
 
 @pytest.mark.skipif(shutil.which("trialalloc") is None,

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,7 +14,7 @@ from trialalloc import (BlockCompoundSymmetry, CompoundSymmetry,
                         Weighting, mse_contrasts_full, mse_effects_full,
                         mse_trace_report, phi_bayes_cs, phi_cbrc_blockcs,
                         phi_contrasts, phi_effects, phi_kbayes_blockcs,
-                        solve_approximate)
+                        solve_approximate, solve_exact)
 from trialalloc import _linalg, criteria
 from trialalloc.oracle import (OracleInstance, finite_difference_gradient,
                                mse_direct, mse_direct_contrasts)
@@ -159,7 +161,7 @@ class TestSegmentConvexity:
         x, s = rng.dirichlet(np.ones(p), size=2)
         x[rng.integers(p)] = 0.0                 # one end may leave a region empty
         x /= x.sum()
-        h, lam = ev.line(x, s - x)
+        h, lam = ev.line(ev._inverse_factor(x), s - x)
         grid = np.linspace(0.0, 1.0, 11)
         assert np.all(h >= 0) and np.all(1.0 + lam > 0)
         direct = np.array([ev.phi(x + t * (s - x)) for t in grid])
@@ -233,8 +235,9 @@ class TestBulkPrimitives:
         assert ev.path is path
         x = np.array([0.0, 0.45, 0.55])          # one empty sub-region
         s = np.array([0.8, 0.1, 0.1])
+        *_, l_inv = ev.newton_terms(x)
         for d, gamma_max in ((s - x, 1.0), (np.array([0.0, 0.45, -0.45]), 1.0)):
-            h, lam = ev.line(x, d)
+            h, lam = ev.line(l_inv, d)
             assert np.all(h >= 0)
             for t in (0.0, 0.5 * gamma_max, gamma_max):
                 want = ev.phi(x + t * d)
@@ -266,7 +269,7 @@ class TestBulkPrimitives:
         assert ev.path is path
         step = 1e-6
         for x in (np.array([0.0, 0.45, 0.55]), np.array([0.2, 0.3, 0.5])):
-            phi, grad, hess = ev.newton_terms(x)
+            phi, grad, hess, _ = ev.newton_terms(x)
             assert phi == pytest.approx(ev.phi(x), rel=1e-12)
             np.testing.assert_allclose(grad, ev.gradient(x), rtol=1e-12)
             np.testing.assert_allclose(hess, hess.T, rtol=0, atol=1e-14 * np.abs(hess).max())
@@ -283,10 +286,17 @@ class TestBulkPrimitives:
 
 
 class TestProblemCaching:
-    def test_evaluator_reused_per_j(self, vc5, profile5):
+    def test_evaluator_needs_no_factorization(self, monkeypatch, vc5, profile5):
         problem = DesignProblem(vc5, profile5, Identity(K=6))
-        assert problem.evaluator(40) is problem.evaluator(40)
-        assert problem.evaluator(40) is not problem.evaluator(20)
+        unit = problem.evaluator(1)            # builds the J = 1 stack
+        calls = []
+        monkeypatch.setattr(criteria, "spd_cholesky", lambda *a: calls.append(a))
+        monkeypatch.setattr(_linalg, "spd_factor", lambda *a: calls.append(a))
+        for J in (40, 20, 40):
+            ev = problem.evaluator(J)
+            np.testing.assert_array_equal(ev.c, unit.c / J)
+            assert ev.root is unit.root
+        assert calls == []
 
     def test_value_bundles_everything(self, vc5, profile5):
         problem = DesignProblem(vc5, profile5, Identity(K=6))
@@ -296,6 +306,102 @@ class TestProblemCaching:
         assert value.mse_trace == pytest.approx(problem.mse_trace(design))
         assert value.path_used is Path.BAYES_CS
         assert value.gradient.shape == (5,)
+
+
+class TestJFreeCore:
+    """The J = 1 stack serves every network size: C_g(J) = C_g(1)/J."""
+
+    PATHS = [("cs", "bayes_cs"), ("block", "kbayes"), ("block", "cbrc"),
+             ("dense", "full")]
+
+    @settings(max_examples=15, deadline=None)
+    @given(st.sampled_from(PATHS), st.integers(2, 4),
+           st.lists(st.integers(1, 300), min_size=1, max_size=6),
+           st.integers(0, 2 ** 32 - 1))
+    def test_grid_equals_per_j_values(self, path, p, js, seed):
+        kind, name = path
+        rng = np.random.default_rng(seed)
+        vc, profile = helpers.random_vc(rng), helpers.random_profile(rng, p)
+        kin = helpers.random_kinship(rng, kind, K=6)
+        design = Design.approximate(rng.dirichlet(np.ones(p)), js[0])
+        for target in Target:
+            for weighting in Weighting:
+                problem = DesignProblem(vc, profile, kin, CriterionSpec(
+                    target=target, weighting=weighting, path=name))
+                for J, got in zip(js, problem.values(design, js), strict=True):
+                    want = problem.value(Design.approximate(design.weights, J))
+                    assert got.path_used is want.path_used is Path(name)
+                    assert got.phi == pytest.approx(want.phi, rel=1e-12)
+                    assert got.mse_trace == pytest.approx(want.mse_trace, rel=1e-12)
+                    np.testing.assert_allclose(got.gradient, want.gradient, rtol=1e-12)
+                    ev = problem.evaluator(J)
+                    assert got.phi == pytest.approx(ev.phi(design.weights), rel=1e-12)
+                    assert got.mse_trace == pytest.approx(
+                        ev.mse_trace(design.weights, target), rel=1e-12)
+                    np.testing.assert_allclose(got.gradient, ev.gradient(design.weights),
+                                               rtol=1e-12)
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.sampled_from(["cs", "block", "dense"]), st.integers(2, 5),
+           st.integers(1, 500), st.integers(0, 2 ** 32 - 1))
+    def test_phi_at_j_is_j_times_phi_at_one_of_the_counts(self, kind, p, J, seed):
+        rng = np.random.default_rng(seed)
+        problem = _problem(rng, kind, P=p, weighting="weighted")
+        w = rng.dirichlet(np.ones(p))
+        # phi_J(w) = J · phi_1(n), with n = J·w the unnormalised counts
+        assert problem.phi(Design.approximate(w, J)) == pytest.approx(
+            J * problem.evaluator(1).phi(J * w), rel=1e-12)
+
+    @settings(max_examples=10, deadline=None)
+    @given(st.sampled_from(["cs", "block", "dense"]), st.integers(2, 4),
+           st.floats(0.01, 100.0), st.integers(0, 2 ** 32 - 1))
+    def test_scaling_every_variance_keeps_the_optimum(self, kind, p, s, seed):
+        rng = np.random.default_rng(seed)
+        vc, profile = helpers.random_vc(rng), helpers.random_profile(rng, p)
+        kin = helpers.random_kinship(rng, kind, K=6)
+        scaled_vc = dataclasses.replace(vc, **{
+            name: s * getattr(vc, name) for name in (
+                "sigma2_omega", "sigma2_tau", "sigma2_gamma",
+                "sigma2_phi_plus_err_over_L")})
+        scaled_profile = SubRegionProfile(V=s * profile.V, ell=profile.ell)
+        cons = ConstraintSet(J=4 * p + 3, P=p)
+        base = DesignProblem(vc, profile, kin)
+        bigger = DesignProblem(scaled_vc, scaled_profile, kin)
+        approx, approx_s = (solve_approximate(q, cons, tol=1e-12) for q in (base, bigger))
+        np.testing.assert_allclose(approx_s.design.weights, approx.design.weights,
+                                   atol=1e-6)
+        assert approx_s.mse_trace == pytest.approx(s * approx.mse_trace, rel=1e-9)
+        exact, exact_s = (solve_exact(q, cons, restarts=3) for q in (base, bigger))
+        np.testing.assert_array_equal(exact_s.design.counts, exact.design.counts)
+        assert exact_s.phi == pytest.approx(exact.phi, rel=1e-9)
+        assert exact_s.mse_trace == pytest.approx(s * exact.mse_trace, rel=1e-9)
+
+    def test_a_long_grid_is_taken_in_chunks(self, monkeypatch, vc5, profile5):
+        problem = DesignProblem(vc5, profile5, helpers.random_kinship(
+            np.random.default_rng(23), "dense", K=6))
+        design = Design.approximate(np.full(5, 0.2), 10)
+        js = list(range(1, 12))
+        whole = problem.values(design, js)
+        shapes = []
+
+        def recording(a, what="matrix"):
+            shapes.append(a.shape)
+            return _linalg.spd_cholesky(a, what)
+
+        monkeypatch.setattr(criteria, "spd_cholesky", recording)
+        monkeypatch.setattr(criteria, "_BATCH_ENTRIES", 4 * problem._core.root.size)
+        chunked = problem.values(design, js)
+        assert [s[0] for s in shapes] == [4, 4, 3]
+        for got, want in zip(chunked, whole, strict=True):
+            assert (got.phi, got.mse_trace) == (want.phi, want.mse_trace)
+            np.testing.assert_array_equal(got.gradient, want.gradient)
+
+    def test_js_are_validated(self, vc5, profile5):
+        problem = DesignProblem(vc5, profile5, Identity(K=6))
+        design = Design.exact(np.array([13, 6, 8, 12, 1]))
+        for bad in ([10, 0], [10, 12.5], [[10]]):
+            with pytest.raises(ValidationError, match="Js"):
+                problem.values(design, bad)
 
 
 class TestFunctionalFrontends:

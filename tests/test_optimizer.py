@@ -11,8 +11,9 @@ from scipy.optimize import linprog
 import helpers
 from trialalloc import (ConstraintSet, CriterionSpec, Design, DesignProblem,
                         Identity, InfeasibleError, SubRegionProfile,
-                        ValidationError, efficiency, optimizer, round_to_exact,
-                        solve_approximate, solve_exact)
+                        ValidationError, criteria, efficiency, optimizer,
+                        round_to_exact, solve_approximate, solve_exact)
+from trialalloc._linalg import spd_cholesky
 from trialalloc.optimizer import (_random_feasible, _rational_argmin,
                                   _transfer_descent)
 from trialalloc.oracle import enumerate_exact_optimum
@@ -121,6 +122,20 @@ class TestWorkCounts:
         # and the reported phi and MSE trace once at the end
         assert ev.calls == Counter(newton_terms=its, line=its - 1, phi=1, mse_trace=1)
 
+    def test_one_criterion_factorization_per_iteration(self, counted, monkeypatch):
+        problem, _ = counted
+        whats = Counter()
+
+        def recording(a, what="matrix"):
+            whats[what] += 1
+            return spd_cholesky(a, what)
+
+        monkeypatch.setattr(criteria, "spd_cholesky", recording)
+        report = solve_approximate(problem, ConstraintSet(J=40, P=5))
+        # the line search reuses the factor of the Newton evaluation at the
+        # same point; the reported phi and MSE trace add one each
+        assert whats == Counter({"criterion system": report.iterations + 2})
+
     def test_one_scoring_call_per_lockstep_sweep(self, counted, monkeypatch):
         problem, ev = counted
         seen = {}
@@ -150,9 +165,9 @@ class TestWorkCounts:
 
             def newton_terms(self, x):
                 Flat.calls += 1
-                return 1.0, np.array([0.0, -1.0]), np.eye(2)
+                return 1.0, np.array([0.0, -1.0]), np.eye(2), None
 
-            def line(self, x, d):
+            def line(self, l_inv, d):
                 return np.ones(1), np.zeros(1)
 
             def phi(self, w):
