@@ -39,14 +39,12 @@ def spd_cholesky(a: np.ndarray, what: str = "matrix") -> np.ndarray:
         raise NumericalError(f"{what} is not positive definite: {exc}") from None
 
 
-def solve_lower(chol: np.ndarray, b: np.ndarray, transpose: bool = False) -> np.ndarray:
-    """Solve ``chol y = b``, or ``cholᵀ y = b`` with ``transpose``, for
-    lower-triangular ``chol`` (or a stack of them)."""
+def solve_lower(chol: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solve ``chol y = b`` for lower-triangular ``chol`` (or a stack of them)."""
     if chol.shape[-1] > _SMALL_ORDER:
-        return sla.solve_triangular(chol, b, trans=int(transpose), lower=True,
-                                    check_finite=False)
+        return sla.solve_triangular(chol, b, lower=True, check_finite=False)
     # numpy's stacked LU has no per-matrix Python overhead, which wins on small orders
-    return np.linalg.solve(np.swapaxes(chol, -1, -2) if transpose else chol, b)
+    return np.linalg.solve(chol, b)
 
 
 def spd_solve(a: np.ndarray, b: np.ndarray, what: str = "matrix") -> np.ndarray:

@@ -27,15 +27,17 @@ eigenvalue).  ``Path.AUTO`` picks the closed form where it exists.
 The network size J enters only as a scale: C_g(J) = C_g(1)/J while the roots
 R_g of H_g = R_g R_gᵀ do not depend on J.  A problem therefore builds its
 stack once, at J = 1, and derives the evaluator of any J from it by one
-division, without a factorization.  Every evaluation costs O(G·P³): one
-batched Cholesky of the G systems, and a whole J grid is one batched
-Cholesky of the (n_J, G, P, P) stack.  The solvers' primitives work on the
-same stack: ``newton_terms`` gives the criterion with its gradient and
-Hessian, ``line`` turns the criterion along a segment into a rational
-function of the step, and ``transfer_scores`` prices every single-location
-transfer of a stack of designs from one batched factorization, each move
-being a rank-2 update of the group systems that Woodbury's identity
-resolves as a 2×2 system.
+division, without a factorization.  Every number an evaluation gives
+comes from one factor: the inverse Cholesky factor L^-1 of the G systems
+diag(w) + C_g, one batched factorization costing O(G·P³), and a whole J
+grid is one batched factorization of the (n_J, G, P, P) stack.  The value,
+gradient and MSE trace follow from L^-1 times the roots, and the solvers'
+primitives read the same factor: ``newton_terms`` gives the criterion with
+its gradient and Hessian, ``line`` turns the criterion along a segment into
+a rational function of the step, and ``transfer_scores`` prices every
+single-location transfer of a stack of designs, each move being a rank-2
+update of the group systems that Woodbury's identity resolves as a 2×2
+system.
 """
 from __future__ import annotations
 
@@ -73,7 +75,7 @@ __all__ = [
 ]
 
 _CONTRAST_K_LIMIT = 12
-# matrix entries per batched factorization in transfer_scores (2 MB of float64)
+# matrix entries per batched factorization of the criterion systems (2 MB of float64)
 _BATCH_ENTRIES = 1 << 18
 
 
@@ -201,6 +203,11 @@ class _TraceEvaluator:
     trace taken with that target's unweighted root.  :meth:`scaled` gives the
     evaluator of a larger network and :meth:`over_sizes` evaluates one design
     over many network sizes at once.
+
+    Every number comes from one kernel, :meth:`_inverse_factor`, the only
+    factorization of the criterion systems: :meth:`over_sizes` (and its views
+    :meth:`phi`, :meth:`gradient` and :meth:`mse_trace`),
+    :meth:`newton_terms` and :meth:`transfer_scores` all read its L^-1.
     """
 
     def __init__(self, path: Path, c: np.ndarray, root: np.ndarray, mse: dict):
@@ -216,53 +223,50 @@ class _TraceEvaluator:
                                {t: (factor / s, root, const * s)
                                 for t, (factor, root, const) in self._mse.items()})
 
+    def _inverse_factor(self, w, sizes=1.0) -> np.ndarray:
+        """L^-1 of the Cholesky factors LLᵀ = diag(w) + C_g/s, per group, for
+        one design (P,) or a stack (n, P), at one size or a stack ``sizes``
+        (n,)."""
+        w = np.asarray(w, dtype=float)
+        s = np.asarray(sizes, dtype=float)[..., None, None, None]
+        eye = np.eye(self.c.shape[-1])
+        a = self.c / s + w[..., None, :, None] * eye
+        return solve_lower(spd_cholesky(a, "criterion system"), eye)
+
+    def _batches(self, n: int):
+        """Row slices of an n-long batch, each within _BATCH_ENTRIES entries."""
+        step = max(1, _BATCH_ENTRIES // self.root.size)
+        return [slice(lo, lo + step) for lo in range(0, n, step)]
+
     def over_sizes(self, w, sizes, target: Target):
         """phi (n,), MSE trace (n,) and gradient (n, P) of one design ``w`` in
         the networks ``sizes`` (n,) times as large as this one.
 
-        One batched Cholesky of the (n, G, P, P) stack, one triangular solve
-        for the criterion and MSE roots together and one back-substitution
-        for the gradient; a long ``sizes`` is taken in chunks of bounded
-        memory, as in :meth:`transfer_scores`.
+        With Y = L^-1 R, phi is ‖Y‖², the MSE trace the same of the target's
+        MSE root, and the gradient -diag Σ_g X_g X_gᵀ with X = L^-ᵀY = A^-1 R.
+        A long ``sizes`` is taken in batches of bounded memory.
         """
         s = np.asarray(sizes, dtype=float)
-        w = np.asarray(w, dtype=float)
-        p = self.c.shape[-1]
         factor, mse_root, const = self._mse[target]
-        rhs = np.concatenate([self.root, mse_root], axis=-1)
-        phi, mse, grad = np.empty(s.size), np.empty(s.size), np.empty((s.size, p))
-        chunk = max(1, _BATCH_ENTRIES // self.root.size)
-        for lo in range(0, s.size, chunk):
-            rows = slice(lo, lo + chunk)
-            a = self.c / s[rows, None, None, None] + w[:, None] * np.eye(p)
-            chol = spd_cholesky(a, "criterion system")
-            y = solve_lower(chol, np.broadcast_to(rhs, chol.shape[:-1] + rhs.shape[-1:]))
-            y, y_mse = y[..., :p], y[..., p:]
-            x = solve_lower(chol, y, transpose=True)          # A^-1 R
+        phi, mse, grad = np.empty(s.size), np.empty(s.size), np.empty((s.size, len(w)))
+        for rows in self._batches(s.size):
+            l_inv = self._inverse_factor(w, s[rows])
+            y, y_mse = l_inv @ self.root, l_inv @ mse_root
+            x = np.swapaxes(l_inv, -1, -2) @ y
             phi[rows] = np.einsum("ngij,ngij->n", y, y)
             mse[rows] = factor / s[rows] * (np.einsum("ngij,ngij->n", y_mse, y_mse)
                                             + const * s[rows])
             grad[rows] = -np.einsum("ngij,ngij->ni", x, x)
         return phi, mse, grad
 
-    def _cholesky(self, w) -> np.ndarray:
-        """Lower factors of diag(w) + C_g for one design (P,) or a stack (n, P)."""
-        w = np.asarray(w, dtype=float)
-        a = self.c + w[..., None, :, None] * np.eye(self.c.shape[-1])
-        return spd_cholesky(a, "criterion system")
-
-    def _trace(self, w, root) -> float:
-        y = solve_lower(self._cholesky(w), root)
-        return float(np.einsum("gij,gij->", y, y))
-
     def phi(self, w) -> float:
-        return self._trace(w, self.root)
+        return float(self.over_sizes(w, [1], Target.EFFECTS)[0][0])
 
     def gradient(self, w) -> np.ndarray:
-        """-diag Σ_g A_g^-1 H_g A_g^-1: row sums of squares of X_g = A_g^-1 R_g."""
-        chol = self._cholesky(w)
-        x = solve_lower(chol, solve_lower(chol, self.root), transpose=True)
-        return -np.einsum("gij,gij->i", x, x)
+        return self.over_sizes(w, [1], Target.EFFECTS)[2][0]
+
+    def mse_trace(self, w, target: Target) -> float:
+        return float(self.over_sizes(w, [1], target)[1][0])
 
     def line(self, l_inv, d):
         """(h, λ) with phi(x + t·d) = Σ h_i / (1 + t λ_i) while x + t·d >= 0.
@@ -276,13 +280,9 @@ class _TraceEvaluator:
         y = np.swapaxes(q, 1, 2) @ (l_inv @ self.root)
         return np.einsum("gij,gij->gi", y, y).ravel(), lam.ravel()
 
-    def _inverse_factor(self, w) -> np.ndarray:
-        """L^-1 of the Cholesky factors of diag(w) + C_g."""
-        return solve_lower(self._cholesky(w), np.eye(self.c.shape[-1]))
-
     def _inverse_terms(self, w):
         """phi, M = A^-1, N = A^-1 H A^-1 and L^-1 per group, for one design
-        (P,) or a stack (n, P), from one batched Cholesky."""
+        (P,) or a stack (n, P)."""
         l_inv = self._inverse_factor(w)
         l_inv_t = np.swapaxes(l_inv, -1, -2)
         y = l_inv @ self.root
@@ -294,8 +294,8 @@ class _TraceEvaluator:
         """phi, gradient, Hessian and the factor L^-1 at one design.
 
         The gradient is -diag Σ_g N_g and the Hessian 2 Σ_g M_g ∘ N_g, with
-        M = A^-1 and N = A^-1 H A^-1; all come from one factorization, whose
-        L^-1 :meth:`line` takes at the same design.
+        M = A^-1 and N = A^-1 H A^-1; :meth:`line` takes the L^-1 at the
+        same design.
         """
         phi, m, nn, l_inv = self._inverse_terms(w)
         return (float(phi), -np.einsum("gii->i", nn),
@@ -305,22 +305,19 @@ class _TraceEvaluator:
         """phi of each row of an (n, P) stack, and the exact change of phi
         when ``step`` weight moves from region i to region k.
 
-        Returns (phi (n,), delta (n, P, P)) from one batched Cholesky per
-        chunk.  Per group a transfer is the rank-2 update A + U D Uᵀ with
-        U = [e_i, e_k] and D = diag(-step, step); with M = A^-1 and
-        N = A^-1 H A^-1, Woodbury gives the change as -tr(S^-1 Uᵀ N U),
-        S = D^-1 + Uᵀ M U, a 2×2 system solved in closed form.  The diagonal
-        i = k is zero up to rounding.  Each row's values depend on that row
-        alone, not on the rest of the stack; its phi may differ from
-        :meth:`phi` in the last digits.
+        Returns (phi (n,), delta (n, P, P)).  Per group a transfer is the
+        rank-2 update A + U D Uᵀ with U = [e_i, e_k] and D = diag(-step,
+        step); with M = A^-1 and N = A^-1 H A^-1, Woodbury gives the change as
+        -tr(S^-1 Uᵀ N U), S = D^-1 + Uᵀ M U, a 2×2 system solved in closed
+        form.  The diagonal i = k is zero up to rounding.  Each row's values
+        depend on that row alone, not on the rest of the stack; its phi may
+        differ from :meth:`phi` in the last digits.
         """
         weights = np.atleast_2d(np.asarray(weights, dtype=float))
         n, p = weights.shape
         phi, delta = np.empty(n), np.empty((n, p, p))
         inv_step = 1.0 / step
-        chunk = max(1, _BATCH_ENTRIES // self.root.size)
-        for lo in range(0, n, chunk):
-            rows = slice(lo, lo + chunk)
+        for rows in self._batches(n):
             phi[rows], m, nn, _ = self._inverse_terms(weights[rows])
             m_d = np.diagonal(m, axis1=-2, axis2=-1)
             n_d = np.diagonal(nn, axis1=-2, axis2=-1)
@@ -329,10 +326,6 @@ class _TraceEvaluator:
             num = s_kk * n_d[..., :, None] - 2.0 * m * nn + s_ii * n_d[..., None, :]
             delta[rows] = -(num / (s_ii * s_kk - m * m)).sum(axis=1)
         return phi, delta
-
-    def mse_trace(self, w, target: Target) -> float:
-        factor, root, const = self._mse[target]
-        return factor * (self._trace(w, root) + const)
 
 
 def _route(kinship: KinshipSpec, path: Path) -> Path:
@@ -437,14 +430,13 @@ class DesignProblem:
         return _TraceEvaluator(self.path_used, b, root(weight) * ell, mse)
 
     def phi(self, design: Design) -> float:
-        return self.evaluator(design.J).phi(design.weights)
+        return self.value(design).phi
 
     def gradient(self, design: Design) -> np.ndarray:
-        return self.evaluator(design.J).gradient(design.weights)
+        return self.value(design).gradient
 
     def mse_trace(self, design: Design) -> float:
-        return self.evaluator(design.J).mse_trace(design.weights,
-                                                  self.criterion.target)
+        return self.value(design).mse_trace
 
     def values(self, design: Design, Js=None) -> list:
         """The design's weights evaluated at every network size in ``Js``

@@ -429,10 +429,11 @@ def solve_approximate(problem: DesignProblem, constraints: ConstraintSet,
         y = x + t * d
 
     design = Design.approximate(x, constraints.J)
+    value = problem.value(design)
     return OptimizerReport(
         design=design,
-        phi=ev.phi(design.weights),
-        mse_trace=ev.mse_trace(design.weights, problem.criterion.target),
+        phi=value.phi,
+        mse_trace=value.mse_trace,
         optimality_gap=max(gap, 0.0),
         iterations=it,
         restarts_used=0,
@@ -593,13 +594,13 @@ def solve_exact(problem: DesignProblem, constraints: ConstraintSet,
     win = min(range(len(distinct)),
               key=lambda s: (phi[s], tuple(int(v) for v in counts[s])))
     design = Design.exact(counts[win])
-    best_phi = ev.phi(design.weights)
+    value = problem.value(design)
     relaxation_bound = approx.phi - approx.optimality_gap
     return OptimizerReport(
         design=design,
-        phi=best_phi,
-        mse_trace=ev.mse_trace(design.weights, problem.criterion.target),
-        optimality_gap=max(best_phi - relaxation_bound, 0.0),
+        phi=value.phi,
+        mse_trace=value.mse_trace,
+        optimality_gap=max(value.phi - relaxation_bound, 0.0),
         iterations=int(moves.sum()),
         restarts_used=restarts,
         status=approx.status,

@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 
 import helpers
-from trialalloc import Design, DesignProblem, Identity, ValidationError
+from trialalloc import (Design, DesignProblem, Identity, ValidationError,
+                        efficiency)
 from trialalloc import cli, criteria
 from trialalloc._linalg import spd_cholesky
 from trialalloc.cli import main
@@ -341,6 +342,29 @@ class TestEfficiency:
                     / problem.phi(Design.exact(np.array([10, 10, 10, 5, 5]))))
         assert payload["efficiency"] == pytest.approx(expected, rel=1e-12)
 
+    def test_each_design_is_evaluated_once(self, tmp_path, capsys, monkeypatch,
+                                           network_config):
+        network_config["designs"] = {"reference": [13, 6, 8, 12, 1],
+                                     "alternative": [10, 10, 10, 5, 5]}
+        factored = []
+
+        def recording(a, what="matrix"):
+            factored.append(what)
+            return spd_cholesky(a, what)
+
+        monkeypatch.setattr(criteria, "spd_cholesky", recording)
+        code, payload, _ = run_cli(
+            capsys, "efficiency", "--config", write_config(tmp_path, network_config))
+        assert code == 0
+        # the J = 1 inner matrices once, then one criterion system per design
+        assert factored == ["criterion inner matrix"] + ["criterion system"] * 2
+        problem = cli._build_problem(network_config)
+        ref, alt = (Design.exact(np.array(network_config["designs"][k]))
+                    for k in ("reference", "alternative"))
+        assert payload["efficiency"] == efficiency(ref, alt, problem)
+        assert payload["reference"]["phi"] == problem.phi(ref)
+        assert payload["alternative"]["mse_trace"] == problem.mse_trace(alt)
+
     def test_missing_designs_block(self, tmp_path, capsys, network_config):
         code, _, err = run_cli(
             capsys, "efficiency", "--config",
@@ -435,6 +459,21 @@ class TestConfigValidation:
         code, _, err = run_cli(capsys, "eval", "--config", "missing_thing")
         assert code == 2
         assert "unknown fixture" in err
+
+
+class TestFlags:
+    @pytest.mark.parametrize("argv", [
+        ("eval", "--config", "maize_network", "--seed", "3"),
+        ("efficiency", "--config", "maize_network", "--tol", "1e-6"),
+        ("eval", "--config", "maize_network", "--restarts", "4"),
+        ("selftest", "--seed", "3"),
+        ("selftest", "--jitter", "auto"),
+    ])
+    def test_flags_a_command_ignores_are_refused(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc_info:
+            main(list(argv))
+        assert exc_info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 class TestSelftest:

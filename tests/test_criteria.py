@@ -161,7 +161,7 @@ class TestSegmentConvexity:
         x, s = rng.dirichlet(np.ones(p), size=2)
         x[rng.integers(p)] = 0.0                 # one end may leave a region empty
         x /= x.sum()
-        h, lam = ev.line(ev._inverse_factor(x), s - x)
+        h, lam = ev.line(ev.newton_terms(x)[3], s - x)
         grid = np.linspace(0.0, 1.0, 11)
         assert np.all(h >= 0) and np.all(1.0 + lam > 0)
         direct = np.array([ev.phi(x + t * (s - x)) for t in grid])
@@ -402,6 +402,41 @@ class TestJFreeCore:
         for bad in ([10, 0], [10, 12.5], [[10]]):
             with pytest.raises(ValidationError, match="Js"):
                 problem.values(design, bad)
+
+
+class TestOneEngine:
+    """Every criterion number comes from the factor of one evaluation."""
+
+    @settings(max_examples=10, deadline=None)
+    @given(st.sampled_from(TestJFreeCore.PATHS), st.integers(2, 4), st.integers(1, 300),
+           st.integers(0, 2 ** 32 - 1))
+    def test_every_view_is_value_from_one_factorization(self, path, p, J, seed):
+        kind, name = path
+        rng = np.random.default_rng(seed)
+        vc, profile = helpers.random_vc(rng), helpers.random_profile(rng, p)
+        kin = helpers.random_kinship(rng, kind, K=6)
+        design = Design.approximate(rng.dirichlet(np.ones(p)), J)
+        for target in Target:
+            for weighting in Weighting:
+                problem = DesignProblem(vc, profile, kin, CriterionSpec(
+                    target=target, weighting=weighting, path=name))
+                problem.evaluator(1)                 # builds the J = 1 stack
+                whats = []
+
+                def recording(a, what="matrix"):
+                    whats.append(what)
+                    return _linalg.spd_cholesky(a, what)
+
+                with pytest.MonkeyPatch.context() as mp:
+                    mp.setattr(criteria, "spd_cholesky", recording)
+                    value = problem.value(design)
+                assert whats == ["criterion system"]
+                ev = problem.evaluator(J)
+                assert problem.phi(design) == ev.phi(design.weights) == value.phi
+                assert (problem.mse_trace(design) == ev.mse_trace(design.weights, target)
+                        == value.mse_trace)
+                np.testing.assert_array_equal(problem.gradient(design), value.gradient)
+                np.testing.assert_array_equal(ev.gradient(design.weights), value.gradient)
 
 
 class TestFunctionalFrontends:
