@@ -1,5 +1,5 @@
 """Input checks shared by the constructors and the solver settings: finite
-numbers, positive numbers and whole numbers, none of them booleans.
+numbers, positive numbers and whole numbers, none of them booleans or text.
 
 Each check raises :class:`ValidationError` naming the offending field, which
 the CLI reports with exit status 2, so that no NaN, infinity or fractional
@@ -15,16 +15,19 @@ import numpy as np
 from .errors import ValidationError
 
 
-def _holds_bool(value) -> bool:
+def _holds_non_number(value) -> bool:
+    """Whether ``value`` holds a boolean or text, which numpy would read as a
+    number."""
     if isinstance(value, (list, tuple)):
-        return any(map(_holds_bool, value))
-    return isinstance(value, (bool, np.bool_, np.ndarray)) and np.asarray(value).dtype == bool
+        return any(map(_holds_non_number, value))
+    return (isinstance(value, (str, bytes, bool, np.bool_, np.ndarray))
+            and np.asarray(value).dtype.kind in "bSU")
 
 
 def finite(value, name: str) -> np.ndarray:
-    """``value`` as a float array, rejecting non-numbers (JSON ``true`` and
-    ``false`` too), NaN and infinities."""
-    if _holds_bool(value):
+    """``value`` as a float array, rejecting non-numbers (JSON ``true``,
+    ``false`` and strings too), NaN and infinities."""
+    if _holds_non_number(value):
         raise ValidationError(f"{name} must be numeric, got {reprlib.repr(value)}")
     try:
         arr = np.array(value, dtype=float)

@@ -1,18 +1,17 @@
-"""Shared dense linear-algebra helpers.
+"""Shared dense linear-algebra helpers, numpy only.
 
-All solves go through a Cholesky factorization of the explicitly symmetrized
-operand; explicit inverses are formed only where a stored inverse is part of
-the evaluation structure.
+Every factorization is :func:`spd_factor`, a batched numpy Cholesky of one
+symmetric positive-definite matrix or of a stack of them, which raises
+:class:`NumericalError` naming the system.  The other helpers look it up in
+this module's namespace at call time, so replacing ``_linalg.spd_factor``
+sees every factorization.  Explicit inverses are formed only where a stored
+inverse is part of the evaluation structure.
 """
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg as sla
 
 from .errors import NumericalError
-
-# order up to which a stacked LU solve beats a loop of triangular solves
-_SMALL_ORDER = 24
 
 
 def sym(a: np.ndarray) -> np.ndarray:
@@ -20,15 +19,7 @@ def sym(a: np.ndarray) -> np.ndarray:
     return 0.5 * (a + a.T)
 
 
-def spd_factor(a: np.ndarray, what: str = "matrix"):
-    """Cholesky-factor the symmetrized ``a``, raising :class:`NumericalError`."""
-    try:
-        return sla.cho_factor(sym(a), lower=True, check_finite=False)
-    except sla.LinAlgError as exc:
-        raise NumericalError(f"{what} is not positive definite: {exc}") from None
-
-
-def spd_cholesky(a: np.ndarray, what: str = "matrix") -> np.ndarray:
+def spd_factor(a: np.ndarray, what: str = "matrix") -> np.ndarray:
     """Lower Cholesky factor of ``a`` or of each matrix in a stack ``a``.
 
     Reads the lower triangle only, so ``a`` must already be symmetric.
@@ -39,23 +30,20 @@ def spd_cholesky(a: np.ndarray, what: str = "matrix") -> np.ndarray:
         raise NumericalError(f"{what} is not positive definite: {exc}") from None
 
 
-def solve_lower(chol: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve ``chol y = b`` for lower-triangular ``chol`` (or a stack of them)."""
-    if chol.shape[-1] > _SMALL_ORDER:
-        return sla.solve_triangular(chol, b, lower=True, check_finite=False)
-    # numpy's stacked LU has no per-matrix Python overhead, which wins on small orders
-    return np.linalg.solve(chol, b)
-
-
-def spd_solve(a: np.ndarray, b: np.ndarray, what: str = "matrix") -> np.ndarray:
-    """Solve ``a x = b`` for symmetric positive-definite ``a``."""
-    return sla.cho_solve(spd_factor(a, what), b, check_finite=False)
+def inverse_factor(a: np.ndarray, what: str = "matrix") -> np.ndarray:
+    """L^-1 for the Cholesky factor LLᵀ = ``a``, of one matrix or of each in a
+    stack."""
+    chol = spd_factor(a, what)
+    # an identity of the factor's own shape: numpy 1.x reads a bare (P, P)
+    # identity against a (G, P, P) stack as G vectors, not as one matrix
+    return np.linalg.solve(chol, np.broadcast_to(np.eye(chol.shape[-1]), chol.shape))
 
 
 def spd_inverse(a: np.ndarray, what: str = "matrix") -> np.ndarray:
-    """Explicit inverse of a symmetric positive-definite matrix."""
-    out = spd_solve(a, np.eye(a.shape[0]), what)
-    return sym(out)
+    """a^-1 = L^-ᵀ L^-1 of one symmetric positive-definite matrix or of each
+    in a stack."""
+    l_inv = inverse_factor(a, what)
+    return np.swapaxes(l_inv, -1, -2) @ l_inv
 
 
 def frozen_array(values, dtype=float) -> np.ndarray:

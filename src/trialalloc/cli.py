@@ -98,7 +98,7 @@ def _build_variance(config: dict) -> VarianceComponents:
     variant = config.get("model_variant", "cross_classified")
     # A map keyed by model variant lets one file carry both parameter sets.
     if "sigma2_omega" not in block:
-        if variant not in block:
+        if not isinstance(variant, str) or variant not in block:
             raise ValidationError(
                 f"'variance' has no parameters for model_variant {variant!r} "
                 f"(available: {sorted(block)})"
@@ -177,13 +177,14 @@ def _build_kinship(config: dict, jitter_override=None):
                                          r=block["r"], jitter=jitter)
         elif variant == "dense":
             if "csv" in block:
+                if not isinstance(block["csv"], str):
+                    raise ValidationError(f"kinship csv must be a path, got {block['csv']!r}")
                 csv_path = _FsPath(block["csv"])
                 if not csv_path.is_absolute() and config.get("_base_dir"):
                     csv_path = _FsPath(config["_base_dir"]) / csv_path
                 spec = load_kinship_csv(csv_path, jitter=jitter)
             elif "matrix" in block:
-                spec = DenseKinship(matrix=np.asarray(block["matrix"], dtype=float),
-                                    jitter=jitter)
+                spec = DenseKinship(matrix=block["matrix"], jitter=jitter)
             else:
                 raise ValidationError("dense kinship needs a 'csv' path or a 'matrix'")
         else:
@@ -244,7 +245,7 @@ def _parse_design(raw, P: int, default_J=None, field: str = "design") -> Design:
     if not isinstance(raw, dict):
         raise ValidationError(f"'{field}' must be a list of counts or an object")
     if "counts" in raw:
-        counts = np.asarray(raw["counts"])
+        counts = finite(raw["counts"], field)
         if counts.shape != (P,):
             raise ValidationError(
                 f"'{field}' has {counts.size} entries but the problem has {P} sub-regions"

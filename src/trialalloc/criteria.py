@@ -48,7 +48,7 @@ from itertools import combinations
 
 import numpy as np
 
-from ._linalg import solve_lower, spd_cholesky, spd_inverse, sym
+from ._linalg import inverse_factor, spd_inverse, sym
 from .errors import ValidationError
 from .kinship import (BlockCompoundSymmetry, CompoundSymmetry, Identity,
                       KinshipSpec)
@@ -229,9 +229,8 @@ class _TraceEvaluator:
         (n,)."""
         w = np.asarray(w, dtype=float)
         s = np.asarray(sizes, dtype=float)[..., None, None, None]
-        eye = np.eye(self.c.shape[-1])
-        a = self.c / s + w[..., None, :, None] * eye
-        return solve_lower(spd_cholesky(a, "criterion system"), eye)
+        a = self.c / s + w[..., None, :, None] * np.eye(self.c.shape[-1])
+        return inverse_factor(a, "criterion system")
 
     def _batches(self, n: int):
         """Row slices of an n-long batch, each within _BATCH_ENTRIES entries."""
@@ -408,8 +407,7 @@ class DesignProblem:
         scale = 1.0 / effective_error_constant(self.vc)
         vt = scale * self.profile.V
         inner = scaled_year_matrix(self.vc, 1, self.P) + spectrum.lam[:, None, None] * vt
-        l_inv = solve_lower(spd_cholesky(inner, "criterion inner matrix"), np.eye(self.P))
-        b = np.swapaxes(l_inv, 1, 2) @ l_inv
+        b = spd_inverse(inner, "criterion inner matrix")
         bv = b @ vt
 
         def root(weight):

@@ -88,7 +88,12 @@ class VarianceComponents:
     model_variant: ModelVariant = ModelVariant.CROSS_CLASSIFIED
 
     def __post_init__(self):
-        object.__setattr__(self, "model_variant", ModelVariant(self.model_variant))
+        try:
+            object.__setattr__(self, "model_variant", ModelVariant(self.model_variant))
+        except (TypeError, ValueError):
+            raise ValidationError(
+                f"model_variant must be one of {[v.value for v in ModelVariant]}, "
+                f"got {self.model_variant!r}") from None
         for name in ("sigma2_omega", "sigma2_tau", "sigma2_gamma",
                      "sigma2_phi_plus_err_over_L"):
             value = number(getattr(self, name), name)

@@ -13,8 +13,8 @@ import pytest
 import helpers
 from trialalloc import (Design, DesignProblem, Identity, ValidationError,
                         efficiency)
-from trialalloc import cli, criteria
-from trialalloc._linalg import spd_cholesky
+from trialalloc import _linalg, cli
+from trialalloc._linalg import spd_factor
 from trialalloc.cli import main
 from trialalloc.fixtures import available_fixtures, fixture_path, load_fixture
 
@@ -107,6 +107,9 @@ class TestEval:
         (True, {"weights": [0.2] * 5}, "J"),
         ([10, True], {"weights": [0.2] * 5}, "J"),
         (40, {"weights": [0.2, 0.2, 0.2, 0.2, True]}, "design.weights"),
+        ("40", {"weights": [0.2] * 5}, "J"),
+        (["10", 20], {"weights": [0.2] * 5}, "J"),
+        (None, [[13, 6], [8, 12, 1]], "design"),
     ])
     def test_non_integral_or_boolean_j_exits_2(self, tmp_path, capsys, network_config,
                                                top_j, design, field):
@@ -128,9 +131,9 @@ class TestEval:
 
         def recording(a, what="matrix"):
             factored.append((what, np.shape(a)))
-            return spd_cholesky(a, what)
+            return spd_factor(a, what)
 
-        monkeypatch.setattr(criteria, "spd_cholesky", recording)
+        monkeypatch.setattr(_linalg, "spd_factor", recording)
         code, payload, _ = run_cli(
             capsys, "eval", "--config", write_config(tmp_path, network_config))
         assert code == 0 and [r["J"] for r in payload] == grid
@@ -185,6 +188,7 @@ class TestDesign:
     @pytest.mark.parametrize("constraints, field", [
         ({"min_per_region": 1.7}, "min_per_region"),
         ({"costs": [40.0, 44.0, 50.0, 65.0, 60.0], "budget": float("nan")}, "budget"),
+        ({"costs": [40.0, 44.0, 50.0, 65.0, 60.0], "budget": "2000"}, "budget"),
     ])
     def test_bad_constraint_values_exit_2(self, tmp_path, capsys, network_config,
                                           constraints, field):
@@ -198,6 +202,20 @@ class TestDesign:
         ("kinship", {"variant": "identity", "K": 2.5}, "K"),
         ("kinship", {"variant": "block_cs", "f": 2, "m": 3.5, "r": 0.5}, "m"),
         ("J", 40.5, "J"),
+        ("model_variant", "bogus", "model_variant"),
+        ("model_variant", ["nested"], "model_variant"),
+        ("variance", {"sigma2_omega": 31.0, "sigma2_tau": 18.0, "sigma2_gamma": 160.0,
+                      "sigma2_phi_plus_err_over_L": 333.0, "H": 3,
+                      "model_variant": "bogus"}, "model_variant"),
+        ("variance", {"sigma2_omega": 31.0, "sigma2_tau": 18.0, "sigma2_gamma": 160.0,
+                      "sigma2_phi_plus_err_over_L": 333.0, "H": 3,
+                      "model_variant": ["nested"]}, "model_variant"),
+        ("variance", {"sigma2_omega": 31.0, "sigma2_tau": "18", "sigma2_gamma": 160.0,
+                      "sigma2_phi_plus_err_over_L": 333.0, "H": 3}, "sigma2_tau"),
+        ("kinship", {"variant": "dense", "matrix": "abc"}, "matrix"),
+        ("kinship", {"variant": "dense", "matrix": [[1.0, 0.0], [0.0]]}, "matrix"),
+        ("kinship", {"variant": "dense", "matrix": [["1", 0.0], [0.0, 1.0]]}, "matrix"),
+        ("kinship", {"variant": "dense", "csv": 5}, "csv"),
     ])
     def test_fractional_config_values_exit_2(self, tmp_path, capsys, network_config,
                                              block, value, field):
@@ -350,9 +368,9 @@ class TestEfficiency:
 
         def recording(a, what="matrix"):
             factored.append(what)
-            return spd_cholesky(a, what)
+            return spd_factor(a, what)
 
-        monkeypatch.setattr(criteria, "spd_cholesky", recording)
+        monkeypatch.setattr(_linalg, "spd_factor", recording)
         code, payload, _ = run_cli(
             capsys, "efficiency", "--config", write_config(tmp_path, network_config))
         assert code == 0
@@ -485,18 +503,26 @@ class TestSelftest:
         assert len(payload["checks"]) == 8
 
 
-def test_cli_eval_leaves_scipy_optimize_unimported():
+def test_cli_eval_leaves_scipy_optimize_unimported(tmp_path, network_config):
+    network_config["designs"] = {"reference": [13, 6, 8, 12, 1],
+                                 "alternative": [10, 10, 10, 5, 5]}
     script = (
         "import sys, contextlib, io\n"
         "import trialalloc.cli\n"
-        "with contextlib.redirect_stdout(io.StringIO()):\n"
-        "    assert trialalloc.cli.main(['eval', '--config', 'maize_network']) == 0\n"
-        "assert 'scipy.optimize' not in sys.modules, 'scipy.optimize was imported'\n"
+        "runs = [['eval', '--config', 'maize_network'],\n"
+        "        ['design', '--config', 'maize_network', '--mode', 'exact'],\n"
+        "        ['efficiency', '--config', sys.argv[1]]]\n"
+        "for argv in runs:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert trialalloc.cli.main(argv) == 0, argv\n"
+        "    for name in ('scipy.linalg', 'scipy.optimize'):\n"
+        "        assert name not in sys.modules, f'{argv[0]} imported {name}'\n"
         "from trialalloc import optimizer\n"
         "assert callable(optimizer.minimize_scalar)\n"
         "assert 'scipy.optimize' in sys.modules\n"
     )
-    out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+    out = subprocess.run([sys.executable, "-c", script, write_config(tmp_path, network_config)],
+                         capture_output=True, text=True,
                          env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
     assert out.returncode == 0, out.stderr
 

@@ -16,6 +16,7 @@ from trialalloc import (BlockCompoundSymmetry, CompoundSymmetry,
                         phi_contrasts, phi_effects, phi_kbayes_blockcs,
                         solve_approximate, solve_exact)
 from trialalloc import _linalg, criteria
+from trialalloc._linalg import spd_factor
 from trialalloc.oracle import (OracleInstance, finite_difference_gradient,
                                mse_direct, mse_direct_contrasts)
 
@@ -290,7 +291,6 @@ class TestProblemCaching:
         problem = DesignProblem(vc5, profile5, Identity(K=6))
         unit = problem.evaluator(1)            # builds the J = 1 stack
         calls = []
-        monkeypatch.setattr(criteria, "spd_cholesky", lambda *a: calls.append(a))
         monkeypatch.setattr(_linalg, "spd_factor", lambda *a: calls.append(a))
         for J in (40, 20, 40):
             ev = problem.evaluator(J)
@@ -386,9 +386,9 @@ class TestJFreeCore:
 
         def recording(a, what="matrix"):
             shapes.append(a.shape)
-            return _linalg.spd_cholesky(a, what)
+            return spd_factor(a, what)
 
-        monkeypatch.setattr(criteria, "spd_cholesky", recording)
+        monkeypatch.setattr(_linalg, "spd_factor", recording)
         monkeypatch.setattr(criteria, "_BATCH_ENTRIES", 4 * problem._core.root.size)
         chunked = problem.values(design, js)
         assert [s[0] for s in shapes] == [4, 4, 3]
@@ -425,10 +425,10 @@ class TestOneEngine:
 
                 def recording(a, what="matrix"):
                     whats.append(what)
-                    return _linalg.spd_cholesky(a, what)
+                    return spd_factor(a, what)
 
                 with pytest.MonkeyPatch.context() as mp:
-                    mp.setattr(criteria, "spd_cholesky", recording)
+                    mp.setattr(_linalg, "spd_factor", recording)
                     value = problem.value(design)
                 assert whats == ["criterion system"]
                 ev = problem.evaluator(J)
@@ -485,7 +485,6 @@ class TestSpectralFullPath:
                 return factor(a, *args)
             return wrapped
 
-        monkeypatch.setattr(criteria, "spd_cholesky", recording(criteria.spd_cholesky))
         monkeypatch.setattr(_linalg, "spd_factor", recording(_linalg.spd_factor))
         kin = helpers.random_kinship(np.random.default_rng(40), "dense", K=40)
         problem = DesignProblem(vc5, profile5, kin)

@@ -1,0 +1,45 @@
+from __future__ import annotations
+
+import numpy as np
+import pytest
+
+import helpers
+from trialalloc import Design, NumericalError, _linalg, mse_effects_full
+from trialalloc._linalg import inverse_factor, spd_factor, spd_inverse
+
+
+def _spd_stack(rng, shape, p=5):
+    a = rng.normal(size=(*shape, p, p))
+    return a @ np.swapaxes(a, -1, -2) + p * np.eye(p)
+
+
+@pytest.mark.parametrize("shape", [(), (1,), (3,), (2, 3)])
+def test_inverse_factor_inverts_each_factor_of_a_stack(shape):
+    a = _spd_stack(np.random.default_rng(len(shape) + sum(shape)), shape)
+    l_inv = inverse_factor(a)
+    assert l_inv.shape == a.shape
+    np.testing.assert_allclose(l_inv, np.linalg.inv(np.linalg.cholesky(a)),
+                               rtol=1e-12, atol=1e-14)
+    np.testing.assert_allclose(spd_inverse(a), np.linalg.inv(a), rtol=1e-10, atol=1e-14)
+
+
+def test_a_non_positive_definite_system_is_named():
+    a = _spd_stack(np.random.default_rng(7), (3,))
+    a[1] = -a[1]
+    with pytest.raises(NumericalError, match="^kinship is not positive definite"):
+        spd_inverse(a, "kinship")
+
+
+def test_one_patch_sees_every_factorization(monkeypatch, vc5, profile5):
+    whats = []
+
+    def recording(a, what="matrix"):
+        whats.append(what)
+        return spd_factor(a, what)
+
+    monkeypatch.setattr(_linalg, "spd_factor", recording)
+    kin = helpers.random_kinship(np.random.default_rng(5), "dense", K=4)
+    mse = mse_effects_full(Design.exact(np.array([13, 6, 8, 12, 1])), vc5, profile5, kin)
+    assert whats == ["per-region information", "kinship", "genetic covariance",
+                     "prediction-error system"]
+    assert mse.shape == (20, 20)

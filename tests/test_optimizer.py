@@ -11,9 +11,9 @@ from scipy.optimize import linprog
 import helpers
 from trialalloc import (ConstraintSet, CriterionSpec, Design, DesignProblem,
                         Identity, InfeasibleError, SubRegionProfile,
-                        ValidationError, criteria, efficiency, optimizer,
+                        ValidationError, _linalg, efficiency, optimizer,
                         round_to_exact, solve_approximate, solve_exact)
-from trialalloc._linalg import spd_cholesky
+from trialalloc._linalg import spd_factor
 from trialalloc.optimizer import (_random_feasible, _rational_argmin,
                                   _transfer_descent)
 from trialalloc.oracle import enumerate_exact_optimum
@@ -128,9 +128,9 @@ class TestWorkCounts:
 
         def recording(a, what="matrix"):
             whats[what] += 1
-            return spd_cholesky(a, what)
+            return spd_factor(a, what)
 
-        monkeypatch.setattr(criteria, "spd_cholesky", recording)
+        monkeypatch.setattr(_linalg, "spd_factor", recording)
         report = solve_approximate(problem, ConstraintSet(J=40, P=5))
         # the line search reuses the factor of the Newton evaluation at the
         # same point; the reported phi and MSE trace add one together
