@@ -17,7 +17,8 @@ The pieces:
   dense genotype relationship structures, with the average-semivariance
   calibration;
 - :mod:`trialalloc.criteria` — the design criteria and their gradients,
-  with fast reduced-dimension paths for structured kinship;
+  one :class:`DesignProblem` per criterion, with closed forms for
+  structured kinship;
 - :mod:`trialalloc.optimizer` — approximate (weight) optimization over a
   constraint polytope, rounding, exact (integer) search, and design
   efficiency comparison;
@@ -29,9 +30,7 @@ from __future__ import annotations
 
 from .criteria import (CriterionSpec, CriterionValue, DesignProblem, Path,
                        Target, Weighting, mse_contrasts_full,
-                       mse_effects_full, mse_trace_report, phi_bayes_cs,
-                       phi_cbrc_blockcs, phi_contrasts, phi_effects,
-                       phi_kbayes_blockcs)
+                       mse_effects_full)
 from .errors import InfeasibleError, NumericalError, ValidationError
 from .kinship import (BlockCompoundSymmetry, CompoundSymmetry, DenseKinship,
                       Identity, KinshipSpec, PdDiagnostic, asv,
@@ -62,8 +61,6 @@ __all__ = [
     # criteria
     "Target", "Weighting", "Path", "CriterionSpec", "CriterionValue",
     "DesignProblem", "mse_effects_full", "mse_contrasts_full",
-    "phi_effects", "phi_contrasts", "phi_bayes_cs", "phi_cbrc_blockcs",
-    "phi_kbayes_blockcs", "mse_trace_report",
     # optimizer
     "ConstraintSet", "OptimizerReport", "solve_approximate", "solve_exact",
     "round_to_exact", "efficiency",

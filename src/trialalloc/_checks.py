@@ -1,5 +1,6 @@
 """Input checks shared by the constructors and the solver settings: finite
-numbers, positive numbers and whole numbers, none of them booleans or text.
+numbers, positive numbers, whole numbers and symmetric matrices, none of them
+booleans or text, and choices among an enum's values.
 
 Each check raises :class:`ValidationError` naming the offending field, which
 the CLI reports with exit status 2, so that no NaN, infinity or fractional
@@ -12,7 +13,11 @@ import reprlib
 
 import numpy as np
 
+from ._linalg import sym
 from .errors import ValidationError
+
+# relative asymmetry, of the largest entry or of 1, that a matrix may carry
+_SYM_RTOL = 1e-10
 
 
 def _holds_non_number(value) -> bool:
@@ -64,6 +69,32 @@ def positive(value, name: str) -> float:
     if not x > 0:
         raise ValidationError(f"{name} must be > 0, got {reprlib.repr(value)}")
     return x
+
+
+def choice(enum, value, name: str, allowed=None):
+    """``value`` as a member of ``enum``, one of ``allowed`` (default: all)."""
+    allowed = tuple(enum) if allowed is None else allowed
+    try:
+        member = enum(value)
+    except (TypeError, ValueError):
+        member = None
+    if member not in allowed:
+        raise ValidationError(f"{name} must be {' or '.join(repr(m.value) for m in allowed)}, "
+                              f"got {reprlib.repr(value)}")
+    return member
+
+
+def symmetric_matrix(value, name: str) -> np.ndarray:
+    """``value`` as a finite square matrix, at least 2×2 and symmetric within
+    1e-10 relative, symmetrized."""
+    mat = finite(value, name)
+    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
+        raise ValidationError(f"{name} must be square, got shape {mat.shape}")
+    if mat.shape[0] < 2:
+        raise ValidationError(f"{name} must be at least 2x2, got shape {mat.shape}")
+    if np.abs(mat - mat.T).max() > _SYM_RTOL * max(np.abs(mat).max(), 1.0):
+        raise ValidationError(f"{name} is not symmetric within 1e-10 relative")
+    return sym(mat)
 
 
 def count(value, name: str, minimum: int = 0) -> int:

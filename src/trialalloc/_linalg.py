@@ -33,10 +33,7 @@ def spd_factor(a: np.ndarray, what: str = "matrix") -> np.ndarray:
 def inverse_factor(a: np.ndarray, what: str = "matrix") -> np.ndarray:
     """L^-1 for the Cholesky factor LLᵀ = ``a``, of one matrix or of each in a
     stack."""
-    chol = spd_factor(a, what)
-    # an identity of the factor's own shape: numpy 1.x reads a bare (P, P)
-    # identity against a (G, P, P) stack as G vectors, not as one matrix
-    return np.linalg.solve(chol, np.broadcast_to(np.eye(chol.shape[-1]), chol.shape))
+    return np.linalg.inv(spd_factor(a, what))
 
 
 def spd_inverse(a: np.ndarray, what: str = "matrix") -> np.ndarray:

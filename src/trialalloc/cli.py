@@ -31,12 +31,11 @@ import numpy as np
 
 from . import __version__
 from ._checks import count, finite, integers, number, positive
-from .criteria import CriterionSpec, DesignProblem, Path, Target
+from .criteria import CriterionSpec, DesignProblem
 from .errors import InfeasibleError, NumericalError, ValidationError
 from .fixtures import available_fixtures, fixture_path
 from .kinship import (BlockCompoundSymmetry, CompoundSymmetry, DenseKinship,
-                      Identity, load_kinship_csv, materialize,
-                      sigma2_alpha_for_unit_asv)
+                      Identity, load_kinship_csv, sigma2_alpha_for_unit_asv)
 from .model import Design, SubRegionProfile, VarianceComponents
 from .optimizer import ConstraintSet, solve_approximate, solve_exact
 
@@ -206,7 +205,7 @@ def _build_criterion(config: dict) -> CriterionSpec:
                              weighting=block.get("weighting", "standard"),
                              path=block.get("path", "auto"))
     except ValueError as exc:
-        raise ValidationError(f"criterion block: {exc}") from exc
+        raise ValidationError(f"criterion.{exc}") from exc
 
 
 def _j_grid(config: dict) -> list:
@@ -525,7 +524,6 @@ def _cmd_efficiency(args) -> int:
 
 def _selftest_checks() -> list:
     from . import oracle
-    from .criteria import phi_bayes_cs, phi_cbrc_blockcs, phi_kbayes_blockcs
     from .optimizer import round_to_exact
 
     rng = np.random.default_rng(1789)
@@ -581,9 +579,8 @@ def _selftest_checks() -> list:
     def check_affine_reduction():
         vc, profile, kin, counts = random_instance("cs")
         design = Design.exact(counts)
-        eff = CriterionSpec(target="effects", path="full")
-        full = DesignProblem(vc, profile, kin, eff).phi(design)
-        reduced = phi_bayes_cs(design, vc, profile, kin).phi
+        full = DesignProblem(vc, profile, kin, CriterionSpec(path="full")).phi(design)
+        reduced = DesignProblem(vc, profile, kin).phi(design)
         scale = kin.a1 ** 2 * (kin.K - 1)
         const = oracle.reduction_constants(
             oracle.OracleInstance(vc=vc, profile=profile, kinship=kin, counts=counts),
@@ -594,8 +591,8 @@ def _selftest_checks() -> list:
     def check_block_paths():
         vc, profile, kin, counts = random_instance("block")
         design = Design.exact(counts)
-        a = phi_cbrc_blockcs(design, vc, profile, kin).phi
-        b = phi_kbayes_blockcs(design, vc, profile, kin).phi
+        a, b = (DesignProblem(vc, profile, kin, CriterionSpec(path=path)).phi(design)
+                for path in ("auto", "full"))
         if abs(a - b) > 1e-10 * max(abs(a), 1.0):
             raise AssertionError(f"{a} vs {b}")
 

@@ -18,11 +18,12 @@ block-diagonal in the basis Q ⊗ I_P: with B_g = (R̃ + λ_g Ṽ)^-1,
 a stack of G traces of order P, where s_g is the g-th diagonal entry of
 QᵀMQ (M = TN²T for effects, (TNT)² for contrasts) and L holds the
 sub-regional weights.  The evaluation path says where the spectrum comes
-from: exchangeable kinship has one eigen-group in closed form (``bayes_cs``,
+from.  A criterion asks for ``auto``, the closed form where the kinship has
+one, or ``full``, the dense eigen reference; ``path_used`` names what was
+used: exchangeable kinship has one eigen-group in closed form (``bayes_cs``,
 reported per unit of its group weight), two-level family blocks have two
-(``kbayes`` and ``cbrc`` are the same stack under two names), and any other
-kinship needs one K×K ``eigh`` per problem (``full``, one group per
-eigenvalue).  ``Path.AUTO`` picks the closed form where it exists.
+(``kbayes``), and any other kinship, or a criterion that asks for ``full``,
+takes one K×K ``eigh`` per problem (``full``, one group per eigenvalue).
 
 The network size J enters only as a scale: C_g(J) = C_g(1)/J while the roots
 R_g of H_g = R_g R_gᵀ do not depend on J.  A problem therefore builds its
@@ -48,6 +49,7 @@ from itertools import combinations
 
 import numpy as np
 
+from ._checks import choice
 from ._linalg import inverse_factor, spd_inverse, sym
 from .errors import ValidationError
 from .kinship import (BlockCompoundSymmetry, CompoundSymmetry, Identity,
@@ -66,12 +68,6 @@ __all__ = [
     "DesignProblem",
     "mse_effects_full",
     "mse_contrasts_full",
-    "phi_effects",
-    "phi_contrasts",
-    "phi_bayes_cs",
-    "phi_cbrc_blockcs",
-    "phi_kbayes_blockcs",
-    "mse_trace_report",
 ]
 
 _CONTRAST_K_LIMIT = 12
@@ -94,25 +90,30 @@ class Weighting(str, Enum):
 
 
 class Path(str, Enum):
+    """Evaluation path.  A criterion asks for ``AUTO`` or ``FULL``; a problem's
+    ``path_used`` is ``BAYES_CS`` (exchangeable, one group), ``KBAYES``
+    (two-level family blocks, two groups) or ``FULL``."""
+
     AUTO = "auto"
     FULL = "full"
     BAYES_CS = "bayes_cs"
     KBAYES = "kbayes"
-    CBRC = "cbrc"
 
 
 @dataclass(frozen=True)
 class CriterionSpec:
-    """Choice of criterion: target, weighting and evaluation path."""
+    """Choice of criterion: target, weighting and evaluation path (``auto``
+    or ``full``)."""
 
     target: Target = Target.EFFECTS
     weighting: Weighting = Weighting.STANDARD
     path: Path = Path.AUTO
 
     def __post_init__(self):
-        object.__setattr__(self, "target", Target(self.target))
-        object.__setattr__(self, "weighting", Weighting(self.weighting))
-        object.__setattr__(self, "path", Path(self.path))
+        object.__setattr__(self, "target", choice(Target, self.target, "target"))
+        object.__setattr__(self, "weighting", choice(Weighting, self.weighting, "weighting"))
+        object.__setattr__(self, "path", choice(Path, self.path, "path",
+                                                (Path.AUTO, Path.FULL)))
 
 
 @dataclass(frozen=True)
@@ -143,20 +144,19 @@ def _pairwise_contrasts(k: int) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class _Spectrum:
-    """The centred kinship TNT in eigen-groups, as far as the criteria see it.
+    """The centred kinship TNT in eigen-groups, as far as one target sees it.
 
-    ``lam`` holds one eigenvalue per group; ``weight[target]`` the group
-    weights s_g (diagonal of QᵀMQ summed over the group); ``prior[target]``
-    the prior variance scale the MSE trace starts from (tr N for effects,
-    tr TNT for contrasts).
+    ``lam`` holds one eigenvalue per group; ``weight`` the group weights s_g
+    (diagonal of QᵀMQ summed over the group); ``prior`` the prior variance
+    scale the MSE trace starts from (tr N for effects, tr TNT for contrasts).
     """
 
     lam: np.ndarray
-    weight: dict
-    prior: dict
+    weight: np.ndarray
+    prior: float
 
 
-def _closed_form_spectrum(spec: KinshipSpec):
+def _closed_form_spectrum(spec: KinshipSpec, target: Target):
     """Spectrum of exchangeable (one group) or two-level family-block (two
     groups) kinship, or None for any other structure.
 
@@ -177,21 +177,20 @@ def _closed_form_spectrum(spec: KinshipSpec):
     lam, mult = np.array(lam), np.array(mult, dtype=float)
     keep = mult > 0
     lam, mult = lam[keep], mult[keep]
-    weight = mult * lam ** 2       # TN²T and (TNT)² agree on these structures
-    return _Spectrum(lam, {Target.EFFECTS: weight, Target.CONTRASTS: weight},
-                     {Target.EFFECTS: trace_n, Target.CONTRASTS: float(mult @ lam)})
+    # TN²T and (TNT)² agree on these structures
+    return _Spectrum(lam, mult * lam ** 2,
+                     trace_n if target is Target.EFFECTS else float(mult @ lam))
 
 
-def _eigen_spectrum(n: np.ndarray) -> _Spectrum:
+def _eigen_spectrum(n: np.ndarray, target: Target) -> _Spectrum:
     """Spectrum of TNT for any kinship N: one group per eigenvalue."""
     t = centering_matrix(len(n))
     tnt = sym(t @ n @ t)
     lam, q = np.linalg.eigh(tnt)
+    if target is Target.CONTRASTS:
+        return _Spectrum(lam, lam ** 2, float(np.trace(tnt)))
     ntq = n @ (q - q.mean(axis=0))      # N T Q, so diag(QᵀTN²TQ) is its column norms
-    return _Spectrum(lam, {Target.EFFECTS: np.einsum("ij,ij->j", ntq, ntq),
-                           Target.CONTRASTS: lam ** 2},
-                     {Target.EFFECTS: float(np.trace(n)),
-                      Target.CONTRASTS: float(np.trace(tnt))})
+    return _Spectrum(lam, np.einsum("ij,ij->j", ntq, ntq), float(np.trace(n)))
 
 
 class _TraceEvaluator:
@@ -199,10 +198,10 @@ class _TraceEvaluator:
 
     ``c`` and ``root`` are (G, P, P) arrays: C_g is positive definite and
     R_g R_gᵀ = H_g, the root being known in closed form from the build.  The
-    reported MSE trace of each target is ``factor * (trace + const)``, the
-    trace taken with that target's unweighted root.  :meth:`scaled` gives the
-    evaluator of a larger network and :meth:`over_sizes` evaluates one design
-    over many network sizes at once.
+    reported MSE trace is ``factor * (trace + const)`` from the ``mse`` tuple
+    (factor, root, const), the trace taken with the target's unweighted
+    root.  :meth:`scaled` gives the evaluator of a larger network and
+    :meth:`over_sizes` evaluates one design over many network sizes at once.
 
     Every number comes from one kernel, :meth:`_inverse_factor`, the only
     factorization of the criterion systems: :meth:`over_sizes` (and its views
@@ -210,7 +209,7 @@ class _TraceEvaluator:
     :meth:`newton_terms` and :meth:`transfer_scores` all read its L^-1.
     """
 
-    def __init__(self, path: Path, c: np.ndarray, root: np.ndarray, mse: dict):
+    def __init__(self, path: Path, c: np.ndarray, root: np.ndarray, mse: tuple):
         self.path = path
         self.c = c
         self.root = root
@@ -219,9 +218,9 @@ class _TraceEvaluator:
     def scaled(self, s: float) -> "_TraceEvaluator":
         """The evaluator of a network ``s`` times as large: C_g/s with the same
         roots, the MSE factor divided and the MSE constant multiplied by s."""
+        factor, root, const = self._mse
         return _TraceEvaluator(self.path, self.c / s, self.root,
-                               {t: (factor / s, root, const * s)
-                                for t, (factor, root, const) in self._mse.items()})
+                               (factor / s, root, const * s))
 
     def _inverse_factor(self, w, sizes=1.0) -> np.ndarray:
         """L^-1 of the Cholesky factors LLᵀ = diag(w) + C_g/s, per group, for
@@ -237,16 +236,16 @@ class _TraceEvaluator:
         step = max(1, _BATCH_ENTRIES // self.root.size)
         return [slice(lo, lo + step) for lo in range(0, n, step)]
 
-    def over_sizes(self, w, sizes, target: Target):
+    def over_sizes(self, w, sizes):
         """phi (n,), MSE trace (n,) and gradient (n, P) of one design ``w`` in
         the networks ``sizes`` (n,) times as large as this one.
 
-        With Y = L^-1 R, phi is ‖Y‖², the MSE trace the same of the target's
-        MSE root, and the gradient -diag Σ_g X_g X_gᵀ with X = L^-ᵀY = A^-1 R.
+        With Y = L^-1 R, phi is ‖Y‖², the MSE trace the same of the MSE
+        root, and the gradient -diag Σ_g X_g X_gᵀ with X = L^-ᵀY = A^-1 R.
         A long ``sizes`` is taken in batches of bounded memory.
         """
         s = np.asarray(sizes, dtype=float)
-        factor, mse_root, const = self._mse[target]
+        factor, mse_root, const = self._mse
         phi, mse, grad = np.empty(s.size), np.empty(s.size), np.empty((s.size, len(w)))
         for rows in self._batches(s.size):
             l_inv = self._inverse_factor(w, s[rows])
@@ -259,13 +258,13 @@ class _TraceEvaluator:
         return phi, mse, grad
 
     def phi(self, w) -> float:
-        return float(self.over_sizes(w, [1], Target.EFFECTS)[0][0])
+        return float(self.over_sizes(w, [1])[0][0])
 
     def gradient(self, w) -> np.ndarray:
-        return self.over_sizes(w, [1], Target.EFFECTS)[2][0]
+        return self.over_sizes(w, [1])[2][0]
 
-    def mse_trace(self, w, target: Target) -> float:
-        return float(self.over_sizes(w, [1], target)[1][0])
+    def mse_trace(self, w) -> float:
+        return float(self.over_sizes(w, [1])[1][0])
 
     def line(self, l_inv, d):
         """(h, λ) with phi(x + t·d) = Σ h_i / (1 + t λ_i) while x + t·d >= 0.
@@ -327,31 +326,6 @@ class _TraceEvaluator:
         return phi, delta
 
 
-def _route(kinship: KinshipSpec, path: Path) -> Path:
-    closed = _closed_form_spectrum(kinship)
-    groups = 0 if closed is None else len(closed.lam)
-    if path is Path.AUTO:
-        return {1: Path.BAYES_CS, 2: Path.KBAYES}.get(groups, Path.FULL)
-    if path is Path.BAYES_CS and groups != 1:
-        raise ValidationError(
-            "the exchangeable path needs identity, compound-symmetry or "
-            "single-level family-block kinship; use the kbayes/cbrc paths for "
-            "two-level family blocks or the full path for dense kinship"
-        )
-    if path in (Path.KBAYES, Path.CBRC) and groups != 2:
-        if groups == 1:
-            raise ValidationError(
-                f"the {path.value} path needs family-block kinship with at least "
-                "two families of at least two genotypes; this structure is "
-                "exchangeable — use the bayes_cs path"
-            )
-        raise ValidationError(
-            f"the {path.value} path needs family-block kinship; use the full "
-            "path for dense kinship"
-        )
-    return path
-
-
 @dataclass(frozen=True, eq=False)
 class DesignProblem:
     """A criterion bound to a trial network, reusable across designs.
@@ -374,8 +348,12 @@ class DesignProblem:
             raise ValidationError(
                 "weighted criteria need sub-regional genotype counts (profile.ell)"
             )
-        # resolve (and validate) the path once, design-independently
-        object.__setattr__(self, "path_used", _route(self.kinship, self.criterion.path))
+        closed = (_closed_form_spectrum(self.kinship, self.criterion.target)
+                  if self.criterion.path is Path.AUTO else None)
+        object.__setattr__(self, "path_used", Path.FULL if closed is None
+                           else (Path.BAYES_CS, Path.KBAYES)[len(closed.lam) - 1])
+        if closed is not None:
+            self.__dict__["_spectrum"] = closed      # the cached_property's value
 
     @property
     def P(self) -> int:
@@ -389,11 +367,11 @@ class DesignProblem:
 
     @cached_property
     def _spectrum(self) -> _Spectrum:
-        if self.path_used is not Path.FULL:
-            return _closed_form_spectrum(self.kinship)
+        """The full path's spectrum; a closed form is set at construction."""
         # N itself does not depend on J; this validates it positive definite
         return _eigen_spectrum(scaled_genetic_covariances(self.vc, 1, self.profile,
-                                                          self.kinship).N)
+                                                          self.kinship).N,
+                               self.criterion.target)
 
     @cached_property
     def _core(self) -> _TraceEvaluator:
@@ -414,17 +392,13 @@ class DesignProblem:
             return np.sqrt(weight)[:, None, None] * bv
 
         # the exchangeable path reports phi per unit of its one group's weight
-        weight = (np.ones(1) if self.path_used is Path.BAYES_CS
-                  else spectrum.weight[self.criterion.target])
+        weight = np.ones(1) if self.path_used is Path.BAYES_CS else spectrum.weight
         ell = (np.sqrt(self.profile.ell) if self.criterion.weighting is Weighting.WEIGHTED
                else 1.0)
         trace_bv2 = np.einsum("gij,ji->g", bv, vt)           # tr(B_g Ṽ²)
-        mse = {
-            t: ((1 if t is Target.EFFECTS else self.kinship.K) / scale,
-                root(spectrum.weight[t]),
-                spectrum.prior[t] * np.trace(vt) - spectrum.weight[t] @ trace_bv2)
-            for t in Target
-        }
+        mse = ((1 if self.criterion.target is Target.EFFECTS else self.kinship.K) / scale,
+               root(spectrum.weight),
+               spectrum.prior * np.trace(vt) - spectrum.weight @ trace_bv2)
         return _TraceEvaluator(self.path_used, b, root(weight) * ell, mse)
 
     def phi(self, design: Design) -> float:
@@ -443,7 +417,7 @@ class DesignProblem:
         js = np.array([design.J] if Js is None else Js)
         if js.ndim != 1 or not np.issubdtype(js.dtype, np.integer) or np.any(js < 1):
             raise ValidationError(f"Js must be a list of integers >= 1, got {Js!r}")
-        phi, mse, grad = self._core.over_sizes(design.weights, js, self.criterion.target)
+        phi, mse, grad = self._core.over_sizes(design.weights, js)
         return [CriterionValue(phi=float(phi[k]), mse_trace=float(mse[k]),
                                path_used=self.path_used, gradient=grad[k])
                 for k in range(len(js))]
@@ -463,7 +437,7 @@ def mse_effects_full(design: Design, vc: VarianceComponents,
     Requires strictly positive allocation everywhere — the matrix itself (as
     opposed to the criteria) is not defined for empty sub-regions.  For an
     exact design this is the per-observation error covariance; trace slices
-    of it are what :func:`mse_trace_report` reports.
+    of it are what :meth:`DesignProblem.mse_trace` reports.
     """
     if np.any(design.weights <= 0):
         raise ValidationError(
@@ -500,61 +474,3 @@ def mse_contrasts_full(design: Design, vc: VarianceComponents,
         )
     lift = np.kron(_pairwise_contrasts(sg.K), np.eye(profile.P))
     return lift @ mse_effects_full(design, vc, profile, kinship) @ lift.T
-
-
-def _one_shot(design, vc, profile, kinship, target, weighting, path) -> CriterionValue:
-    problem = DesignProblem(vc, profile, kinship,
-                            CriterionSpec(target=target, weighting=weighting, path=path))
-    return problem.value(design)
-
-
-def phi_effects(design: Design, vc: VarianceComponents, profile: SubRegionProfile,
-                kinship: KinshipSpec, weighting="standard") -> CriterionValue:
-    """Effects criterion on the full path, any kinship, zero weights allowed."""
-    return _one_shot(design, vc, profile, kinship, Target.EFFECTS, weighting, Path.FULL)
-
-
-def phi_contrasts(design: Design, vc: VarianceComponents, profile: SubRegionProfile,
-                  kinship: KinshipSpec, weighting="standard") -> CriterionValue:
-    """Pairwise-contrast criterion on the full path."""
-    return _one_shot(design, vc, profile, kinship, Target.CONTRASTS, weighting, Path.FULL)
-
-
-def phi_bayes_cs(design: Design, vc: VarianceComponents, profile: SubRegionProfile,
-                 kinship: KinshipSpec, weighting="standard") -> CriterionValue:
-    """Reduced criterion for exchangeable kinship (P-dimensional).
-
-    Effects- and contrast-optimal allocations coincide under exchangeability,
-    so there is a single criterion here; the reported ``mse_trace`` is the
-    effects trace.
-    """
-    return _one_shot(design, vc, profile, kinship, Target.EFFECTS, weighting,
-                     Path.BAYES_CS)
-
-
-def phi_cbrc_blockcs(design: Design, vc: VarianceComponents, profile: SubRegionProfile,
-                     kinship: KinshipSpec, weighting="standard") -> CriterionValue:
-    """Reduced family-block criterion as two P-dimensional traces."""
-    return _one_shot(design, vc, profile, kinship, Target.EFFECTS, weighting, Path.CBRC)
-
-
-def phi_kbayes_blockcs(design: Design, vc: VarianceComponents, profile: SubRegionProfile,
-                       kinship: KinshipSpec, weighting="standard") -> CriterionValue:
-    """Reduced family-block criterion under the ``kbayes`` label.
-
-    The paper writes it as one block-diagonal 2P-dimensional trace; its two
-    blocks are the two P-dimensional traces of :func:`phi_cbrc_blockcs`, so
-    both return the same value.
-    """
-    return _one_shot(design, vc, profile, kinship, Target.EFFECTS, weighting, Path.KBAYES)
-
-
-def mse_trace_report(design: Design, vc: VarianceComponents, profile: SubRegionProfile,
-                     kinship: KinshipSpec, target="effects") -> float:
-    """Summed prediction-error variance of the target quantities.
-
-    This is the plain (unweighted) trace at the scale of the actual network —
-    the number evaluation tables report — computed on the cheapest valid path.
-    """
-    problem = DesignProblem(vc, profile, kinship, CriterionSpec(target=Target(target)))
-    return problem.mse_trace(design)

@@ -15,7 +15,7 @@ from typing import Union
 
 import numpy as np
 
-from ._checks import finite, integers, number
+from ._checks import integers, number, symmetric_matrix
 from ._linalg import frozen_array, sym
 from .errors import ValidationError
 
@@ -32,8 +32,6 @@ __all__ = [
     "validate_pd",
     "load_kinship_csv",
 ]
-
-_SYM_RTOL = 1e-10
 
 
 def _check_numbers(spec, integral=(), real=()) -> None:
@@ -145,15 +143,8 @@ class DenseKinship:
 
     def __post_init__(self):
         _check_numbers(self)
-        mat = finite(self.matrix, "matrix")
-        if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-            raise ValidationError(f"kinship matrix must be square, got shape {mat.shape}")
-        if mat.shape[0] < 2:
-            raise ValidationError("kinship needs at least 2 genotypes")
-        scale = max(np.abs(mat).max(), 1.0)
-        if np.abs(mat - mat.T).max() > _SYM_RTOL * scale:
-            raise ValidationError("kinship matrix is not symmetric within 1e-10 relative")
-        object.__setattr__(self, "matrix", frozen_array(sym(mat)))
+        object.__setattr__(self, "matrix",
+                           frozen_array(symmetric_matrix(self.matrix, "matrix")))
 
     @property
     def K(self) -> int:

@@ -14,7 +14,7 @@ from enum import Enum
 import numpy as np
 
 from . import kinship as _kinship
-from ._checks import finite, integers, number
+from ._checks import choice, finite, integers, number, symmetric_matrix
 from ._linalg import frozen_array
 from .errors import ValidationError
 
@@ -88,12 +88,8 @@ class VarianceComponents:
     model_variant: ModelVariant = ModelVariant.CROSS_CLASSIFIED
 
     def __post_init__(self):
-        try:
-            object.__setattr__(self, "model_variant", ModelVariant(self.model_variant))
-        except (TypeError, ValueError):
-            raise ValidationError(
-                f"model_variant must be one of {[v.value for v in ModelVariant]}, "
-                f"got {self.model_variant!r}") from None
+        object.__setattr__(self, "model_variant",
+                           choice(ModelVariant, self.model_variant, "model_variant"))
         for name in ("sigma2_omega", "sigma2_tau", "sigma2_gamma",
                      "sigma2_phi_plus_err_over_L"):
             value = number(getattr(self, name), name)
@@ -111,6 +107,7 @@ class VarianceComponents:
             if blocks < 1:
                 raise ValidationError(f"L must be an integer >= 1 when given, got {self.L}")
             object.__setattr__(self, "L", blocks)
+        effective_error_constant(self)          # rejects a degenerate model
 
     @classmethod
     def from_separate(cls, *, sigma2_omega: float, sigma2_tau: float,
@@ -148,9 +145,11 @@ def effective_error_constant(vc: VarianceComponents) -> float:
     if vc.model_variant is ModelVariant.CROSS_CLASSIFIED:
         c += vc.sigma2_gamma
     if c <= 0:
+        terms = ("sigma2_phi_plus_err_over_L" if vc.model_variant is ModelVariant.NESTED
+                 else "sigma2_gamma or sigma2_phi_plus_err_over_L")
         raise ValidationError(
-            "effective error constant is not positive; the model is degenerate "
-            f"(sigma2_gamma={vc.sigma2_gamma}, composite={vc.sigma2_phi_plus_err_over_L}, H={vc.H})"
+            "effective error constant is not positive; the model is degenerate: "
+            f"{terms} must be positive in the {vc.model_variant.value} model"
         )
     return c
 
@@ -173,15 +172,7 @@ class SubRegionProfile:
     ell: np.ndarray | None = None
 
     def __post_init__(self):
-        v = finite(self.V, "V")
-        if v.ndim != 2 or v.shape[0] != v.shape[1]:
-            raise ValidationError(f"V must be square, got shape {v.shape}")
-        if v.shape[0] < 2:
-            raise ValidationError("need at least 2 sub-regions")
-        scale = max(np.abs(v).max(), 1.0)
-        if np.abs(v - v.T).max() > 1e-10 * scale:
-            raise ValidationError("V is not symmetric within 1e-10 relative")
-        v = 0.5 * (v + v.T)
+        v = symmetric_matrix(self.V, "V")
         if np.linalg.eigvalsh(v)[0] <= 0:
             raise ValidationError("V must be positive definite")
         object.__setattr__(self, "V", frozen_array(v))

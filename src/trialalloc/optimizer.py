@@ -132,7 +132,7 @@ class ConstraintSet:
                              "max_total": int(hi.sum()), "J": j},
             )
         if self.costs is not None:
-            cheapest = self._cheapest_fill()
+            cheapest = _fill(lo, hi, j, self.costs)
             min_cost = float(self.costs @ cheapest)
             if min_cost > self.budget + _BUDGET_TOL:
                 raise InfeasibleError(
@@ -142,18 +142,6 @@ class ConstraintSet:
                                  "budget": self.budget,
                                  "cheapest_counts": cheapest.tolist()},
                 )
-
-    def _cheapest_fill(self) -> np.ndarray:
-        counts = np.array(self.min_per_region)
-        remaining = self.J - int(counts.sum())
-        for i in np.argsort(self.costs, kind="stable"):
-            room = int(self.max_per_region[i] - counts[i])
-            take = min(room, remaining)
-            counts[i] += take
-            remaining -= take
-            if remaining == 0:
-                break
-        return counts
 
     def weight_box(self):
         """Per-region weight bounds (lo, hi) of the continuous relaxation."""
@@ -200,6 +188,20 @@ class OptimizerReport:
     starts_descended: int | None = None
 
 
+def _fill(lo, hi, total, key):
+    """The box lo <= x <= hi filled up to Σx = ``total`` in increasing order
+    of ``key``: integer counts or float weights, as ``lo`` is."""
+    x = np.array(lo)
+    slack = total - x.sum()
+    for i in np.argsort(key, kind="stable"):
+        take = min(hi[i] - x[i], slack)
+        x[i] += take
+        slack -= take
+        if slack <= 0:
+            break
+    return x
+
+
 def _linear_minimum(g, lo, hi, costs, budget_w):
     """Vertex of the weight polytope minimizing the linear form g.
 
@@ -208,21 +210,12 @@ def _linear_minimum(g, lo, hi, costs, budget_w):
     multiplier μ >= 0.  That order changes only where two regions swap
     places, so the answer is the first of these fills that meets the budget,
     or the point of the budget row between it and the fill just before: an
-    exact certificate, free of an LP solver's tolerances.
+    exact certificate, free of an LP solver's tolerances.  A fill meets the
+    budget within ``_BUDGET_TOL``, so that a cheapest fill whose spend rounds
+    a few ulps over a tight budget still closes the bracket.
     """
-    def fill(key):
-        x = np.array(lo)
-        slack = 1.0 - x.sum()
-        for i in np.argsort(key, kind="stable"):
-            take = min(hi[i] - x[i], slack)
-            x[i] += take
-            slack -= take
-            if slack <= 0:
-                break
-        return x
-
     if costs is None:
-        return fill(g)
+        return _fill(lo, hi, 1.0, g)
     with np.errstate(divide="ignore", invalid="ignore"):
         swaps = (g[None, :] - g[:, None]) / (costs[:, None] - costs[None, :])
     swaps = np.unique(swaps[np.isfinite(swaps) & (swaps > 0)])
@@ -232,14 +225,14 @@ def _linear_minimum(g, lo, hi, costs, budget_w):
 
     def at(k):
         if k not in fills:
-            fills[k] = fill(g + probes[k] * costs)
+            fills[k] = _fill(lo, hi, 1.0, g + probes[k] * costs)
         return fills[k]
 
     # spend falls as μ grows: bisect for the first fill within the budget
     over, under = -1, len(probes) - 1
     while under - over > 1:
         mid = (over + under) // 2
-        if costs @ at(mid) <= budget_w:
+        if costs @ at(mid) <= budget_w + _BUDGET_TOL:
             under = mid
         else:
             over = mid

@@ -14,7 +14,7 @@ import pytest
 
 import helpers
 from trialalloc import (ConstraintSet, CriterionSpec, Design, DesignProblem,
-                        Identity, efficiency, mse_trace_report, solve_exact)
+                        Identity, efficiency, solve_exact)
 from trialalloc.cli import main
 from trialalloc.oracle import (OracleInstance, enumerate_exact_optimum,
                                finite_difference_gradient, mse_direct,
@@ -49,7 +49,7 @@ def test_01_golden_family_block_designs(capsys):
     # the printed exact designs reproduce their MSE values
     for r, f, m, _, _, counts, mse_e, _ in helpers.GOLDEN_ROWS:
         kin = helpers.family_block_kinship(r, f, m)
-        mse = mse_trace_report(Design.exact(np.array(counts)), vc, profile, kin)
+        mse = DesignProblem(vc, profile, kin).mse_trace(Design.exact(np.array(counts)))
         if abs(mse - mse_e) > 1e-3 * mse_e:
             failures.append(f"{_row_label(r, f, m)}: printed design gives "
                             f"{mse:.1f}, table says {mse_e}")

@@ -247,6 +247,29 @@ class TestDesign:
         assert code == 2 and payload is None
         assert field in err
 
+    @pytest.mark.parametrize("path", ["bayes_cs", "kbayes", "cbrc"])
+    def test_closed_form_paths_are_not_settable(self, tmp_path, capsys, network_config,
+                                                path):
+        network_config["criterion"]["path"] = path
+        code, payload, err = run_cli(
+            capsys, "eval", "--config", write_config(tmp_path, network_config))
+        assert code == 2 and payload is None
+        assert "criterion.path must be 'auto' or 'full'" in err
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("mode", ["approx", "exact"])
+    def test_a_budget_met_only_by_the_cheapest_fill_solves_cleanly(
+            self, tmp_path, capsys, network_config, mode):
+        # J=40: the cheapest fill (36, 1, 1, 1, 1) costs exactly the budget
+        costs = [1.0, 2.0, 3.0, 4.0, 5.0]
+        network_config["constraints"] = {"min_per_region": 1, "costs": costs, "budget": 50}
+        code, payload, err = run_cli(
+            capsys, "design", "--config", write_config(tmp_path, network_config),
+            "--mode", mode)
+        assert code == 0 and err == ""
+        weights = np.array(payload["design"]["weights"])
+        assert np.dot(costs, weights) * payload["J"] <= 50 + 1e-9
+
     def test_exact_mode_honours_the_warm_start_settings(self, tmp_path, capsys,
                                                         network_config):
         network_config["solver"] = {"max_iter": 1}

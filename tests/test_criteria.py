@@ -12,8 +12,6 @@ from trialalloc import (BlockCompoundSymmetry, CompoundSymmetry,
                         Identity, NumericalError, Path, SubRegionProfile,
                         Target, ValidationError,
                         Weighting, mse_contrasts_full, mse_effects_full,
-                        mse_trace_report, phi_bayes_cs, phi_cbrc_blockcs,
-                        phi_contrasts, phi_effects, phi_kbayes_blockcs,
                         solve_approximate, solve_exact)
 from trialalloc import _linalg, criteria
 from trialalloc._linalg import spd_factor
@@ -46,14 +44,11 @@ class TestRouting:
         kin = BlockCompoundSymmetry(f=5, m=1, sigma2_alpha=1.0, r=0.3)
         assert DesignProblem(vc5, profile5, kin).path_used is Path.BAYES_CS
 
-    def test_forced_path_mismatch_is_explained(self, vc5, profile5):
-        dense = helpers.random_kinship(np.random.default_rng(1), "dense", K=5)
-        with pytest.raises(ValidationError, match="full path"):
-            DesignProblem(vc5, profile5, dense,
-                          CriterionSpec(path="bayes_cs"))
-        cs = CompoundSymmetry(K=5, sigma2_alpha=1.0, r=0.3)
-        with pytest.raises(ValidationError, match="bayes_cs"):
-            DesignProblem(vc5, profile5, cs, CriterionSpec(path="kbayes"))
+    @pytest.mark.parametrize("path", ["bayes_cs", "kbayes", "cbrc", Path.KBAYES, [1]])
+    def test_only_auto_and_full_are_settable(self, path):
+        # the closed forms are what auto picks, not what a criterion asks for
+        with pytest.raises(ValidationError, match="^path must be 'auto' or 'full', got "):
+            CriterionSpec(path=path)
 
     def test_full_path_always_allowed(self, vc5, profile5):
         cs = CompoundSymmetry(K=5, sigma2_alpha=1.0, r=0.3)
@@ -62,9 +57,10 @@ class TestRouting:
 
     def test_spec_coercion_and_validation(self):
         spec = CriterionSpec(target="contrasts", weighting="weighted",
-                             path="cbrc")
+                             path="full")
         assert spec.target is Target.CONTRASTS
         assert spec.weighting is Weighting.WEIGHTED
+        assert spec.path is Path.FULL
         with pytest.raises(ValueError):
             CriterionSpec(target="everything")
 
@@ -77,6 +73,7 @@ class TestRouting:
 
 class TestPathAgreement:
     def test_family_block_paths_coincide(self):
+        # the two-group closed form against the dense eigen reference
         rng = np.random.default_rng(2)
         for _ in range(5):
             vc = helpers.random_vc(rng)
@@ -84,8 +81,10 @@ class TestPathAgreement:
             kin = helpers.random_kinship(rng, "block", K=6)
             design = Design.exact(helpers.random_counts(rng, 3, 9))
             for weighting in ("standard", "weighted"):
-                a = phi_cbrc_blockcs(design, vc, profile, kin, weighting)
-                b = phi_kbayes_blockcs(design, vc, profile, kin, weighting)
+                a, b = (DesignProblem(vc, profile, kin, CriterionSpec(
+                    weighting=weighting, path=path)).value(design)
+                    for path in ("auto", "full"))
+                assert (a.path_used, b.path_used) == (Path.KBAYES, Path.FULL)
                 assert a.phi == pytest.approx(b.phi, rel=1e-11)
                 np.testing.assert_allclose(a.gradient, b.gradient, rtol=1e-9)
                 assert a.mse_trace == pytest.approx(b.mse_trace, rel=1e-11)
@@ -130,7 +129,7 @@ class TestGradients:
         rng = np.random.default_rng(5)
         cases = [("identity", {}), ("cs", {}), ("block", {}),
                  ("dense", {}), ("cs", {"path": "full"}),
-                 ("block", {"path": "cbrc"}),
+                 ("block", {"path": "full"}),
                  ("dense", {"target": "contrasts"}),
                  ("cs", {"weighting": "weighted"})]
         for kind, crit in cases:
@@ -226,8 +225,8 @@ class TestBulkPrimitives:
     """``newton_terms``, ``line`` and ``transfer_scores`` against the scalar
     ``phi`` and ``gradient`` on every path."""
 
-    CASES = [("cs", {}, Path.BAYES_CS), ("block", {"path": "cbrc"}, Path.CBRC),
-             ("block", {}, Path.KBAYES), ("dense", {"weighting": "weighted"}, Path.FULL)]
+    CASES = [("cs", {}, Path.BAYES_CS), ("block", {}, Path.KBAYES),
+             ("dense", {"weighting": "weighted"}, Path.FULL)]
 
     @pytest.mark.parametrize("kind, crit, path", CASES, ids=[c[2].value for c in CASES])
     def test_line_and_transfer_scores_match_phi(self, kind, crit, path):
@@ -311,15 +310,15 @@ class TestProblemCaching:
 class TestJFreeCore:
     """The J = 1 stack serves every network size: C_g(J) = C_g(1)/J."""
 
-    PATHS = [("cs", "bayes_cs"), ("block", "kbayes"), ("block", "cbrc"),
-             ("dense", "full")]
+    PATHS = [("cs", "auto", Path.BAYES_CS), ("block", "auto", Path.KBAYES),
+             ("block", "full", Path.FULL), ("dense", "auto", Path.FULL)]
 
     @settings(max_examples=15, deadline=None)
     @given(st.sampled_from(PATHS), st.integers(2, 4),
            st.lists(st.integers(1, 300), min_size=1, max_size=6),
            st.integers(0, 2 ** 32 - 1))
     def test_grid_equals_per_j_values(self, path, p, js, seed):
-        kind, name = path
+        kind, name, used = path
         rng = np.random.default_rng(seed)
         vc, profile = helpers.random_vc(rng), helpers.random_profile(rng, p)
         kin = helpers.random_kinship(rng, kind, K=6)
@@ -330,14 +329,14 @@ class TestJFreeCore:
                     target=target, weighting=weighting, path=name))
                 for J, got in zip(js, problem.values(design, js), strict=True):
                     want = problem.value(Design.approximate(design.weights, J))
-                    assert got.path_used is want.path_used is Path(name)
+                    assert got.path_used is want.path_used is used
                     assert got.phi == pytest.approx(want.phi, rel=1e-12)
                     assert got.mse_trace == pytest.approx(want.mse_trace, rel=1e-12)
                     np.testing.assert_allclose(got.gradient, want.gradient, rtol=1e-12)
                     ev = problem.evaluator(J)
                     assert got.phi == pytest.approx(ev.phi(design.weights), rel=1e-12)
                     assert got.mse_trace == pytest.approx(
-                        ev.mse_trace(design.weights, target), rel=1e-12)
+                        ev.mse_trace(design.weights), rel=1e-12)
                     np.testing.assert_allclose(got.gradient, ev.gradient(design.weights),
                                                rtol=1e-12)
 
@@ -411,7 +410,7 @@ class TestOneEngine:
     @given(st.sampled_from(TestJFreeCore.PATHS), st.integers(2, 4), st.integers(1, 300),
            st.integers(0, 2 ** 32 - 1))
     def test_every_view_is_value_from_one_factorization(self, path, p, J, seed):
-        kind, name = path
+        kind, name, used = path
         rng = np.random.default_rng(seed)
         vc, profile = helpers.random_vc(rng), helpers.random_profile(rng, p)
         kin = helpers.random_kinship(rng, kind, K=6)
@@ -431,32 +430,25 @@ class TestOneEngine:
                     mp.setattr(_linalg, "spd_factor", recording)
                     value = problem.value(design)
                 assert whats == ["criterion system"]
+                assert value.path_used is used
                 ev = problem.evaluator(J)
                 assert problem.phi(design) == ev.phi(design.weights) == value.phi
-                assert (problem.mse_trace(design) == ev.mse_trace(design.weights, target)
+                assert (problem.mse_trace(design) == ev.mse_trace(design.weights)
                         == value.mse_trace)
                 np.testing.assert_array_equal(problem.gradient(design), value.gradient)
                 np.testing.assert_array_equal(ev.gradient(design.weights), value.gradient)
 
 
 class TestFunctionalFrontends:
-    def test_one_shot_paths(self):
-        rng = np.random.default_rng(10)
-        vc = helpers.random_vc(rng)
-        profile = helpers.random_profile(rng, 3)
-        kin = helpers.random_kinship(rng, "cs", K=5)
-        design = Design.exact(helpers.random_counts(rng, 3, 8))
-        assert phi_effects(design, vc, profile, kin).path_used is Path.FULL
-        assert phi_contrasts(design, vc, profile, kin).path_used is Path.FULL
-        assert phi_bayes_cs(design, vc, profile, kin).path_used is Path.BAYES_CS
-
     def test_trace_report_uses_cheapest_path(self):
         rng = np.random.default_rng(11)
         vc = helpers.random_vc(rng)
         profile = helpers.random_profile(rng, 3)
         kin = helpers.random_kinship(rng, "block", K=6)
         design = Design.exact(helpers.random_counts(rng, 3, 9))
-        fast = mse_trace_report(design, vc, profile, kin)
+        problem = DesignProblem(vc, profile, kin)
+        assert problem.path_used is Path.KBAYES
+        fast = problem.mse_trace(design)
         slow = DesignProblem(vc, profile, kin,
                              CriterionSpec(path="full")).mse_trace(design)
         assert fast == pytest.approx(slow, rel=1e-9)

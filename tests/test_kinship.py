@@ -56,6 +56,15 @@ class TestValidation:
         with pytest.raises(ValidationError, match="jitter"):
             Identity(K=3, jitter=-1e-9)
 
+    @pytest.mark.parametrize("mat, message", [
+        (np.ones((2, 3)), "matrix must be square"),
+        (np.ones((1, 1)), "matrix must be at least 2x2"),
+        ([[1.0, np.inf], [np.inf, 1.0]], "matrix must be finite"),
+    ])
+    def test_malformed_dense_is_named(self, mat, message):
+        with pytest.raises(ValidationError, match=message):
+            DenseKinship(matrix=mat)
+
     def test_asymmetric_dense_rejected(self):
         mat = np.array([[1.0, 0.5], [0.1, 1.0]])
         with pytest.raises(ValidationError, match="symmetric"):

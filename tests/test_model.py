@@ -37,6 +37,20 @@ class TestVarianceComponents:
                                sigma2_gamma=1.0,
                                sigma2_phi_plus_err_over_L=1.0, H=1)
 
+    @pytest.mark.parametrize("variant, gamma, field", [
+        ("cross_classified", 0.0, "sigma2_gamma or sigma2_phi_plus_err_over_L"),
+        ("nested", 160.0, "sigma2_phi_plus_err_over_L"),
+    ], ids=["cross_classified", "nested"])
+    def test_degenerate_error_constant_rejected(self, variant, gamma, field):
+        # a zero composite leaves no error variance unless sigma2_gamma enters
+        with pytest.raises(ValidationError, match=f"degenerate: {field} must be positive"):
+            VarianceComponents(sigma2_omega=31.0, sigma2_tau=18.0, sigma2_gamma=gamma,
+                               sigma2_phi_plus_err_over_L=0.0, H=3, model_variant=variant)
+        with pytest.raises(ValidationError, match=f"degenerate: {field} must be positive"):
+            VarianceComponents.from_separate(
+                sigma2_omega=31.0, sigma2_tau=18.0, sigma2_gamma=gamma, sigma2_phi=0.0,
+                sigma2_err=0.0, L=3, H=3, model_variant=variant)
+
     def test_bad_h_rejected(self):
         with pytest.raises(ValidationError, match="H"):
             VarianceComponents(sigma2_omega=1.0, sigma2_tau=1.0,
@@ -64,6 +78,15 @@ class TestSubRegionProfile:
     def test_maize_profile(self, profile5):
         assert profile5.P == 5
         assert profile5.ell is not None
+
+    @pytest.mark.parametrize("v, message", [
+        (np.ones((2, 3)), "V must be square"),
+        (np.ones((1, 1)), "V must be at least 2x2"),
+        ([[1.0, np.nan], [np.nan, 1.0]], "V must be finite"),
+    ])
+    def test_malformed_v_is_named(self, v, message):
+        with pytest.raises(ValidationError, match=message):
+            SubRegionProfile(V=v)
 
     def test_asymmetric_v_rejected(self):
         v = np.array([[2.0, 0.5], [0.1, 2.0]])
