@@ -15,10 +15,10 @@ certificate.  A solve ends ``converged`` (gap below the tolerance),
 ``max_iter``, or ``stalled`` (a step that neither lowered the criterion nor,
 at rounding level, halved the gap).  The exact solver rounds the
 approximate optimum, adds seeded random feasible starts, and runs steepest
-single-location transfers from all of them in lockstep: one sweep prices
-every move of every still-active start in a single batched call, each move
-by a rank-2 update of the current systems (see ``transfer_scores``).  The
-merge over starts is deterministic.
+single-location transfers from all of them in lockstep: each sweep scores
+the designs not yet scored in a single batched call, which prices every
+move of each by a rank-2 update of its systems (see ``transfer_scores``).
+The merge over starts is deterministic.
 """
 from __future__ import annotations
 
@@ -482,18 +482,23 @@ def round_to_exact(weights, constraints: ConstraintSet) -> Design:
 
 def _random_feasible(rng, constraints: ConstraintSet) -> np.ndarray:
     """A random feasible allocation: each location in turn goes to a region
-    drawn uniformly among those below their cap."""
-    lo, hi = constraints.min_per_region, constraints.max_per_region
-    counts = lo.tolist()
-    caps = hi.tolist()
-    open_regions = [i for i in range(constraints.P) if counts[i] < caps[i]]
-    for _ in range(constraints.J - int(lo.sum())):
-        j = int(rng.integers(0, len(open_regions)))
-        region = open_regions[j]
-        counts[region] += 1
-        if counts[region] == caps[region]:
-            del open_regions[j]
-    counts = np.array(counts)
+    drawn uniformly among those below their cap.
+
+    The draws come in chunks no longer than the least room of any open
+    region, so no region fills inside a chunk and one ``rng.integers`` call
+    serves a whole chunk; a batched draw yields the same stream as as many
+    scalar draws.
+    """
+    counts = np.array(constraints.min_per_region)
+    caps = constraints.max_per_region
+    left = constraints.J - int(counts.sum())
+    open_regions = np.flatnonzero(counts < caps)
+    while left:
+        chunk = min(left, int((caps - counts)[open_regions].min()))
+        draws = rng.integers(0, len(open_regions), size=chunk)
+        counts[open_regions] += np.bincount(draws, minlength=len(open_regions))
+        left -= chunk
+        open_regions = open_regions[counts[open_regions] < caps[open_regions]]
     if constraints.costs is not None:
         counts = round_to_exact(counts / constraints.J, constraints).counts
     return counts
@@ -515,59 +520,72 @@ def _feasible_moves(counts, constraints: ConstraintSet) -> np.ndarray:
 def _transfer_descent(ev, starts, constraints: ConstraintSet):
     """Steepest single-location transfers from every start to a local optimum.
 
-    All starts descend in lockstep: each sweep scores the designs of the
-    still-active starts and every move of one location from region i to
-    region k in a single ``transfer_scores`` call.  A start takes its best
-    feasible move (first strict minimum in (i, k) order, so ties go to the
-    smallest pair) and stops when no move lowers phi.  A move whose design
-    does not score a strictly lower phi at the next sweep is undone and the
-    start stops, so each descent strictly decreases one deterministic
-    function and cannot cycle.
+    A start takes its best feasible move (first strict minimum in (i, k)
+    order, so ties go to the smallest pair) and stops when no move lowers
+    phi.  A move whose design does not score a strictly lower phi than the
+    design before it is undone and the start stops, so each descent strictly
+    decreases one deterministic function and cannot cycle.
+
+    A design's phi and best move depend on its counts alone, so each design
+    is scored once, whichever start reaches it.  All starts descend in
+    lockstep sweeps: a sweep scores the designs that the starts wait on in
+    one ``transfer_scores`` call, and then each start steps by lookup until
+    it stops or reaches a design that no start has reached before.  Starts
+    that run into each other's paths then cost nothing more.
 
     Returns the final phi, counts and number of moves of each start.
     """
-    counts = np.array(starts, dtype=int)
-    n, p = counts.shape
-    phi = np.full(n, np.inf)
-    moves = np.zeros(n, dtype=int)
-    before = counts.copy()                 # each start's design before its last move
-    active = np.arange(n)
-    while len(active):
-        value, delta = ev.transfer_scores(counts[active] / constraints.J,
-                                          1.0 / constraints.J)
-        undo = ~(value < phi[active]) & (moves[active] > 0)
-        if undo.any():
-            back = active[undo]
-            counts[back] = before[back]
-            moves[back] -= 1
-            active, value, delta = active[~undo], value[~undo], delta[~undo]
-        phi[active] = value
-        scores = np.where(_feasible_moves(counts[active], constraints), delta, np.inf)
-        scores = scores.reshape(len(active), p * p)
+    p = constraints.P
+    designs = [tuple(row) for row in np.asarray(starts, dtype=int).tolist()]
+    phi, moves, before = [np.inf] * len(designs), [0] * len(designs), list(designs)
+    scored = {}                            # counts -> (phi, best move i*P + k or -1)
+    waiting = range(len(designs))
+    while waiting:
+        new = list(dict.fromkeys(designs[s] for s in waiting))
+        counts = np.array(new)
+        value, delta = ev.transfer_scores(counts / constraints.J, 1.0 / constraints.J)
+        scores = np.where(_feasible_moves(counts, constraints), delta, np.inf)
+        scores = scores.reshape(len(new), p * p)
         best = np.argmin(scores, axis=1)
-        keep = scores[np.arange(len(active)), best] < 0.0
-        active, best = active[keep], best[keep]
-        before[active] = counts[active]
-        src, dst = np.divmod(best, p)
-        counts[active, src] -= 1
-        counts[active, dst] += 1
-        moves[active] += 1
-    return phi, counts, moves
+        best[~(scores[np.arange(len(new)), best] < 0.0)] = -1
+        scored.update(zip(new, zip(value.tolist(), best.tolist())))
+        still = []
+        for s in waiting:
+            while designs[s] in scored:
+                value, move = scored[designs[s]]
+                if moves[s] and not value < phi[s]:
+                    designs[s] = before[s]
+                    moves[s] -= 1
+                    break
+                phi[s] = value
+                if move < 0:
+                    break
+                src, dst = divmod(move, p)
+                moved = list(designs[s])
+                moved[src] -= 1
+                moved[dst] += 1
+                before[s], designs[s] = designs[s], tuple(moved)
+                moves[s] += 1
+            else:
+                still.append(s)
+        waiting = still
+    return np.array(phi), np.array(designs), np.array(moves)
 
 
 def solve_exact(problem: DesignProblem, constraints: ConstraintSet,
                 seed: int = 0, restarts: int = 20, tol: float = 1e-9,
                 max_iter: int = 5000) -> OptimizerReport:
-    """Optimal or highly efficient exact design under the constraints.
+    """The best local optimum of multi-start transfer descent under the
+    constraints.
 
     Warm-starts from the rounded approximate optimum and from ``restarts``
     seeded random feasible allocations, improves each distinct one by
     steepest transfer descent, and keeps the best result (criterion value,
     then lexicographically smallest counts; ``best_start`` says which start
     reached it first).  ``tol`` and ``max_iter`` go to the approximate warm
-    start.  The reported gap compares against
-    the continuous relaxation bound, so 0 certifies global optimality of the
-    relaxation value itself, not merely local optimality.
+    start.  The reported gap is measured against the continuous relaxation
+    bound, so it certifies nothing about the integer optimum, and more
+    restarts do not guarantee reaching it.
     """
     restarts = count(restarts, "restarts")
     seed = 0 if seed is None else count(seed, "seed")
