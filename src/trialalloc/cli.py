@@ -196,10 +196,21 @@ def _build_kinship(config: dict, jitter_override=None):
     return _resolve_jitter(spec, jitter_override)
 
 
-def _build_criterion(config: dict) -> CriterionSpec:
-    block = config.get("criterion", {})
+def _settings_block(config: dict, name: str, keys: tuple) -> dict:
+    """The ``name`` block of ``config`` (empty when absent), holding only
+    ``keys``."""
+    block = config.get(name, {})
     if not isinstance(block, dict):
-        raise ValidationError("'criterion' must be an object")
+        raise ValidationError(f"'{name}' must be an object")
+    for key in block:
+        if key not in keys:
+            raise ValidationError(f"{name}.{key} is not a setting; "
+                                  f"expected one of {', '.join(keys)}")
+    return block
+
+
+def _build_criterion(config: dict) -> CriterionSpec:
+    block = _settings_block(config, "criterion", ("target", "weighting", "path"))
     try:
         return CriterionSpec(target=block.get("target", "effects"),
                              weighting=block.get("weighting", "standard"),
@@ -220,9 +231,8 @@ def _j_grid(config: dict) -> list:
 
 
 def _build_constraints(config: dict, J: int, P: int) -> ConstraintSet:
-    block = config.get("constraints", {})
-    if not isinstance(block, dict):
-        raise ValidationError("'constraints' must be an object")
+    block = _settings_block(config, "constraints",
+                            ("min_per_region", "max_per_region", "costs", "budget"))
     return ConstraintSet(J=J, P=P,
                          min_per_region=block.get("min_per_region", 1),
                          max_per_region=block.get("max_per_region"),
@@ -385,9 +395,8 @@ def _expand_batch(config: dict) -> list:
 
 
 def _solver_settings(config: dict, args) -> dict:
-    block = config.get("solver", {})
-    if not isinstance(block, dict):
-        raise ValidationError("'solver' must be an object")
+    block = _settings_block(config, "solver",
+                            ("mode", "tol", "max_iter", "restarts", "seed"))
 
     def setting(name, default, check):
         flag = getattr(args, name, None)

@@ -34,8 +34,7 @@ diag(w) + C_g, one batched factorization costing O(G·P³), and a whole J
 grid is one batched factorization of the (n_J, G, P, P) stack.  The value,
 gradient and MSE trace follow from L^-1 times the roots, and the solvers'
 primitives read the same factor: ``newton_terms`` gives the criterion with
-its gradient and Hessian, ``line`` turns the criterion along a segment into
-a rational function of the step, and ``transfer_scores`` prices every
+its gradient and Hessian, and ``transfer_scores`` prices every
 single-location transfer of a stack of designs, each move being a rank-2
 update of the group systems that Woodbury's identity resolves as a 2×2
 system.
@@ -266,38 +265,25 @@ class _TraceEvaluator:
     def mse_trace(self, w) -> float:
         return float(self.over_sizes(w, [1])[1][0])
 
-    def line(self, l_inv, d):
-        """(h, λ) with phi(x + t·d) = Σ h_i / (1 + t λ_i) while x + t·d >= 0.
-
-        ``l_inv`` is L^-1 per group for A(x) = LLᵀ, as :meth:`newton_terms`
-        returns it at x.  With L^-1 diag(d) L^-ᵀ = QΛQᵀ, h is the diagonal of
-        Qᵀ L^-1 H L^-ᵀ Q.  Every h_i >= 0.
-        """
-        l_inv_t = np.swapaxes(l_inv, 1, 2)
-        lam, q = np.linalg.eigh((l_inv * np.asarray(d, dtype=float)) @ l_inv_t)
-        y = np.swapaxes(q, 1, 2) @ (l_inv @ self.root)
-        return np.einsum("gij,gij->gi", y, y).ravel(), lam.ravel()
-
     def _inverse_terms(self, w):
-        """phi, M = A^-1, N = A^-1 H A^-1 and L^-1 per group, for one design
-        (P,) or a stack (n, P)."""
+        """phi, M = A^-1 and N = A^-1 H A^-1 per group, for one design (P,)
+        or a stack (n, P)."""
         l_inv = self._inverse_factor(w)
         l_inv_t = np.swapaxes(l_inv, -1, -2)
         y = l_inv @ self.root
         x = l_inv_t @ y                                       # A^-1 R
         return (np.einsum("...gij,...gij->...", y, y), l_inv_t @ l_inv,
-                x @ np.swapaxes(x, -1, -2), l_inv)
+                x @ np.swapaxes(x, -1, -2))
 
     def newton_terms(self, w):
-        """phi, gradient, Hessian and the factor L^-1 at one design.
+        """phi, gradient and Hessian at one design.
 
         The gradient is -diag Σ_g N_g and the Hessian 2 Σ_g M_g ∘ N_g, with
-        M = A^-1 and N = A^-1 H A^-1; :meth:`line` takes the L^-1 at the
-        same design.
+        M = A^-1 and N = A^-1 H A^-1.
         """
-        phi, m, nn, l_inv = self._inverse_terms(w)
+        phi, m, nn = self._inverse_terms(w)
         return (float(phi), -np.einsum("gii->i", nn),
-                2.0 * np.einsum("gij,gij->ij", m, nn), l_inv)
+                2.0 * np.einsum("gij,gij->ij", m, nn))
 
     def transfer_scores(self, weights, step: float):
         """phi of each row of an (n, P) stack, and the exact change of phi
@@ -316,7 +302,7 @@ class _TraceEvaluator:
         phi, delta = np.empty(n), np.empty((n, p, p))
         inv_step = 1.0 / step
         for rows in self._batches(n):
-            phi[rows], m, nn, _ = self._inverse_terms(weights[rows])
+            phi[rows], m, nn = self._inverse_terms(weights[rows])
             m_d = np.diagonal(m, axis1=-2, axis2=-1)
             n_d = np.diagonal(nn, axis1=-2, axis2=-1)
             s_ii = m_d[..., :, None] - inv_step

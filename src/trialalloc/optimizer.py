@@ -7,13 +7,13 @@ polytope
 
 Each iteration takes the criterion with its gradient and Hessian
 (``newton_terms`` in :mod:`trialalloc.criteria`), minimizes the quadratic
-model over the polytope exactly by a primal active-set method, and steps
-along that direction by an exact line search: along a segment the criterion
-is a convex rational function of the step (``line``).  The polytope's best
-vertex for the linearized criterion serves only as the optimality-gap
-certificate.  A solve ends ``converged`` (gap below the tolerance),
-``max_iter``, or ``stalled`` (a step that neither lowered the criterion nor,
-at rounding level, halved the gap).  The exact solver rounds the
+model over the polytope exactly by a primal active-set method, and takes
+the full step to that minimizer, halved for as long as the criterion rises
+beyond rounding there.  The polytope's best vertex for the linearized
+criterion serves only as the optimality-gap certificate.  A solve ends
+``converged`` (gap below the tolerance), ``max_iter`` (the evaluation
+budget spent), or ``stalled`` (a step that, at rounding level, neither
+lowered the criterion nor halved the gap).  The exact solver rounds the
 approximate optimum, adds seeded random feasible starts, and runs steepest
 single-location transfers from all of them in lockstep: each sweep scores
 the designs not yet scored in a single batched call, which prices every
@@ -166,9 +166,10 @@ class OptimizerReport:
     """Result of a solve.
 
     ``status`` says why the approximate solver stopped: ``converged`` (the
-    gap fell below the tolerance), ``max_iter``, or ``stalled`` (a Newton
-    step neither lowered the criterion nor, at rounding level, halved the
-    gap).  An exact solve carries the
+    gap fell below the tolerance), ``max_iter`` (``iterations`` counts its
+    criterion evaluations, one per Newton step or step halving), or
+    ``stalled`` (a Newton step that, at rounding level, neither lowered the
+    criterion nor halved the gap).  An exact solve carries the
     status of its approximate warm start, the number of distinct starts it
     descended from (``starts_descended``) and which start won
     (``best_start``: 0 is the rounded approximate optimum, 1 to
@@ -241,39 +242,6 @@ def _linear_minimum(g, lo, hi, costs, budget_w):
     spend_over, spend_under = costs @ at(over), costs @ at(under)
     theta = min((spend_over - budget_w) / (spend_over - spend_under), 1.0)
     return at(over) + theta * (at(under) - at(over))
-
-
-def _rational_argmin(h, lam, t_max: float) -> float:
-    """Minimizer over [0, t_max] of φ(t) = Σ h_i / (1 + t λ_i).
-
-    Needs h >= 0 and 1 + t λ > 0 on [0, t_max], where φ is convex, so φ' is
-    increasing: safeguarded Newton on φ' inside a sign bracket.
-    """
-    def slope(t):
-        q = 1.0 / (1.0 + t * lam)
-        hlq2 = h * lam * q * q
-        return -hlq2.sum(), 2.0 * (hlq2 * lam * q).sum()
-
-    if slope(0.0)[0] >= 0.0:
-        return 0.0
-    if slope(t_max)[0] <= 0.0:
-        return t_max
-    lo, hi, t = 0.0, t_max, 0.0
-    for _ in range(100):
-        d1, d2 = slope(t)
-        if d1 == 0.0:
-            return t
-        if d1 < 0.0:
-            lo = t
-        else:
-            hi = t
-        step = t - d1 / d2 if d2 > 0.0 else t
-        if not lo < step < hi:  # Newton left the bracket: bisect
-            step = 0.5 * (lo + hi)
-        if abs(step - t) <= 1e-15 * t_max:
-            return step
-        t = step
-    return t
 
 
 def _box_qp(g, q, lower, upper, costs=None, slack=None):
@@ -378,15 +346,17 @@ def solve_approximate(problem: DesignProblem, constraints: ConstraintSet,
                       tol: float = 1e-9, max_iter: int = 5000) -> OptimizerReport:
     """Optimal approximate design over the constraint polytope.
 
-    Projected Newton: each iteration evaluates the criterion, its gradient
-    and Hessian at the current weights, solves the quadratic model over the
-    polytope exactly (:func:`_box_qp`) and takes the exact line-search step
-    along that direction.  Stops ``converged`` when the linearization gap
-    g'(w - s) to the best vertex s drops below ``tol`` relative to the
-    criterion value; the report carries the absolute gap, a valid bound on
-    the distance to the true optimum.  A step that is not kept
-    (:func:`_step_kept`) ends the solve ``stalled`` at the last kept point.
-    Deterministic — no randomness is involved.
+    Projected Newton: the quadratic model at the current weights is
+    minimized over the polytope exactly (:func:`_box_qp`) and the full step
+    to its minimizer taken.  Each iteration is one evaluation of the
+    criterion, its gradient and Hessian at the new point, which the next
+    step reuses.  Stops ``converged`` at the first point whose
+    linearization gap g'(w - s) to the best vertex s is below ``tol``
+    relative to the criterion value; the report carries the absolute gap, a
+    valid bound on the distance to the true optimum.  Any other step that is
+    not kept (:func:`_step_kept`) is halved when the criterion rose beyond
+    rounding, and otherwise ends the solve ``stalled`` at the last kept
+    point.  Deterministic — no randomness is involved.
     """
     tol = positive(tol, "tol")
     max_iter = count(max_iter, "max_iter", 1)
@@ -402,24 +372,26 @@ def solve_approximate(problem: DesignProblem, constraints: ConstraintSet,
     y = _centre(lo, hi, costs, budget_w)
     status = "max_iter"
     for it in range(1, max_iter + 1):
-        phi_y, g, hess, l_inv_y = ev.newton_terms(y)
-        gap_y = float(g @ (y - _linear_minimum(g, lo, hi, costs, budget_w)))
-        if it > 1 and not _step_kept(phi_y, gap_y, phi_x, gap):
-            status = "stalled"
-            break
-        x, phi_x, gap, l_inv = y, phi_y, gap_y, l_inv_y
-        if gap <= tol * max(1.0, abs(phi_x)):
+        phi_y, g_y, hess_y = ev.newton_terms(y)
+        gap_y = float(g_y @ (y - _linear_minimum(g_y, lo, hi, costs, budget_w)))
+        done = gap_y <= tol * max(1.0, abs(phi_y))
+        if it > 1 and not (done or _step_kept(phi_y, gap_y, phi_x, gap)):
+            if phi_y <= phi_x + _PHI_ULPS * np.spacing(abs(phi_x)):
+                status = "stalled"
+                break
+            t *= 0.5                        # the step overshot: halve it
+            y = x + t * d
+            continue
+        x, phi_x, g, hess, gap = y, phi_y, g_y, hess_y, gap_y
+        if done:
             status = "converged"
             break
         if it == max_iter:
             break
         slack = None if costs is None else budget_w - costs @ x
         d = _box_qp(g, hess, lo - x, hi - x, costs, slack)
-        h, lam = ev.line(l_inv, d)
-        t = _rational_argmin(h, lam, 1.0)
-        if np.sum(h / (1.0 + lam)) < np.sum(h / (1.0 + t * lam)):
-            t = 1.0
-        y = x + t * d
+        t = 1.0
+        y = x + d
 
     design = Design.approximate(x, constraints.J)
     value = problem.value(design)
@@ -439,12 +411,14 @@ def round_to_exact(weights, constraints: ConstraintSet) -> Design:
     """Apportion approximate weights to a feasible integer design.
 
     Largest-deficit apportionment within the bounds, followed by
-    cheapest-direction transfers until the budget holds.  The result sums to
-    J exactly and satisfies every constraint.
+    cheapest-direction transfers until the budget holds.  The weights must
+    pass :class:`Design`'s checks (finite, non-negative, summing to 1).  The
+    result sums to J exactly and satisfies every constraint.
     """
     w = np.asarray(weights, dtype=float)
     if w.shape != (constraints.P,):
         raise ValidationError(f"expected {constraints.P} weights, got shape {w.shape}")
+    w = Design.approximate(w, constraints.J).weights
     j = constraints.J
     lo, hi = constraints.min_per_region, constraints.max_per_region
     target = w * j

@@ -247,6 +247,19 @@ class TestDesign:
         assert code == 2 and payload is None
         assert field in err
 
+    @pytest.mark.parametrize("block, value, field", [
+        ("constraints", {"min_per_zone": 3}, "constraints.min_per_zone"),
+        ("solver", {"tolerance": 0.5}, "solver.tolerance"),
+        ("criterion", {"targett": "contrasts"}, "criterion.targett"),
+    ])
+    def test_unknown_settings_exit_2(self, tmp_path, capsys, network_config, block, value,
+                                     field):
+        network_config[block] = value
+        code, payload, err = run_cli(
+            capsys, "design", "--config", write_config(tmp_path, network_config))
+        assert code == 2 and payload is None
+        assert field in err
+
     @pytest.mark.parametrize("path", ["bayes_cs", "kbayes", "cbrc"])
     def test_closed_form_paths_are_not_settable(self, tmp_path, capsys, network_config,
                                                 path):

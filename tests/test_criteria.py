@@ -161,12 +161,7 @@ class TestSegmentConvexity:
         x, s = rng.dirichlet(np.ones(p), size=2)
         x[rng.integers(p)] = 0.0                 # one end may leave a region empty
         x /= x.sum()
-        h, lam = ev.line(ev.newton_terms(x)[3], s - x)
-        grid = np.linspace(0.0, 1.0, 11)
-        assert np.all(h >= 0) and np.all(1.0 + lam > 0)
-        direct = np.array([ev.phi(x + t * (s - x)) for t in grid])
-        np.testing.assert_allclose((h / (1.0 + grid[:, None] * lam)).sum(axis=1), direct,
-                                   rtol=1e-10)
+        direct = np.array([ev.phi(x + t * (s - x)) for t in np.linspace(0.0, 1.0, 11)])
         curvature = direct[:-2] - 2.0 * direct[1:-1] + direct[2:]
         assert np.all(curvature >= -1e-12 * direct.max())
 
@@ -222,27 +217,17 @@ class TestFullMatrices:
 
 
 class TestBulkPrimitives:
-    """``newton_terms``, ``line`` and ``transfer_scores`` against the scalar
-    ``phi`` and ``gradient`` on every path."""
+    """``newton_terms`` and ``transfer_scores`` against the scalar ``phi``
+    and ``gradient`` on every path."""
 
     CASES = [("cs", {}, Path.BAYES_CS), ("block", {}, Path.KBAYES),
              ("dense", {"weighting": "weighted"}, Path.FULL)]
 
     @pytest.mark.parametrize("kind, crit, path", CASES, ids=[c[2].value for c in CASES])
-    def test_line_and_transfer_scores_match_phi(self, kind, crit, path):
+    def test_transfer_scores_match_phi(self, kind, crit, path):
         rng = np.random.default_rng(21)
         ev = _problem(rng, kind, **crit).evaluator(12)
         assert ev.path is path
-        x = np.array([0.0, 0.45, 0.55])          # one empty sub-region
-        s = np.array([0.8, 0.1, 0.1])
-        *_, l_inv = ev.newton_terms(x)
-        for d, gamma_max in ((s - x, 1.0), (np.array([0.0, 0.45, -0.45]), 1.0)):
-            h, lam = ev.line(l_inv, d)
-            assert np.all(h >= 0)
-            for t in (0.0, 0.5 * gamma_max, gamma_max):
-                want = ev.phi(x + t * d)
-                assert np.sum(h / (1.0 + t * lam)) == pytest.approx(want, rel=1e-10)
-
         counts = np.vstack([[0, 5, 7], [10, 1, 1], rng.multinomial(12, np.ones(3) / 3, 4)])
         phi, delta = ev.transfer_scores(counts / 12, 1 / 12)
         np.testing.assert_allclose(phi, [ev.phi(c / 12) for c in counts], rtol=1e-12)
@@ -269,7 +254,7 @@ class TestBulkPrimitives:
         assert ev.path is path
         step = 1e-6
         for x in (np.array([0.0, 0.45, 0.55]), np.array([0.2, 0.3, 0.5])):
-            phi, grad, hess, _ = ev.newton_terms(x)
+            phi, grad, hess = ev.newton_terms(x)
             assert phi == pytest.approx(ev.phi(x), rel=1e-12)
             np.testing.assert_allclose(grad, ev.gradient(x), rtol=1e-12)
             np.testing.assert_allclose(hess, hess.T, rtol=0, atol=1e-14 * np.abs(hess).max())
