@@ -12,13 +12,13 @@ optionally weighted by sub-regional importance.
 The pieces:
 
 - :mod:`trialalloc.model` — variance components, sub-region structure,
-  designs and the scaled covariance matrices entering every criterion;
+  designs, the effective error constant and the scaled year covariance;
 - :mod:`trialalloc.kinship` — identity, exchangeable, family-block and
   dense genotype relationship structures, with the average-semivariance
   calibration;
-- :mod:`trialalloc.criteria` — the design criteria and their gradients,
-  one :class:`DesignProblem` per criterion, with closed forms for
-  structured kinship;
+- :mod:`trialalloc.criteria` — the design criteria, their gradients and the
+  MSE trace, one :class:`DesignProblem` per criterion, evaluated per
+  eigen-group of the centred kinship, in closed form for structured kinship;
 - :mod:`trialalloc.optimizer` — approximate (weight) optimization over a
   constraint polytope, rounding, exact (integer) search, and design
   efficiency comparison;
@@ -29,17 +29,15 @@ The pieces:
 from __future__ import annotations
 
 from .criteria import (CriterionSpec, CriterionValue, DesignProblem, Path,
-                       Target, Weighting, mse_contrasts_full,
-                       mse_effects_full)
+                       Target, Weighting)
 from .errors import InfeasibleError, NumericalError, ValidationError
 from .kinship import (BlockCompoundSymmetry, CompoundSymmetry, DenseKinship,
                       Identity, KinshipSpec, PdDiagnostic, asv,
                       load_kinship_csv, materialize,
                       sigma2_alpha_for_unit_asv, validate_pd)
-from .model import (DENSE_KP_LIMIT, Design, ModelVariant, ScaledGenetic,
-                    SubRegionProfile, VarianceComponents, centering_matrix,
-                    effective_error_constant, moment_matrix,
-                    scaled_genetic_covariances, scaled_year_matrix)
+from .model import (Design, ModelVariant, SubRegionProfile,
+                    VarianceComponents, effective_error_constant,
+                    scaled_year_matrix)
 from .optimizer import (ConstraintSet, OptimizerReport, efficiency,
                         round_to_exact, solve_approximate, solve_exact)
 
@@ -51,16 +49,14 @@ __all__ = [
     "ValidationError", "InfeasibleError", "NumericalError",
     # model
     "ModelVariant", "VarianceComponents", "SubRegionProfile", "Design",
-    "ScaledGenetic", "DENSE_KP_LIMIT", "effective_error_constant",
-    "moment_matrix", "centering_matrix", "scaled_year_matrix",
-    "scaled_genetic_covariances",
+    "effective_error_constant", "scaled_year_matrix",
     # kinship
     "Identity", "CompoundSymmetry", "BlockCompoundSymmetry", "DenseKinship",
     "KinshipSpec", "PdDiagnostic", "materialize", "asv",
     "sigma2_alpha_for_unit_asv", "validate_pd", "load_kinship_csv",
     # criteria
     "Target", "Weighting", "Path", "CriterionSpec", "CriterionValue",
-    "DesignProblem", "mse_effects_full", "mse_contrasts_full",
+    "DesignProblem",
     # optimizer
     "ConstraintSet", "OptimizerReport", "solve_approximate", "solve_exact",
     "round_to_exact", "efficiency",

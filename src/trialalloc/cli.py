@@ -42,6 +42,12 @@ from .optimizer import ConstraintSet, solve_approximate, solve_exact
 __all__ = ["main"]
 
 _AUTO_JITTER_REL = 1e-8
+# the keys a config may carry at its top level, and in each settings block
+_CONFIG_KEYS = ("variance", "model_variant", "subregions", "kinship", "criterion", "J",
+                "design", "designs", "constraints", "solver", "batch", "description")
+_SETTINGS = {"criterion": ("target", "weighting", "path"),
+             "constraints": ("min_per_region", "max_per_region", "costs", "budget"),
+             "solver": ("mode", "tol", "max_iter", "restarts", "seed")}
 
 
 # ---------------------------------------------------------------------------
@@ -70,8 +76,26 @@ def load_config(path_or_name: str) -> dict:
         raise ValidationError(f"config {path_or_name}: invalid JSON ({exc})") from exc
     if not isinstance(config, dict):
         raise ValidationError(f"config {path_or_name}: top level must be an object")
+    for _, merged in _expand_batch(config):
+        _check_keys(merged)
     config["_base_dir"] = str(base) if base is not None else None
     return config
+
+
+def _check_keys(config: dict) -> None:
+    """Reject a key outside :data:`_CONFIG_KEYS` or a settings block's keys."""
+    for key in config:
+        if key not in _CONFIG_KEYS:
+            raise ValidationError(f"{key!r} is not a config key; "
+                                  f"expected one of {', '.join(_CONFIG_KEYS)}")
+    for name, keys in _SETTINGS.items():
+        block = config.get(name, {})
+        if not isinstance(block, dict):
+            raise ValidationError(f"'{name}' must be an object")
+        for key in block:
+            if key not in keys:
+                raise ValidationError(f"{name}.{key} is not a setting; "
+                                      f"expected one of {', '.join(keys)}")
 
 
 def _deep_merge(base: dict, override: dict) -> dict:
@@ -196,21 +220,8 @@ def _build_kinship(config: dict, jitter_override=None):
     return _resolve_jitter(spec, jitter_override)
 
 
-def _settings_block(config: dict, name: str, keys: tuple) -> dict:
-    """The ``name`` block of ``config`` (empty when absent), holding only
-    ``keys``."""
-    block = config.get(name, {})
-    if not isinstance(block, dict):
-        raise ValidationError(f"'{name}' must be an object")
-    for key in block:
-        if key not in keys:
-            raise ValidationError(f"{name}.{key} is not a setting; "
-                                  f"expected one of {', '.join(keys)}")
-    return block
-
-
 def _build_criterion(config: dict) -> CriterionSpec:
-    block = _settings_block(config, "criterion", ("target", "weighting", "path"))
+    block = config.get("criterion", {})
     try:
         return CriterionSpec(target=block.get("target", "effects"),
                              weighting=block.get("weighting", "standard"),
@@ -231,8 +242,7 @@ def _j_grid(config: dict) -> list:
 
 
 def _build_constraints(config: dict, J: int, P: int) -> ConstraintSet:
-    block = _settings_block(config, "constraints",
-                            ("min_per_region", "max_per_region", "costs", "budget"))
+    block = config.get("constraints", {})
     return ConstraintSet(J=J, P=P,
                          min_per_region=block.get("min_per_region", 1),
                          max_per_region=block.get("max_per_region"),
@@ -383,8 +393,9 @@ def _expand_batch(config: dict) -> list:
     batch = config.get("batch")
     if batch is None:
         return [(None, config)]
-    if not isinstance(batch, list) or not all(isinstance(e, dict) for e in batch):
-        raise ValidationError("'batch' must be a list of override objects")
+    if (not isinstance(batch, list) or not batch
+            or not all(isinstance(e, dict) for e in batch)):
+        raise ValidationError("'batch' must be a non-empty list of override objects")
     expanded = []
     base = {k: v for k, v in config.items() if k != "batch"}
     for entry in batch:
@@ -395,8 +406,7 @@ def _expand_batch(config: dict) -> list:
 
 
 def _solver_settings(config: dict, args) -> dict:
-    block = _settings_block(config, "solver",
-                            ("mode", "tol", "max_iter", "restarts", "seed"))
+    block = config.get("solver", {})
 
     def setting(name, default, check):
         flag = getattr(args, name, None)

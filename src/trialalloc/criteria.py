@@ -44,7 +44,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
-from itertools import combinations
 
 import numpy as np
 
@@ -52,11 +51,9 @@ from ._checks import choice
 from ._linalg import inverse_factor, spd_inverse, sym
 from .errors import ValidationError
 from .kinship import (BlockCompoundSymmetry, CompoundSymmetry, Identity,
-                      KinshipSpec)
-from .model import (DENSE_KP_LIMIT, Design, SubRegionProfile,
-                    VarianceComponents, effective_error_constant,
-                    centering_matrix, scaled_genetic_covariances,
-                    scaled_year_matrix)
+                      KinshipSpec, materialize, validate_pd)
+from .model import (Design, SubRegionProfile, VarianceComponents,
+                    effective_error_constant, scaled_year_matrix)
 
 __all__ = [
     "Target",
@@ -65,11 +62,8 @@ __all__ = [
     "CriterionSpec",
     "CriterionValue",
     "DesignProblem",
-    "mse_effects_full",
-    "mse_contrasts_full",
 ]
 
-_CONTRAST_K_LIMIT = 12
 # matrix entries per batched factorization of the criterion systems (2 MB of float64)
 _BATCH_ENTRIES = 1 << 18
 
@@ -133,14 +127,6 @@ class CriterionValue:
     gradient: np.ndarray
 
 
-def _pairwise_contrasts(k: int) -> np.ndarray:
-    """All K(K-1)/2 pairwise difference rows, (1,2), (1,3), ..., (K-1,K)."""
-    rows = np.zeros((k * (k - 1) // 2, k))
-    for idx, (i, j) in enumerate(combinations(range(k), 2)):
-        rows[idx, i], rows[idx, j] = 1.0, -1.0
-    return rows
-
-
 @dataclass(frozen=True, eq=False)
 class _Spectrum:
     """The centred kinship TNT in eigen-groups, as far as one target sees it.
@@ -182,14 +168,20 @@ def _closed_form_spectrum(spec: KinshipSpec, target: Target):
 
 
 def _eigen_spectrum(n: np.ndarray, target: Target) -> _Spectrum:
-    """Spectrum of TNT for any kinship N: one group per eigenvalue."""
-    t = centering_matrix(len(n))
-    tnt = sym(t @ n @ t)
+    """Spectrum of TNT for any kinship N: one group per eigenvalue, from one
+    ``eigh`` and no K×K product.
+
+    With n̄ the column means of N, TNT = N − n̄1ᵀ − 1n̄ᵀ + mean(N)·11ᵀ.  Each
+    eigenvector q has N T q = λq + 1·(n̄ᵀTq), and q ⊥ 1 when λ ≠ 0, so its
+    effect weight qᵀTN²Tq is λ² + K·(n̄ᵀTq)².
+    """
+    means = n.mean(axis=0)
+    tnt = sym(n - means[:, None] - means[None, :] + means.mean())
     lam, q = np.linalg.eigh(tnt)
     if target is Target.CONTRASTS:
         return _Spectrum(lam, lam ** 2, float(np.trace(tnt)))
-    ntq = n @ (q - q.mean(axis=0))      # N T Q, so diag(QᵀTN²TQ) is its column norms
-    return _Spectrum(lam, np.einsum("ij,ij->j", ntq, ntq), float(np.trace(n)))
+    shift = means @ (q - q.mean(axis=0))                # n̄ᵀTq per eigenvector
+    return _Spectrum(lam, lam ** 2 + len(n) * shift ** 2, float(np.trace(n)))
 
 
 class _TraceEvaluator:
@@ -354,10 +346,15 @@ class DesignProblem:
     @cached_property
     def _spectrum(self) -> _Spectrum:
         """The full path's spectrum; a closed form is set at construction."""
-        # N itself does not depend on J; this validates it positive definite
-        return _eigen_spectrum(scaled_genetic_covariances(self.vc, 1, self.profile,
-                                                          self.kinship).N,
-                               self.criterion.target)
+        n = materialize(self.kinship)
+        diag = validate_pd(n)
+        if not diag.is_pd:
+            raise ValidationError(
+                "kinship matrix is not positive definite "
+                f"(min eigenvalue {diag.min_eigenvalue:.3e}); "
+                f"a diagonal jitter of about {diag.suggested_jitter:.3e} would fix it"
+            )
+        return _eigen_spectrum(n, self.criterion.target)
 
     @cached_property
     def _core(self) -> _TraceEvaluator:
@@ -410,53 +407,3 @@ class DesignProblem:
 
     def value(self, design: Design) -> CriterionValue:
         return self.values(design)[0]
-
-
-# ---------------------------------------------------------------------------
-# Functional interface
-
-
-def mse_effects_full(design: Design, vc: VarianceComponents,
-                     profile: SubRegionProfile, kinship: KinshipSpec) -> np.ndarray:
-    """Full KP×KP prediction-error covariance of the genotype-effect BLUPs.
-
-    Requires strictly positive allocation everywhere — the matrix itself (as
-    opposed to the criteria) is not defined for empty sub-regions.  For an
-    exact design this is the per-observation error covariance; trace slices
-    of it are what :meth:`DesignProblem.mse_trace` reports.
-    """
-    if np.any(design.weights <= 0):
-        raise ValidationError(
-            "the full MSE matrix needs positive weight in every sub-region; "
-            "empty sub-regions are only supported by the criterion paths"
-        )
-    sg = scaled_genetic_covariances(vc, design.J, profile, kinship)
-    if sg.K * profile.P > DENSE_KP_LIMIT:
-        raise ValidationError(
-            f"dense prediction-error covariance is guarded to K*P <= "
-            f"{DENSE_KP_LIMIT} (got {sg.K * profile.P}); use the trace criteria"
-        )
-    c = effective_error_constant(vc)
-    rt = scaled_year_matrix(vc, design.J, profile.P)
-    inner = spd_inverse(np.diag(1.0 / design.weights) + rt, "per-region information")
-    u_inv = np.kron(spd_inverse(sg.N, "kinship"), spd_inverse(sg.Vt, "genetic covariance"))
-    t = centering_matrix(sg.K)
-    mse = spd_inverse(np.kron(t, inner) + u_inv, "prediction-error system")
-    return (c / design.J) * mse
-
-
-def mse_contrasts_full(design: Design, vc: VarianceComponents,
-                       profile: SubRegionProfile, kinship: KinshipSpec) -> np.ndarray:
-    """Prediction-error covariance of all pairwise genotype contrasts.
-
-    The row count grows quadratically in K, so this is guarded to K <= 12;
-    use the trace criteria for anything larger.
-    """
-    sg = scaled_genetic_covariances(vc, design.J, profile, kinship)
-    if sg.K > _CONTRAST_K_LIMIT:
-        raise ValidationError(
-            f"pairwise-contrast covariance is guarded to K <= {_CONTRAST_K_LIMIT} "
-            f"(got K={sg.K}); use the contrast trace criteria instead"
-        )
-    lift = np.kron(_pairwise_contrasts(sg.K), np.eye(profile.P))
-    return lift @ mse_effects_full(design, vc, profile, kinship) @ lift.T

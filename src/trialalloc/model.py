@@ -1,10 +1,11 @@
 """Mixed-model building blocks for trial allocation.
 
 The yield of a genotype in a location is modeled with random genotype,
-year, location and interaction effects; everything a design criterion needs
-from that model condenses into a handful of small matrices built here: the
-moment matrix of a design, the centering operator, the scaled year-to-year
-covariance R̃ and the scaled genetic covariances (Ũ, Ṽ).
+year, location and interaction effects.  Everything a design criterion
+needs from that model, apart from the kinship (:mod:`trialalloc.kinship`),
+is built here: the variance components, the sub-region covariance V, the
+designs, the effective error constant c and the scaled year-to-year
+covariance R̃.
 """
 from __future__ import annotations
 
@@ -13,7 +14,6 @@ from enum import Enum
 
 import numpy as np
 
-from . import kinship as _kinship
 from ._checks import choice, finite, integers, number, symmetric_matrix
 from ._linalg import frozen_array
 from .errors import ValidationError
@@ -23,17 +23,9 @@ __all__ = [
     "VarianceComponents",
     "SubRegionProfile",
     "Design",
-    "ScaledGenetic",
-    "DENSE_KP_LIMIT",
     "effective_error_constant",
-    "moment_matrix",
-    "centering_matrix",
     "scaled_year_matrix",
-    "scaled_genetic_covariances",
 ]
-
-# Largest K*P for which dense KP×KP work is permitted.
-DENSE_KP_LIMIT = 10_000
 
 
 class ModelVariant(str, Enum):
@@ -197,7 +189,7 @@ class Design:
 
     Exact designs carry integer location counts per sub-region; approximate
     designs carry weights on the simplex.  Both carry the total number of
-    trials J, which sets the scale of R̃ and Ũ and therefore matters even
+    trials J, which sets the scale of R̃ and Ṽ and therefore matters even
     for approximate designs.
     """
 
@@ -254,18 +246,6 @@ class Design:
         return self.weights.size
 
 
-def moment_matrix(d: Design) -> np.ndarray:
-    """Diagonal moment matrix M(ξ) = diag(w₁, …, w_P) of a design."""
-    return np.diag(d.weights)
-
-
-def centering_matrix(K: int) -> np.ndarray:
-    """The K×K centering projector T = I − 11ᵀ/K (symmetric, idempotent)."""
-    if K < 2:
-        raise ValidationError(f"centering needs K >= 2, got {K}")
-    return np.eye(K) - np.full((K, K), 1.0 / K)
-
-
 def scaled_year_matrix(vc: VarianceComponents, J: int, P: int) -> np.ndarray:
     """Scaled year-to-year covariance contribution R̃.
 
@@ -280,55 +260,3 @@ def scaled_year_matrix(vc: VarianceComponents, J: int, P: int) -> np.ndarray:
     c = effective_error_constant(vc)
     factor = J / (c * vc.H)
     return factor * (vc.sigma2_tau * np.eye(P) + vc.sigma2_omega * np.ones((P, P)))
-
-
-@dataclass(frozen=True, eq=False)
-class ScaledGenetic:
-    """The scaled genetic covariances (Ũ, Ṽ) of a problem instance.
-
-    Ṽ = (J/c)·V is always dense (P×P).  Ũ = N ⊗ Ṽ is held structurally as
-    the pair (N, Ṽ) and materialized to a KP×KP matrix only on demand.
-    """
-
-    N: np.ndarray
-    Vt: np.ndarray
-
-    @property
-    def K(self) -> int:
-        return self.N.shape[0]
-
-    @property
-    def P(self) -> int:
-        return self.Vt.shape[0]
-
-    def dense(self) -> np.ndarray:
-        """Materialize Ũ = N ⊗ Ṽ (guarded: K·P ≤ DENSE_KP_LIMIT)."""
-        kp = self.K * self.P
-        if kp > DENSE_KP_LIMIT:
-            raise ValidationError(
-                f"dense genetic covariance would be {kp}x{kp} (limit {DENSE_KP_LIMIT}); "
-                "use a structured kinship path instead"
-            )
-        return np.kron(self.N, self.Vt)
-
-
-def scaled_genetic_covariances(vc: VarianceComponents, J: int,
-                               profile: SubRegionProfile,
-                               kinship: _kinship.KinshipSpec) -> ScaledGenetic:
-    """Scaled genetic covariances Ṽ = (J/c)V and Ũ = N ⊗ Ṽ (structural).
-
-    The kinship must be positive definite; for dense matrices that are
-    numerically singular, enable ``jitter`` on the spec.
-    """
-    if J < 1:
-        raise ValidationError(f"J must be >= 1, got {J}")
-    c = effective_error_constant(vc)
-    n = _kinship.materialize(kinship)
-    diag = _kinship.validate_pd(n)
-    if not diag.is_pd:
-        raise ValidationError(
-            "kinship matrix is not positive definite "
-            f"(min eigenvalue {diag.min_eigenvalue:.3e}); "
-            f"a diagonal jitter of about {diag.suggested_jitter:.3e} would fix it"
-        )
-    return ScaledGenetic(N=frozen_array(n), Vt=frozen_array((J / c) * profile.V))

@@ -216,6 +216,7 @@ class TestDesign:
         ("kinship", {"variant": "dense", "matrix": [[1.0, 0.0], [0.0]]}, "matrix"),
         ("kinship", {"variant": "dense", "matrix": [["1", 0.0], [0.0, 1.0]]}, "matrix"),
         ("kinship", {"variant": "dense", "csv": 5}, "csv"),
+        ("batch", [], "batch"),
     ])
     def test_fractional_config_values_exit_2(self, tmp_path, capsys, network_config,
                                              block, value, field):
@@ -251,14 +252,21 @@ class TestDesign:
         ("constraints", {"min_per_zone": 3}, "constraints.min_per_zone"),
         ("solver", {"tolerance": 0.5}, "solver.tolerance"),
         ("criterion", {"targett": "contrasts"}, "criterion.targett"),
+        ("constraint", {"min_per_region": 3}, "'constraint'"),
+        ("batch", [{"label": "a"}, {"label": "b", "kinshp": {"variant": "identity"}}],
+         "'kinshp'"),
+        ("batch", [{"label": "a", "solver": {"tolerance": 0.5}}], "solver.tolerance"),
     ])
     def test_unknown_settings_exit_2(self, tmp_path, capsys, network_config, block, value,
                                      field):
         network_config[block] = value
-        code, payload, err = run_cli(
-            capsys, "design", "--config", write_config(tmp_path, network_config))
-        assert code == 2 and payload is None
-        assert field in err
+        network_config["designs"] = {"reference": [13, 6, 8, 12, 1],
+                                     "alternative": [10, 10, 10, 5, 5]}
+        path = write_config(tmp_path, network_config)
+        for command in ("design", "eval", "efficiency"):
+            code, payload, err = run_cli(capsys, command, "--config", path)
+            assert code == 2 and payload is None, command
+            assert field in err, command
 
     @pytest.mark.parametrize("path", ["bayes_cs", "kbayes", "cbrc"])
     def test_closed_form_paths_are_not_settable(self, tmp_path, capsys, network_config,

@@ -10,8 +10,7 @@ import helpers
 from trialalloc import (BlockCompoundSymmetry, CompoundSymmetry,
                         ConstraintSet, CriterionSpec, Design, DesignProblem,
                         Identity, NumericalError, Path, SubRegionProfile,
-                        Target, ValidationError,
-                        Weighting, mse_contrasts_full, mse_effects_full,
+                        Target, ValidationError, Weighting,
                         solve_approximate, solve_exact)
 from trialalloc import _linalg, criteria
 from trialalloc._linalg import spd_factor
@@ -178,42 +177,6 @@ class TestZeroWeights:
             w_eps = np.array([1e-9, 0.6, 0.4 - 1e-9])
             assert problem.phi(Design.approximate(w_eps, 8)) == pytest.approx(
                 phi, rel=1e-6)
-
-    def test_full_mse_matrix_requires_interior(self, vc5, profile5):
-        design = Design.exact(np.array([0, 20, 10, 5, 5]))
-        with pytest.raises(ValidationError, match="positive weight"):
-            mse_effects_full(design, vc5, profile5, Identity(K=4))
-
-
-class TestFullMatrices:
-    def test_effects_matrix_matches_oracle(self):
-        rng = np.random.default_rng(8)
-        vc = helpers.random_vc(rng)
-        profile = helpers.random_profile(rng, 3)
-        kin = helpers.random_kinship(rng, "dense", K=5)
-        counts = helpers.random_counts(rng, 3, 8)
-        inst = OracleInstance(vc=vc, profile=profile, kinship=kin,
-                              counts=tuple(counts))
-        mine = mse_effects_full(Design.exact(counts), vc, profile, kin)
-        np.testing.assert_allclose(mine, mse_direct(inst), rtol=1e-9)
-
-    def test_contrasts_matrix_matches_oracle(self):
-        rng = np.random.default_rng(9)
-        vc = helpers.random_vc(rng)
-        profile = helpers.random_profile(rng, 2)
-        kin = helpers.random_kinship(rng, "cs", K=4)
-        counts = helpers.random_counts(rng, 2, 6)
-        inst = OracleInstance(vc=vc, profile=profile, kinship=kin,
-                              counts=tuple(counts))
-        mine = mse_contrasts_full(Design.exact(counts), vc, profile, kin)
-        want = mse_direct_contrasts(inst)
-        np.testing.assert_allclose(mine, want, rtol=1e-9,
-                                   atol=1e-12 * np.abs(want).max())
-
-    def test_contrasts_matrix_guard(self, vc5, profile5):
-        design = Design.exact(np.array([10, 10, 10, 5, 5]))
-        with pytest.raises(ValidationError, match="K <= 12"):
-            mse_contrasts_full(design, vc5, profile5, Identity(K=31))
 
 
 class TestBulkPrimitives:

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 import helpers
-from trialalloc import Design, NumericalError, _linalg, mse_effects_full
+from trialalloc import (CriterionSpec, Design, DesignProblem, NumericalError,
+                        _linalg)
 from trialalloc._linalg import inverse_factor, spd_factor, spd_inverse
 
 
@@ -39,7 +40,7 @@ def test_one_patch_sees_every_factorization(monkeypatch, vc5, profile5):
 
     monkeypatch.setattr(_linalg, "spd_factor", recording)
     kin = helpers.random_kinship(np.random.default_rng(5), "dense", K=4)
-    mse = mse_effects_full(Design.exact(np.array([13, 6, 8, 12, 1])), vc5, profile5, kin)
-    assert whats == ["per-region information", "kinship", "genetic covariance",
-                     "prediction-error system"]
-    assert mse.shape == (20, 20)
+    problem = DesignProblem(vc5, profile5, kin, CriterionSpec(path="full"))
+    value = problem.value(Design.exact(np.array([13, 6, 8, 12, 1])))
+    assert whats == ["criterion inner matrix", "criterion system"]
+    assert np.isfinite(value.phi)

@@ -4,13 +4,11 @@ import numpy as np
 import pytest
 
 import helpers
-from trialalloc import (CompoundSymmetry, Design, Identity, ModelVariant,
+from trialalloc import (CompoundSymmetry, CriterionSpec, Design,
+                        DesignProblem, Identity, ModelVariant,
                         SubRegionProfile, ValidationError, VarianceComponents,
-                        centering_matrix, effective_error_constant,
-                        moment_matrix, scaled_genetic_covariances,
-                        scaled_year_matrix)
+                        effective_error_constant, scaled_year_matrix)
 from trialalloc.kinship import DenseKinship
-from trialalloc.model import DENSE_KP_LIMIT
 
 
 class TestVarianceComponents:
@@ -137,18 +135,6 @@ class TestDesign:
                    counts=np.array([4.0, 4.0]))
 
 
-def test_moment_matrix_is_weight_diagonal():
-    d = Design.approximate([0.1, 0.6, 0.3], J=10)
-    np.testing.assert_allclose(moment_matrix(d), np.diag([0.1, 0.6, 0.3]))
-
-
-def test_centering_matrix_projects_out_the_mean():
-    t = centering_matrix(6)
-    np.testing.assert_allclose(t @ t, t, atol=1e-14)
-    np.testing.assert_allclose(t, t.T)
-    np.testing.assert_allclose(t @ np.ones(6), np.zeros(6), atol=1e-14)
-
-
 class TestScaledYearMatrix:
     def test_maize_values(self, vc5):
         rt = scaled_year_matrix(vc5, J=40, P=5)
@@ -173,33 +159,22 @@ class TestScaledYearMatrix:
 
 
 class TestScaledGeneticCovariances:
-    def test_vt_scaling(self, vc5, profile5):
-        sg = scaled_genetic_covariances(vc5, 40, profile5, Identity(K=4))
-        np.testing.assert_allclose(sg.Vt, (40.0 / 271.0) * profile5.V)
+    """A full-path build checks the dense kinship behind Ṽ ⊗ N."""
 
-    def test_dense_matches_kron(self, vc5, profile5):
-        rng = np.random.default_rng(5)
-        kin = helpers.random_kinship(rng, "dense", K=4)
-        sg = scaled_genetic_covariances(vc5, 12, profile5, kin)
-        np.testing.assert_allclose(sg.dense(), np.kron(sg.N, sg.Vt))
+    @staticmethod
+    def _full(vc, profile, kinship):
+        problem = DesignProblem(vc, profile, kinship, CriterionSpec(path="full"))
+        return problem.evaluator(10)
 
     def test_non_pd_kinship_rejected_with_jitter_hint(self, vc5, profile5):
         n = np.ones((4, 4))  # rank one
         with pytest.raises(ValidationError, match="jitter"):
-            scaled_genetic_covariances(vc5, 10, profile5,
-                                       DenseKinship(matrix=n))
+            self._full(vc5, profile5, DenseKinship(matrix=n))
 
     def test_jitter_recovers_singular_kinship(self, vc5, profile5):
         n = np.ones((4, 4))
-        sg = scaled_genetic_covariances(vc5, 10, profile5,
-                                        DenseKinship(matrix=n, jitter=1e-6))
-        assert sg.K == 4
-
-    def test_dense_guard(self, vc5, profile5):
-        sg = scaled_genetic_covariances(vc5, 10, profile5,
-                                        Identity(K=DENSE_KP_LIMIT // 5 + 1))
-        with pytest.raises(ValidationError, match="limit"):
-            sg.dense()
+        ev = self._full(vc5, profile5, DenseKinship(matrix=n, jitter=1e-6))
+        assert ev.c.shape == (4, 5, 5)
 
 
 def _with_nan(matrix):
