@@ -71,17 +71,13 @@ def positive(value, name: str) -> float:
     return x
 
 
-def choice(enum, value, name: str, allowed=None):
-    """``value`` as a member of ``enum``, one of ``allowed`` (default: all)."""
-    allowed = tuple(enum) if allowed is None else allowed
+def choice(enum, value, name: str):
+    """``value`` as a member of ``enum``."""
     try:
-        member = enum(value)
+        return enum(value)
     except (TypeError, ValueError):
-        member = None
-    if member not in allowed:
-        raise ValidationError(f"{name} must be {' or '.join(repr(m.value) for m in allowed)}, "
-                              f"got {reprlib.repr(value)}")
-    return member
+        raise ValidationError(f"{name} must be {' or '.join(repr(m.value) for m in enum)}, "
+                              f"got {reprlib.repr(value)}") from None
 
 
 def symmetric_matrix(value, name: str) -> np.ndarray:

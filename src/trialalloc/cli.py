@@ -35,40 +35,48 @@ from .criteria import CriterionSpec, DesignProblem
 from .errors import InfeasibleError, NumericalError, ValidationError
 from .fixtures import available_fixtures, fixture_path
 from .kinship import (BlockCompoundSymmetry, CompoundSymmetry, DenseKinship,
-                      Identity, load_kinship_csv, sigma2_alpha_for_unit_asv)
+                      Identity, load_kinship_csv, materialize, sigma2_alpha_for_unit_asv)
 from .model import Design, SubRegionProfile, VarianceComponents
 from .optimizer import ConstraintSet, solve_approximate, solve_exact
 
 __all__ = ["main"]
 
 _AUTO_JITTER_REL = 1e-8
-# the keys a config may carry at its top level, and in each settings block
+# the keys a config may carry at its top level, in each settings block, and
+# in its kinship block by variant
 _CONFIG_KEYS = ("variance", "model_variant", "subregions", "kinship", "criterion", "J",
-                "design", "designs", "constraints", "solver", "batch", "description")
-_SETTINGS = {"criterion": ("target", "weighting", "path"),
+                "design", "designs", "constraints", "solver", "description")
+_SETTINGS = {"subregions": ("V", "ell"),
+             "criterion": ("target", "weighting"),
+             "designs": ("reference", "alternative"),
              "constraints": ("min_per_region", "max_per_region", "costs", "budget"),
              "solver": ("mode", "tol", "max_iter", "restarts", "seed")}
+_KINSHIP_KEYS = {"identity": ("variant", "K", "jitter"),
+                 "cs": ("variant", "K", "r", "sigma2_alpha", "jitter"),
+                 "block_cs": ("variant", "f", "m", "r", "sigma2_alpha", "jitter"),
+                 "dense": ("variant", "csv", "matrix", "jitter")}
 
 
 # ---------------------------------------------------------------------------
 # Configuration loading
 
 
-def load_config(path_or_name: str) -> dict:
+def load_config(path_or_name: str) -> list:
     """Load a JSON configuration from a path or a bundled fixture name.
 
-    The resolved directory of the file is recorded under the ``_base_dir``
-    key so that relative paths inside the config (kinship CSVs) resolve
-    against the config file rather than the working directory.
+    Returns a checked ``(label, config)`` per ``batch`` entry merged into the
+    base, or ``(None, config)`` without a batch.  Each records the file's
+    resolved directory under ``_base_dir``, so that relative paths inside it
+    (kinship CSVs) resolve against the config file, not the working directory.
     """
     candidate = _FsPath(path_or_name)
     if candidate.is_file():
-        base = candidate.resolve().parent
+        base_dir = str(candidate.resolve().parent)
         text = candidate.read_text()
     else:
         fixture = fixture_path(path_or_name if not path_or_name.endswith(".json")
                                else path_or_name[:-5])
-        base = None
+        base_dir = None
         text = fixture.read_text()
     try:
         config = json.loads(text)
@@ -76,19 +84,31 @@ def load_config(path_or_name: str) -> dict:
         raise ValidationError(f"config {path_or_name}: invalid JSON ({exc})") from exc
     if not isinstance(config, dict):
         raise ValidationError(f"config {path_or_name}: top level must be an object")
-    for _, merged in _expand_batch(config):
+    batch = config.pop("batch", [{}])
+    if (not isinstance(batch, list) or not batch
+            or not all(isinstance(e, dict) for e in batch)):
+        raise ValidationError("'batch' must be a non-empty list of override objects")
+    entries = []
+    for override in batch:
+        merged = _deep_merge(config, {k: v for k, v in override.items() if k != "label"})
         _check_keys(merged)
-    config["_base_dir"] = str(base) if base is not None else None
-    return config
+        entries.append((override.get("label"), dict(merged, _base_dir=base_dir)))
+    return entries
 
 
 def _check_keys(config: dict) -> None:
-    """Reject a key outside :data:`_CONFIG_KEYS` or a settings block's keys."""
+    """Reject a key outside :data:`_CONFIG_KEYS`, a settings block's keys or
+    its kinship variant's keys."""
     for key in config:
         if key not in _CONFIG_KEYS:
             raise ValidationError(f"{key!r} is not a config key; "
                                   f"expected one of {', '.join(_CONFIG_KEYS)}")
-    for name, keys in _SETTINGS.items():
+    kinship = config.get("kinship")
+    variant = kinship.get("variant") if isinstance(kinship, dict) else None
+    blocks = dict(_SETTINGS)
+    if isinstance(variant, str) and variant in _KINSHIP_KEYS:
+        blocks["kinship"] = _KINSHIP_KEYS[variant]
+    for name, keys in blocks.items():
         block = config.get(name, {})
         if not isinstance(block, dict):
             raise ValidationError(f"'{name}' must be an object")
@@ -99,10 +119,14 @@ def _check_keys(config: dict) -> None:
 
 
 def _deep_merge(base: dict, override: dict) -> dict:
+    """``override`` merged into ``base`` block by block; a block naming
+    another ``variant`` (a kinship) replaces the base's block whole."""
     merged = dict(base)
     for key, value in override.items():
-        if isinstance(value, dict) and isinstance(merged.get(key), dict):
-            merged[key] = _deep_merge(merged[key], value)
+        old = merged.get(key)
+        if isinstance(value, dict) and isinstance(old, dict) and (
+                value.get("variant", old.get("variant")) == old.get("variant")):
+            merged[key] = _deep_merge(old, value)
         else:
             merged[key] = value
     return merged
@@ -199,6 +223,8 @@ def _build_kinship(config: dict, jitter_override=None):
                                          sigma2_alpha=_sigma2_alpha(f * m, m),
                                          r=block["r"], jitter=jitter)
         elif variant == "dense":
+            if "csv" in block and "matrix" in block:
+                raise ValidationError("kinship.matrix cannot be given with kinship.csv")
             if "csv" in block:
                 if not isinstance(block["csv"], str):
                     raise ValidationError(f"kinship csv must be a path, got {block['csv']!r}")
@@ -224,8 +250,7 @@ def _build_criterion(config: dict) -> CriterionSpec:
     block = config.get("criterion", {})
     try:
         return CriterionSpec(target=block.get("target", "effects"),
-                             weighting=block.get("weighting", "standard"),
-                             path=block.get("path", "auto"))
+                             weighting=block.get("weighting", "standard"))
     except ValueError as exc:
         raise ValidationError(f"criterion.{exc}") from exc
 
@@ -258,11 +283,19 @@ def _build_problem(config: dict, jitter_override=None) -> DesignProblem:
 
 
 def _parse_design(raw, P: int, default_J=None, field: str = "design") -> Design:
-    """Accept counts as a bare list, or {'counts': ...} / {'weights': ..., 'J': n}."""
+    """Accept counts as a bare list, or exactly one of {'counts': ...} /
+    {'weights': ...}, with an optional 'J' that counts must sum to."""
     if isinstance(raw, list):
         raw = {"counts": raw}
     if not isinstance(raw, dict):
         raise ValidationError(f"'{field}' must be a list of counts or an object")
+    for key in raw:
+        if key not in ("counts", "weights", "J"):
+            raise ValidationError(f"{field}.{key} is not a design key; "
+                                  "expected counts or weights, and J")
+    if "counts" in raw and "weights" in raw:
+        raise ValidationError(f"{field}.weights cannot be given with {field}.counts")
+    J = count(raw["J"], f"{field}.J", 1) if "J" in raw else None
     if "counts" in raw:
         counts = finite(raw["counts"], field)
         if counts.shape != (P,):
@@ -270,25 +303,24 @@ def _parse_design(raw, P: int, default_J=None, field: str = "design") -> Design:
                 f"'{field}' has {counts.size} entries but the problem has {P} sub-regions"
             )
         design = Design.exact(counts)
+        if J is not None and design.J != J:
+            raise ValidationError(f"{field}.J is {J} but the counts sum to {design.J}")
         if default_J is not None and design.J != default_J:
             raise ValidationError(
                 f"'{field}' counts sum to {design.J} but the config sets J={default_J}"
             )
         return design
-    if "weights" in raw:
-        if "J" in raw:
-            J = count(raw["J"], f"{field}.J", 1)
-        elif default_J is None:
-            raise ValidationError(f"'{field}' gives weights, so a total size J is needed")
-        else:
-            J = default_J
-        weights = finite(raw["weights"], f"{field}.weights")
-        if weights.shape != (P,):
-            raise ValidationError(
-                f"'{field}' has {weights.size} weights but the problem has {P} sub-regions"
-            )
-        return Design.approximate(weights, J)
-    raise ValidationError(f"'{field}' needs either 'counts' or 'weights'")
+    if "weights" not in raw:
+        raise ValidationError(f"'{field}' needs either 'counts' or 'weights'")
+    J = default_J if J is None else J
+    if J is None:
+        raise ValidationError(f"'{field}' gives weights, so a total size J is needed")
+    weights = finite(raw["weights"], f"{field}.weights")
+    if weights.shape != (P,):
+        raise ValidationError(
+            f"'{field}' has {weights.size} weights but the problem has {P} sub-regions"
+        )
+    return Design.approximate(weights, J)
 
 
 # ---------------------------------------------------------------------------
@@ -318,14 +350,17 @@ def _criterion_payload(problem: DesignProblem) -> dict:
             "path_used": problem.path_used.value}
 
 
-def _emit(payload, pretty: bool, render) -> None:
+def _emit(reports: list, pretty: bool, render) -> None:
+    """Print one report as an object or several as a list, and render each."""
+    payload = reports[0] if len(reports) == 1 else reports
     try:
         text = json.dumps(payload, default=_json_default, allow_nan=False)
     except ValueError as exc:
         raise NumericalError(f"report holds a non-finite number ({exc})") from None
     sys.stdout.write(text + "\n")
     if pretty:
-        render(payload)
+        for report in reports:
+            render(report)
         sys.stderr.flush()
 
 
@@ -333,9 +368,13 @@ def _emit(payload, pretty: bool, render) -> None:
 # Pretty rendering (stderr)
 
 
+def _label(report: dict) -> str:
+    return f"  [{report['label']}]" if report.get("label") else ""
+
+
 def _render_design_table(report: dict) -> None:
     err = sys.stderr
-    label = f"  [{report['label']}]" if report.get("label") else ""
+    label = _label(report)
     head = report.get("mode", report["command"])
     err.write(f"{head}  J={report['J']}{label}\n")
     crit = report["criterion"]
@@ -360,17 +399,11 @@ def _render_design_table(report: dict) -> None:
     err.write("\n")
 
 
-def _render_design_reports(payload) -> None:
-    reports = payload if isinstance(payload, list) else [payload]
-    for report in reports:
-        _render_design_table(report)
-
-
-def _render_efficiency(payload) -> None:
+def _render_efficiency(report: dict) -> None:
     err = sys.stderr
-    err.write(f"efficiency: {payload['efficiency']:.6f}\n")
+    err.write(f"efficiency: {report['efficiency']:.6f}{_label(report)}\n")
     for key in ("reference", "alternative"):
-        block = payload[key]
+        block = report[key]
         counts = block["design"]["counts"]
         shown = counts if counts else [round(w, 4) for w in block["design"]["weights"]]
         err.write(f"  {key:<12} phi={block['phi']:.6f}  "
@@ -387,22 +420,6 @@ def _render_selftest(payload) -> None:
 
 # ---------------------------------------------------------------------------
 # Subcommands
-
-
-def _expand_batch(config: dict) -> list:
-    batch = config.get("batch")
-    if batch is None:
-        return [(None, config)]
-    if (not isinstance(batch, list) or not batch
-            or not all(isinstance(e, dict) for e in batch)):
-        raise ValidationError("'batch' must be a non-empty list of override objects")
-    expanded = []
-    base = {k: v for k, v in config.items() if k != "batch"}
-    for entry in batch:
-        label = entry.get("label")
-        override = {k: v for k, v in entry.items() if k != "label"}
-        expanded.append((label, _deep_merge(base, override)))
-    return expanded
 
 
 def _solver_settings(config: dict, args) -> dict:
@@ -423,117 +440,86 @@ def _solver_settings(config: dict, args) -> dict:
     }
 
 
-def _cmd_eval(args) -> int:
-    config = load_config(args.config)
-    reports = []
-    for label, cfg in _expand_batch(config):
-        problem = _build_problem(cfg, args.jitter)
-        grid = _j_grid(cfg) if "J" in cfg else [None]
-        raw = _require(cfg, "design")
-        fixed_counts = isinstance(raw, list) or (isinstance(raw, dict) and "counts" in raw)
-        if fixed_counts and len(grid) > 1:
-            raise ValidationError("a counts design fixes J; use weights with a J grid")
-        design = _parse_design(raw, problem.P, default_J=grid[0])
-        # a design that names its own J is evaluated there on every row
-        js = [design.J] * len(grid) if fixed_counts or "J" in raw else grid
-        shown = _design_payload(design)
-        criterion = _criterion_payload(problem)
-        for J, value in zip(js, problem.values(design, js)):
-            reports.append({
-                "command": "eval",
-                "label": label,
-                "J": J,
-                "criterion": criterion,
-                "design": dict(shown, J=J),
-                "phi": value.phi,
-                "mse_trace": value.mse_trace,
-                "gradient": [float(g) for g in value.gradient],
-            })
-    payload = reports[0] if len(reports) == 1 else reports
-    _emit(payload, args.pretty, _render_design_reports)
-    return 0
+def _eval_rows(problem: DesignProblem, config: dict, args):
+    """One row per network size: the config's design evaluated on its J grid,
+    or at its own J when it names one."""
+    grid = _j_grid(config) if "J" in config else [None]
+    raw = _require(config, "design")
+    fixed_counts = isinstance(raw, list) or (isinstance(raw, dict) and "counts" in raw)
+    if fixed_counts and len(grid) > 1:
+        raise ValidationError("a counts design fixes J; use weights with a J grid")
+    design = _parse_design(raw, problem.P, default_J=grid[0])
+    js = [design.J] * len(grid) if fixed_counts or "J" in raw else grid
+    shown = _design_payload(design)
+    criterion = _criterion_payload(problem)
+    for J, value in zip(js, problem.values(design, js)):
+        yield {"J": J, "criterion": criterion, "design": dict(shown, J=J),
+               "phi": value.phi, "mse_trace": value.mse_trace,
+               "gradient": [float(g) for g in value.gradient]}
 
 
-def _cmd_design(args) -> int:
-    config = load_config(args.config)
-    reports = []
-    for label, cfg in _expand_batch(config):
-        problem = _build_problem(cfg, args.jitter)
-        solver = _solver_settings(cfg, args)
-        if solver["mode"] not in ("approx", "exact"):
-            raise ValidationError(f"mode must be 'approx' or 'exact', got {solver['mode']!r}")
-        for J in _j_grid(cfg):
-            constraints = _build_constraints(cfg, J, problem.P)
-            if solver["mode"] == "exact":
-                report = solve_exact(problem, constraints, seed=solver["seed"],
-                                     restarts=solver["restarts"], tol=solver["tol"],
-                                     max_iter=solver["max_iter"])
-            else:
-                report = solve_approximate(problem, constraints, tol=solver["tol"],
-                                           max_iter=solver["max_iter"])
-            entry = {
-                "command": "design",
-                "mode": solver["mode"],
-                "label": label,
-                "J": J,
-                "criterion": _criterion_payload(problem),
-                "design": _design_payload(report.design),
-                "phi": report.phi,
-                "mse_trace": report.mse_trace,
-                "optimality_gap": report.optimality_gap,
-                "status": report.status,
-                "iterations": report.iterations,
-                "restarts_used": report.restarts_used,
-                "seed": report.seed,
-            }
-            if solver["mode"] == "exact":
-                entry["best_start"] = report.best_start
-                entry["starts_descended"] = report.starts_descended
-            if constraints.costs is not None and report.design.counts is not None:
-                entry["cost"] = float(constraints.cost(report.design.counts))
-            reports.append(entry)
-    payload = reports[0] if len(reports) == 1 else reports
-    _emit(payload, args.pretty, _render_design_reports)
-    return 0
+def _design_rows(problem: DesignProblem, config: dict, args):
+    """One optimal design per network size of the J grid."""
+    solver = _solver_settings(config, args)
+    if solver["mode"] not in ("approx", "exact"):
+        raise ValidationError(f"mode must be 'approx' or 'exact', got {solver['mode']!r}")
+    for J in _j_grid(config):
+        constraints = _build_constraints(config, J, problem.P)
+        if solver["mode"] == "exact":
+            report = solve_exact(problem, constraints, seed=solver["seed"],
+                                 restarts=solver["restarts"], tol=solver["tol"],
+                                 max_iter=solver["max_iter"])
+        else:
+            report = solve_approximate(problem, constraints, tol=solver["tol"],
+                                       max_iter=solver["max_iter"])
+        row = {
+            "mode": solver["mode"],
+            "J": J,
+            "criterion": _criterion_payload(problem),
+            "design": _design_payload(report.design),
+            "phi": report.phi,
+            "mse_trace": report.mse_trace,
+            "optimality_gap": report.optimality_gap,
+            "status": report.status,
+            "iterations": report.iterations,
+            "restarts_used": report.restarts_used,
+            "seed": report.seed,
+        }
+        if solver["mode"] == "exact":
+            row["best_start"] = report.best_start
+            row["starts_descended"] = report.starts_descended
+        if constraints.costs is not None and report.design.counts is not None:
+            row["cost"] = float(constraints.cost(report.design.counts))
+        yield row
 
 
-def _cmd_efficiency(args) -> int:
-    config = load_config(args.config)
-    problem = _build_problem(config, args.jitter)
+def _efficiency_rows(problem: DesignProblem, config: dict, args):
+    """One row: the criterion-value ratio of the reference and alternative
+    designs, optimizer.efficiency's ratio from one evaluation of each."""
     block = _require(config, "designs")
-    if not isinstance(block, dict):
-        raise ValidationError("'designs' must be an object with two designs")
-    aliases = (("reference", "unconstrained", "a"), ("alternative", "constrained", "b"))
-    picked = []
-    for names in aliases:
-        match = [n for n in names if n in block]
-        if not match:
-            raise ValidationError(
-                f"'designs' needs one of {names} (got keys {sorted(block)})"
-            )
-        picked.append(block[match[0]])
-    default_J = None
-    if "J" in config:
-        grid = _j_grid(config)
-        default_J = grid[0] if len(grid) == 1 else None
-    ref = _parse_design(picked[0], problem.P, default_J, field="designs.reference")
-    alt = _parse_design(picked[1], problem.P, default_J, field="designs.alternative")
-
-    def _block(design: Design) -> dict:
+    grid = _j_grid(config) if "J" in config else [None]
+    default_J = grid[0] if len(grid) == 1 else None
+    pair = {}
+    for key in _SETTINGS["designs"]:
+        design = _parse_design(block.get(key), problem.P, default_J, field=f"designs.{key}")
         value = problem.value(design)
-        return {"design": _design_payload(design), "phi": value.phi,
-                "mse_trace": value.mse_trace}
+        pair[key] = {"design": _design_payload(design), "phi": value.phi,
+                     "mse_trace": value.mse_trace}
+    yield {"criterion": _criterion_payload(problem),
+           "efficiency": pair["reference"]["phi"] / pair["alternative"]["phi"], **pair}
 
-    reference, alternative = _block(ref), _block(alt)
-    payload = {
-        "command": "efficiency",
-        "criterion": _criterion_payload(problem),
-        # optimizer.efficiency's ratio, from the one evaluation of each design
-        "efficiency": reference["phi"] / alternative["phi"],
-        "reference": reference,
-        "alternative": alternative,
-    }
-    _emit(payload, args.pretty, _render_efficiency)
+
+def _cmd_rows(args) -> int:
+    """Build each config entry's problem, collect the rows the command's
+    builder yields for it, headed by the command, a design row's mode and
+    the entry's label, and emit them once."""
+    reports = []
+    for label, config in load_config(args.config):
+        problem = _build_problem(config, args.jitter)
+        for row in args.rows(problem, config, args):
+            mode = {"mode": row.pop("mode")} if "mode" in row else {}
+            reports.append({"command": args.command, **mode, "label": label, **row})
+    _emit(reports, args.pretty, args.render)
     return 0
 
 
@@ -598,7 +584,7 @@ def _selftest_checks() -> list:
     def check_affine_reduction():
         vc, profile, kin, counts = random_instance("cs")
         design = Design.exact(counts)
-        full = DesignProblem(vc, profile, kin, CriterionSpec(path="full")).phi(design)
+        full = DesignProblem(vc, profile, DenseKinship(materialize(kin))).phi(design)
         reduced = DesignProblem(vc, profile, kin).phi(design)
         scale = kin.a1 ** 2 * (kin.K - 1)
         const = oracle.reduction_constants(
@@ -610,8 +596,8 @@ def _selftest_checks() -> list:
     def check_block_paths():
         vc, profile, kin, counts = random_instance("block")
         design = Design.exact(counts)
-        a, b = (DesignProblem(vc, profile, kin, CriterionSpec(path=path)).phi(design)
-                for path in ("auto", "full"))
+        a, b = (DesignProblem(vc, profile, spec).phi(design)
+                for spec in (kin, DenseKinship(materialize(kin))))
         if abs(a - b) > 1e-10 * max(abs(a), 1.0):
             raise AssertionError(f"{a} vs {b}")
 
@@ -641,7 +627,7 @@ def _selftest_checks() -> list:
             raise AssertionError(f"{report.phi} vs {best_value}")
 
     def check_fixture_roundtrip():
-        config = load_config("maize_network")
+        [(_, config)] = load_config("maize_network")
         problem = _build_problem(config)
         design = _parse_design(config["design"], problem.P, default_J=config["J"])
         value = problem.value(design)
@@ -673,7 +659,7 @@ def _cmd_selftest(args) -> int:
     passed = all(c["status"] == "pass" for c in checks)
     payload = {"command": "selftest", "version": __version__,
                "checks": checks, "passed": passed}
-    _emit(payload, args.pretty, _render_selftest)
+    _emit([payload], args.pretty, _render_selftest)
     return 0 if passed else 4
 
 
@@ -690,8 +676,9 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"trialalloc {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, config=True):
-        if config:
+    def command(name, summary, rows=None, render=None):
+        p = sub.add_parser(name, help=summary)
+        if rows is not None:
             p.add_argument("--config", required=True, metavar="PATH",
                            help="JSON config file or bundled fixture name "
                                 f"({', '.join(available_fixtures())})")
@@ -699,12 +686,13 @@ def _build_parser() -> argparse.ArgumentParser:
                            help="kinship diagonal jitter: a number or 'auto'")
         p.add_argument("--pretty", action="store_true",
                        help="also print a human-readable table to stderr")
+        p.set_defaults(rows=rows, render=render)
+        return p
 
-    p_eval = sub.add_parser("eval", help="evaluate the criterion for a fixed design")
-    common(p_eval)
-
-    p_design = sub.add_parser("design", help="compute an optimal design")
-    common(p_design)
+    command("eval", "evaluate the criterion for a fixed design",
+            _eval_rows, _render_design_table)
+    p_design = command("design", "compute an optimal design",
+                       _design_rows, _render_design_table)
     p_design.add_argument("--mode", choices=("approx", "exact"), default=None,
                           help="approximate weights or exact integer counts "
                                "(default approx)")
@@ -714,21 +702,17 @@ def _build_parser() -> argparse.ArgumentParser:
     p_design.add_argument("--restarts", type=int, default=None,
                           help="exact-solver restart count override")
 
-    p_eff = sub.add_parser("efficiency", help="criterion-value ratio of two designs")
-    common(p_eff)
-
-    p_self = sub.add_parser("selftest", help="run internal consistency checks")
-    common(p_self, config=False)
+    command("efficiency", "criterion-value ratio of two designs",
+            _efficiency_rows, _render_efficiency)
+    command("selftest", "run internal consistency checks")
 
     return parser
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    handlers = {"eval": _cmd_eval, "design": _cmd_design,
-                "efficiency": _cmd_efficiency, "selftest": _cmd_selftest}
     try:
-        return handlers[args.command](args)
+        return _cmd_rows(args) if args.rows else _cmd_selftest(args)
     except InfeasibleError as exc:
         payload = {"error": str(exc), "kind": "infeasible",
                    "certificate": getattr(exc, "certificate", None)}

@@ -17,13 +17,12 @@ block-diagonal in the basis Q ⊗ I_P: with B_g = (R̃ + λ_g Ṽ)^-1,
 
 a stack of G traces of order P, where s_g is the g-th diagonal entry of
 QᵀMQ (M = TN²T for effects, (TNT)² for contrasts) and L holds the
-sub-regional weights.  The evaluation path says where the spectrum comes
-from.  A criterion asks for ``auto``, the closed form where the kinship has
-one, or ``full``, the dense eigen reference; ``path_used`` names what was
-used: exchangeable kinship has one eigen-group in closed form (``bayes_cs``,
-reported per unit of its group weight), two-level family blocks have two
-(``kbayes``), and any other kinship, or a criterion that asks for ``full``,
-takes one K×K ``eigh`` per problem (``full``, one group per eigenvalue).
+sub-regional weights.  The kinship decides where the spectrum comes from,
+and ``path_used`` names it: exchangeable kinship has one eigen-group in
+closed form (``bayes_cs``, reported per unit of its group weight), two-level
+family blocks have two (``kbayes``), and any other kinship takes one K×K
+``eigh`` per problem (``full``, one group per eigenvalue).  The dense eigen
+reference of a structured kinship ``kin`` is ``DenseKinship(materialize(kin))``.
 
 The network size J enters only as a scale: C_g(J) = C_g(1)/J while the roots
 R_g of H_g = R_g R_gᵀ do not depend on J.  A problem therefore builds its
@@ -83,11 +82,10 @@ class Weighting(str, Enum):
 
 
 class Path(str, Enum):
-    """Evaluation path.  A criterion asks for ``AUTO`` or ``FULL``; a problem's
-    ``path_used`` is ``BAYES_CS`` (exchangeable, one group), ``KBAYES``
-    (two-level family blocks, two groups) or ``FULL``."""
+    """Evaluation path a problem takes, by its kinship: ``BAYES_CS``
+    (exchangeable, one group), ``KBAYES`` (two-level family blocks, two
+    groups) or ``FULL`` (any other kinship, one group per eigenvalue)."""
 
-    AUTO = "auto"
     FULL = "full"
     BAYES_CS = "bayes_cs"
     KBAYES = "kbayes"
@@ -95,18 +93,14 @@ class Path(str, Enum):
 
 @dataclass(frozen=True)
 class CriterionSpec:
-    """Choice of criterion: target, weighting and evaluation path (``auto``
-    or ``full``)."""
+    """Choice of criterion: target and weighting."""
 
     target: Target = Target.EFFECTS
     weighting: Weighting = Weighting.STANDARD
-    path: Path = Path.AUTO
 
     def __post_init__(self):
         object.__setattr__(self, "target", choice(Target, self.target, "target"))
         object.__setattr__(self, "weighting", choice(Weighting, self.weighting, "weighting"))
-        object.__setattr__(self, "path", choice(Path, self.path, "path",
-                                                (Path.AUTO, Path.FULL)))
 
 
 @dataclass(frozen=True)
@@ -326,8 +320,7 @@ class DesignProblem:
             raise ValidationError(
                 "weighted criteria need sub-regional genotype counts (profile.ell)"
             )
-        closed = (_closed_form_spectrum(self.kinship, self.criterion.target)
-                  if self.criterion.path is Path.AUTO else None)
+        closed = _closed_form_spectrum(self.kinship, self.criterion.target)
         object.__setattr__(self, "path_used", Path.FULL if closed is None
                            else (Path.BAYES_CS, Path.KBAYES)[len(closed.lam) - 1])
         if closed is not None:

@@ -249,12 +249,12 @@ def _box_qp(g, q, lower, upper, costs=None, slack=None):
     ``costs``, costs·d <= slack.
 
     ``q`` must be positive definite and d = 0 feasible.  A primal active-set
-    method: from d = 0 it minimizes over the free coordinates with the fixed
-    ones at their bounds (in the null space of the equality rows, so that a
-    working set without freedom gives exactly no step), steps until a bound
-    or the budget row blocks and adds it, and at each working-set minimum
-    drops the constraint with the most negative multiplier until none is
-    negative.  Every step lowers the quadratic, so if the iteration cap is
+    method: from d = 0 it minimizes over the free coordinates, the fixed ones
+    at their bounds and the active rows held, by one bordered KKT system that
+    gives the step and the rows' multipliers at its end; it steps until a
+    bound or the budget row blocks and adds it, and at each working-set
+    minimum drops the constraint with the most negative multiplier until none
+    is negative.  Every step lowers the quadratic, so if the iteration cap is
     ever reached the returned d is still a feasible descent step.
     """
     p = g.size
@@ -268,14 +268,16 @@ def _box_qp(g, q, lower, upper, costs=None, slack=None):
     if not width > 0.0:
         return d                            # the box is the single point 0
     for _ in range(10 * (p + 2)):
-        free = np.flatnonzero(~(at_lo | at_hi))
+        free = ~(at_lo | at_hi)
         m = 1 + budget_on
-        basis, tri = np.linalg.qr(rows[:m, free].T, mode="complete")
-        null = basis[:, m:]
-        step = np.zeros(p)
-        if null.size:
-            reduced = null.T @ q[np.ix_(free, free)] @ null
-            step[free] = null @ np.linalg.solve(reduced, -(null.T @ (g + q @ d)[free]))
+        # q over the free coordinates, pinned to identity at the bounds and
+        # bordered by the active rows
+        kkt = np.zeros((p + m, p + m))
+        kkt[:p, :p] = np.where(np.outer(free, free), q, np.eye(p))
+        kkt[p:, :p] = rows[:m] * free
+        kkt[:p, p:] = kkt[p:, :p].T
+        sol = np.linalg.solve(kkt, np.concatenate([-(g + q @ d) * free, np.zeros(m)]))
+        step, nu = sol[:p], sol[p:]
         # components at rounding level would add a constraint that the
         # working set already implies, so they are dropped
         step[np.abs(step) <= _QP_TOL * max(width, float(np.abs(step).max()))] = 0.0
@@ -304,11 +306,9 @@ def _box_qp(g, q, lower, upper, costs=None, slack=None):
         if block is not None:
             continue
 
-        # at the minimum of the working set: the multipliers of its bounds
-        # and budget row follow from the gradient there
-        r = g + q @ d
-        nu = np.linalg.solve(tri[:m], -(basis[:, :m].T @ r[free]))
-        base = r + rows[:m].T @ nu
+        # at the minimum of the working set, where the rows' multipliers are
+        # nu: its bounds' multipliers follow from the gradient there
+        base = g + q @ d + rows[:m].T @ nu
         mult = np.where(at_lo, base, np.where(at_hi, -base, np.inf))
         k = int(np.argmin(mult))
         if budget_on and nu[1] < min(mult[k], -tol):

@@ -9,7 +9,7 @@ from __future__ import annotations
 import numpy as np
 
 from trialalloc import (BlockCompoundSymmetry, CompoundSymmetry, DenseKinship,
-                        Identity, SubRegionProfile, VarianceComponents,
+                        Identity, SubRegionProfile, VarianceComponents, materialize,
                         sigma2_alpha_for_unit_asv)
 
 V5 = np.array([
@@ -129,6 +129,12 @@ def random_kinship(rng: np.random.Generator, kind: str, K: int = 6):
         n = g @ g.T / (3 * K) + 0.3 * np.eye(K)
         return DenseKinship(matrix=n)
     raise ValueError(kind)
+
+
+def dense(kin) -> DenseKinship:
+    """``kin`` as an explicit matrix, which a problem evaluates on the full
+    eigen path: the reference for the closed forms."""
+    return DenseKinship(materialize(kin))
 
 
 def random_counts(rng: np.random.Generator, P: int, J: int) -> np.ndarray:

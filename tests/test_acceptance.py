@@ -136,9 +136,8 @@ def test_03_affine_equivalence_of_reduced_criteria(capsys):
         inst = OracleInstance(vc=vc, profile=profile, kinship=kin,
                               counts=tuple(int(c) for c in counts))
 
-        full = DesignProblem(vc, profile, kin,
-                             CriterionSpec(target=target, weighting=weighting,
-                                           path="full")).phi(design)
+        full = DesignProblem(vc, profile, helpers.dense(kin),
+                             CriterionSpec(target=target, weighting=weighting)).phi(design)
         reduced = DesignProblem(vc, profile, kin,
                                 CriterionSpec(weighting=weighting)).phi(design)
         if kind == "cs":
@@ -170,10 +169,9 @@ def test_04_argmin_transfer(capsys):
     for kind in ("cs", "block"):
         kin = helpers.random_kinship(rng, kind, K=6)
         reduced = DesignProblem(vc, profile, kin)
-        full_eff = DesignProblem(vc, profile, kin,
-                                 CriterionSpec(path="full"))
-        full_con = DesignProblem(vc, profile, kin,
-                                 CriterionSpec(target="contrasts", path="full"))
+        full_eff = DesignProblem(vc, profile, helpers.dense(kin))
+        full_con = DesignProblem(vc, profile, helpers.dense(kin),
+                                 CriterionSpec(target="contrasts"))
         for J in (6, 7, 8):
             cons = ConstraintSet(J=J, P=P)
             best = {label: tuple(enumerate_exact_optimum(problem, cons).counts)
@@ -246,9 +244,8 @@ def test_06_gradient_finite_difference(capsys):
         for target in ("effects", "contrasts"):
             for weighting in ("standard", "weighted"):
                 problem = DesignProblem(
-                    vc, profile, kin,
-                    CriterionSpec(target=target, weighting=weighting,
-                                  path="full"))
+                    vc, profile, helpers.dense(kin),
+                    CriterionSpec(target=target, weighting=weighting))
                 ev = problem.evaluator(10)
                 grad = problem.gradient(Design.approximate(w, 10))
                 fd = finite_difference_gradient(ev.phi, w)

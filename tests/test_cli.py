@@ -256,6 +256,15 @@ class TestDesign:
         ("batch", [{"label": "a"}, {"label": "b", "kinshp": {"variant": "identity"}}],
          "'kinshp'"),
         ("batch", [{"label": "a", "solver": {"tolerance": 0.5}}], "solver.tolerance"),
+        # the kinship picks the evaluation path; older configs that set it exit 2
+        ("criterion", {"path": "full"}, "criterion.path"),
+        ("subregions", {"V": np.eye(5).tolist(), "weights": [1.0] * 5}, "subregions.weights"),
+        ("kinship", {"variant": "identity", "K": 31, "jiter": 1e-3}, "kinship.jiter"),
+        ("kinship", {"variant": "identity", "K": 31, "r": 0.5}, "kinship.r"),
+        ("kinship", {"variant": "cs", "K": 31, "r": 0.5, "m": 5}, "kinship.m"),
+        ("kinship", {"variant": "block_cs", "f": 6, "m": 5, "r": 0.5, "K": 30}, "kinship.K"),
+        ("kinship", {"variant": "dense", "matrix": np.eye(4).tolist(), "K": 4}, "kinship.K"),
+        ("batch", [{"label": "a", "kinship": {"K": 31, "m": 5}}], "kinship.m"),
     ])
     def test_unknown_settings_exit_2(self, tmp_path, capsys, network_config, block, value,
                                      field):
@@ -275,7 +284,7 @@ class TestDesign:
         code, payload, err = run_cli(
             capsys, "eval", "--config", write_config(tmp_path, network_config))
         assert code == 2 and payload is None
-        assert "criterion.path must be 'auto' or 'full'" in err
+        assert "criterion.path is not a setting" in err
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("mode", ["approx", "exact"])
@@ -378,8 +387,8 @@ class TestDesign:
 
 class TestEfficiency:
     def test_identical_designs(self, tmp_path, capsys, network_config):
-        network_config["designs"] = {"a": [13, 6, 8, 12, 1],
-                                     "b": [13, 6, 8, 12, 1]}
+        network_config["designs"] = {"reference": [13, 6, 8, 12, 1],
+                                     "alternative": [13, 6, 8, 12, 1]}
         code, payload, _ = run_cli(
             capsys, "efficiency", "--config",
             write_config(tmp_path, network_config))
@@ -389,8 +398,8 @@ class TestEfficiency:
     def test_constrained_pair_and_aliases(self, tmp_path, capsys,
                                           network_config):
         network_config["designs"] = {
-            "unconstrained": [13, 6, 8, 12, 1],
-            "constrained": [10, 10, 10, 5, 5],
+            "reference": [13, 6, 8, 12, 1],
+            "alternative": [10, 10, 10, 5, 5],
         }
         code, payload, _ = run_cli(
             capsys, "efficiency", "--config",
@@ -403,6 +412,34 @@ class TestEfficiency:
         expected = (problem.phi(Design.exact(np.array([13, 6, 8, 12, 1])))
                     / problem.phi(Design.exact(np.array([10, 10, 10, 5, 5]))))
         assert payload["efficiency"] == pytest.approx(expected, rel=1e-12)
+        # the pair has one spelling; the old aliases exit 2 naming the key
+        for ref, alt in (("unconstrained", "constrained"), ("a", "b")):
+            network_config["designs"] = {ref: [13, 6, 8, 12, 1], alt: [10, 10, 10, 5, 5]}
+            code, payload, err = run_cli(
+                capsys, "efficiency", "--config", write_config(tmp_path, network_config))
+            assert code == 2 and payload is None
+            assert f"designs.{ref} is not a setting" in err
+
+    def test_batch_gives_one_labelled_row_per_entry(self, tmp_path, capsys,
+                                                    network_config):
+        # an entry naming another kinship variant replaces the base's block
+        network_config["designs"] = {"reference": [13, 6, 8, 12, 1],
+                                     "alternative": [10, 10, 10, 5, 5]}
+        network_config["batch"] = [
+            {"label": "identity"},
+            {"label": "family blocks", "kinship": {
+                "variant": "block_cs", "f": 6, "m": 5, "r": 0.5, "sigma2_alpha": "unit_asv"}}]
+        code, payload, _ = run_cli(
+            capsys, "efficiency", "--config", write_config(tmp_path, network_config))
+        assert code == 0
+        assert [row["label"] for row in payload] == ["identity", "family blocks"]
+        assert [row["criterion"]["path_used"] for row in payload] == ["bayes_cs", "kbayes"]
+        kinships = (Identity(K=31), helpers.family_block_kinship(0.5, 6, 5))
+        for row, kin in zip(payload, kinships, strict=True):
+            problem = DesignProblem(helpers.maize_vc(), helpers.maize_profile(), kin)
+            assert row["efficiency"] == efficiency(
+                Design.exact(np.array([13, 6, 8, 12, 1])),
+                Design.exact(np.array([10, 10, 10, 5, 5])), problem)
 
     def test_each_design_is_evaluated_once(self, tmp_path, capsys, monkeypatch,
                                            network_config):
@@ -426,6 +463,23 @@ class TestEfficiency:
         assert payload["efficiency"] == efficiency(ref, alt, problem)
         assert payload["reference"]["phi"] == problem.phi(ref)
         assert payload["alternative"]["mse_trace"] == problem.mse_trace(alt)
+
+    @pytest.mark.parametrize("design, field", [
+        ({"counts": [13, 6, 8, 12, 1], "J": 50}, "design.J"),
+        ({"weights": [0.2] * 5, "j": 30}, "design.j"),
+        ({"counts": [13, 6, 8, 12, 1], "weights": [0.2] * 5}, "design.weights"),
+        ({"counts": [13, 6, 8, 12, 1], "label": "x"}, "design.label"),
+    ])
+    def test_a_design_block_takes_counts_or_weights_and_j(self, tmp_path, capsys,
+                                                           network_config, design, field):
+        network_config["design"] = design
+        network_config["designs"] = {"reference": [13, 6, 8, 12, 1], "alternative": design}
+        path = write_config(tmp_path, network_config)
+        for command, name in (("eval", field), ("efficiency", "designs.alternative"
+                                                + field[len("design"):])):
+            code, payload, err = run_cli(capsys, command, "--config", path)
+            assert code == 2 and payload is None, command
+            assert f"error: {name} " in err, command
 
     def test_missing_designs_block(self, tmp_path, capsys, network_config):
         code, _, err = run_cli(

@@ -18,11 +18,12 @@ from trialalloc.oracle import (OracleInstance, finite_difference_gradient,
                                mse_direct, mse_direct_contrasts)
 
 
-def _problem(rng, kind, P=3, K=6, **crit):
+def _problem(rng, kind, P=3, K=6, full=False, **crit):
     vc = helpers.random_vc(rng)
     profile = helpers.random_profile(rng, P)
     kin = helpers.random_kinship(rng, kind, K=K)
-    return DesignProblem(vc, profile, kin, CriterionSpec(**crit))
+    return DesignProblem(vc, profile, helpers.dense(kin) if full else kin,
+                         CriterionSpec(**crit))
 
 
 class TestRouting:
@@ -43,25 +44,19 @@ class TestRouting:
         kin = BlockCompoundSymmetry(f=5, m=1, sigma2_alpha=1.0, r=0.3)
         assert DesignProblem(vc5, profile5, kin).path_used is Path.BAYES_CS
 
-    @pytest.mark.parametrize("path", ["bayes_cs", "kbayes", "cbrc", Path.KBAYES, [1]])
-    def test_only_auto_and_full_are_settable(self, path):
-        # the closed forms are what auto picks, not what a criterion asks for
-        with pytest.raises(ValidationError, match="^path must be 'auto' or 'full', got "):
-            CriterionSpec(path=path)
-
     def test_full_path_always_allowed(self, vc5, profile5):
         cs = CompoundSymmetry(K=5, sigma2_alpha=1.0, r=0.3)
-        assert DesignProblem(vc5, profile5, cs,
-                             CriterionSpec(path="full")).path_used is Path.FULL
+        assert DesignProblem(vc5, profile5, helpers.dense(cs)).path_used is Path.FULL
 
     def test_spec_coercion_and_validation(self):
-        spec = CriterionSpec(target="contrasts", weighting="weighted",
-                             path="full")
+        spec = CriterionSpec(target="contrasts", weighting="weighted")
         assert spec.target is Target.CONTRASTS
         assert spec.weighting is Weighting.WEIGHTED
-        assert spec.path is Path.FULL
         with pytest.raises(ValueError):
             CriterionSpec(target="everything")
+        # the kinship picks the path; a criterion has no say in it
+        with pytest.raises(TypeError, match="path"):
+            CriterionSpec(path="full")
 
     def test_weighted_needs_coefficients(self, vc5):
         profile = SubRegionProfile(V=helpers.V5)  # no ell
@@ -80,9 +75,9 @@ class TestPathAgreement:
             kin = helpers.random_kinship(rng, "block", K=6)
             design = Design.exact(helpers.random_counts(rng, 3, 9))
             for weighting in ("standard", "weighted"):
-                a, b = (DesignProblem(vc, profile, kin, CriterionSpec(
-                    weighting=weighting, path=path)).value(design)
-                    for path in ("auto", "full"))
+                a, b = (DesignProblem(vc, profile, spec, CriterionSpec(
+                    weighting=weighting)).value(design)
+                    for spec in (kin, helpers.dense(kin)))
                 assert (a.path_used, b.path_used) == (Path.KBAYES, Path.FULL)
                 assert a.phi == pytest.approx(b.phi, rel=1e-11)
                 np.testing.assert_allclose(a.gradient, b.gradient, rtol=1e-9)
@@ -98,8 +93,8 @@ class TestPathAgreement:
             for target in ("effects", "contrasts"):
                 fast = DesignProblem(vc, profile, kin,
                                      CriterionSpec(target=target))
-                slow = DesignProblem(vc, profile, kin,
-                                     CriterionSpec(target=target, path="full"))
+                slow = DesignProblem(vc, profile, helpers.dense(kin),
+                                     CriterionSpec(target=target))
                 assert fast.mse_trace(design) == pytest.approx(
                     slow.mse_trace(design), rel=1e-9)
 
@@ -127,8 +122,8 @@ class TestGradients:
     def test_every_path_matches_finite_differences(self):
         rng = np.random.default_rng(5)
         cases = [("identity", {}), ("cs", {}), ("block", {}),
-                 ("dense", {}), ("cs", {"path": "full"}),
-                 ("block", {"path": "full"}),
+                 ("dense", {}), ("cs", {"full": True}),
+                 ("block", {"full": True}),
                  ("dense", {"target": "contrasts"}),
                  ("cs", {"weighting": "weighted"})]
         for kind, crit in cases:
@@ -258,23 +253,25 @@ class TestProblemCaching:
 class TestJFreeCore:
     """The J = 1 stack serves every network size: C_g(J) = C_g(1)/J."""
 
-    PATHS = [("cs", "auto", Path.BAYES_CS), ("block", "auto", Path.KBAYES),
-             ("block", "full", Path.FULL), ("dense", "auto", Path.FULL)]
+    # (kind, whether materialized as a dense matrix, the path taken)
+    PATHS = [("cs", False, Path.BAYES_CS), ("block", False, Path.KBAYES),
+             ("block", True, Path.FULL), ("dense", False, Path.FULL)]
 
     @settings(max_examples=15, deadline=None)
     @given(st.sampled_from(PATHS), st.integers(2, 4),
            st.lists(st.integers(1, 300), min_size=1, max_size=6),
            st.integers(0, 2 ** 32 - 1))
     def test_grid_equals_per_j_values(self, path, p, js, seed):
-        kind, name, used = path
+        kind, full, used = path
         rng = np.random.default_rng(seed)
         vc, profile = helpers.random_vc(rng), helpers.random_profile(rng, p)
         kin = helpers.random_kinship(rng, kind, K=6)
+        kin = helpers.dense(kin) if full else kin
         design = Design.approximate(rng.dirichlet(np.ones(p)), js[0])
         for target in Target:
             for weighting in Weighting:
                 problem = DesignProblem(vc, profile, kin, CriterionSpec(
-                    target=target, weighting=weighting, path=name))
+                    target=target, weighting=weighting))
                 for J, got in zip(js, problem.values(design, js), strict=True):
                     want = problem.value(Design.approximate(design.weights, J))
                     assert got.path_used is want.path_used is used
@@ -358,15 +355,16 @@ class TestOneEngine:
     @given(st.sampled_from(TestJFreeCore.PATHS), st.integers(2, 4), st.integers(1, 300),
            st.integers(0, 2 ** 32 - 1))
     def test_every_view_is_value_from_one_factorization(self, path, p, J, seed):
-        kind, name, used = path
+        kind, full, used = path
         rng = np.random.default_rng(seed)
         vc, profile = helpers.random_vc(rng), helpers.random_profile(rng, p)
         kin = helpers.random_kinship(rng, kind, K=6)
+        kin = helpers.dense(kin) if full else kin
         design = Design.approximate(rng.dirichlet(np.ones(p)), J)
         for target in Target:
             for weighting in Weighting:
                 problem = DesignProblem(vc, profile, kin, CriterionSpec(
-                    target=target, weighting=weighting, path=name))
+                    target=target, weighting=weighting))
                 problem.evaluator(1)                 # builds the J = 1 stack
                 whats = []
 
@@ -397,8 +395,7 @@ class TestFunctionalFrontends:
         problem = DesignProblem(vc, profile, kin)
         assert problem.path_used is Path.KBAYES
         fast = problem.mse_trace(design)
-        slow = DesignProblem(vc, profile, kin,
-                             CriterionSpec(path="full")).mse_trace(design)
+        slow = DesignProblem(vc, profile, helpers.dense(kin)).mse_trace(design)
         assert fast == pytest.approx(slow, rel=1e-9)
 
     def test_large_structured_problems_stay_cheap(self, vc5, profile5):
@@ -458,7 +455,7 @@ class TestSpectralFullPath:
         for target in Target:
             for weighting in Weighting:
                 problem = DesignProblem(vc, profile, kin, CriterionSpec(
-                    target=target, weighting=weighting, path="full"))
+                    target=target, weighting=weighting))
                 assert problem.mse_trace(design) == pytest.approx(
                     direct[target.value], rel=1e-9)
                 fd = finite_difference_gradient(problem.evaluator(design.J).phi,

@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 import helpers
-from trialalloc import (CriterionSpec, Design, DesignProblem, NumericalError,
-                        _linalg)
+from trialalloc import Design, DesignProblem, NumericalError, _linalg
 from trialalloc._linalg import inverse_factor, spd_factor, spd_inverse
 
 
@@ -40,7 +39,7 @@ def test_one_patch_sees_every_factorization(monkeypatch, vc5, profile5):
 
     monkeypatch.setattr(_linalg, "spd_factor", recording)
     kin = helpers.random_kinship(np.random.default_rng(5), "dense", K=4)
-    problem = DesignProblem(vc5, profile5, kin, CriterionSpec(path="full"))
+    problem = DesignProblem(vc5, profile5, kin)
     value = problem.value(Design.exact(np.array([13, 6, 8, 12, 1])))
     assert whats == ["criterion inner matrix", "criterion system"]
     assert np.isfinite(value.phi)

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 import helpers
-from trialalloc import (CompoundSymmetry, CriterionSpec, Design,
-                        DesignProblem, Identity, ModelVariant,
-                        SubRegionProfile, ValidationError, VarianceComponents,
-                        effective_error_constant, scaled_year_matrix)
+from trialalloc import (CompoundSymmetry, Design, DesignProblem, Identity,
+                        ModelVariant, SubRegionProfile, ValidationError,
+                        VarianceComponents, effective_error_constant,
+                        scaled_year_matrix)
 from trialalloc.kinship import DenseKinship
 
 
@@ -163,7 +163,7 @@ class TestScaledGeneticCovariances:
 
     @staticmethod
     def _full(vc, profile, kinship):
-        problem = DesignProblem(vc, profile, kinship, CriterionSpec(path="full"))
+        problem = DesignProblem(vc, profile, kinship)
         return problem.evaluator(10)
 
     def test_non_pd_kinship_rejected_with_jitter_hint(self, vc5, profile5):

@@ -160,8 +160,8 @@ class TestReductionConstants:
             for target, which in (("effects", "cs_effects"),
                                   ("contrasts", "cs_contrasts")):
                 full = DesignProblem(
-                    inst.vc, inst.profile, kin,
-                    CriterionSpec(target=target, weighting=weighting, path="full"),
+                    inst.vc, inst.profile, helpers.dense(kin),
+                    CriterionSpec(target=target, weighting=weighting),
                 ).phi(design)
                 const = reduction_constants(inst, which, weighting=weighting)
                 assert full == pytest.approx(scale * reduced + const,
@@ -177,8 +177,8 @@ class TestReductionConstants:
         for target, which in (("effects", "block_effects"),
                               ("contrasts", "block_contrasts")):
             full = DesignProblem(
-                inst.vc, inst.profile, inst.kinship,
-                CriterionSpec(target=target, path="full"),
+                inst.vc, inst.profile, helpers.dense(inst.kinship),
+                CriterionSpec(target=target),
             ).phi(design)
             const = reduction_constants(inst, which)
             assert full == pytest.approx(reduced + const,
@@ -206,7 +206,7 @@ class TestReductionConstants:
         c2 = reduction_constants(inst, "contrast_trace")
         phi_con = DesignProblem(
             inst.vc, inst.profile, inst.kinship,
-            CriterionSpec(target="contrasts", path="full"),
+            CriterionSpec(target="contrasts"),
         ).phi(design)
         # weighted centered trace of the direct MSE, rescaled off the raw form
         from trialalloc import effective_error_constant
