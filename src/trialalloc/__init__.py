@@ -23,7 +23,7 @@ The pieces:
   constraint polytope, rounding, exact (integer) search, and design
   efficiency comparison;
 - :mod:`trialalloc.oracle` — small brute-force reference implementations
-  used by the test-suite and the CLI selftest;
+  used by the test-suite;
 - :mod:`trialalloc.cli` — the ``trialalloc`` command.
 """
 from __future__ import annotations

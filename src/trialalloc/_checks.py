@@ -1,6 +1,6 @@
 """Input checks shared by the constructors and the solver settings: finite
-numbers, positive numbers, whole numbers and symmetric matrices, none of them
-booleans or text, and choices among an enum's values.
+numbers, positive numbers, whole numbers, bounded scales and symmetric
+matrices, none of them booleans or text, and choices among an enum's values.
 
 Each check raises :class:`ValidationError` naming the offending field, which
 the CLI reports with exit status 2, so that no NaN, infinity or fractional
@@ -18,6 +18,9 @@ from .errors import ValidationError
 
 # relative asymmetry, of the largest entry or of 1, that a matrix may carry
 _SYM_RTOL = 1e-10
+# the criteria multiply model scales pairwise (Ṽ², the gradient's squared
+# roots), so no scale may exceed √(float max)
+_MAX_SCALE = float(np.sqrt(np.finfo(float).max))
 
 
 def _holds_non_number(value) -> bool:
@@ -63,6 +66,16 @@ def integers(value, name: str, size: int | None = None) -> np.ndarray:
     return np.broadcast_to(arr.astype(int), () if size is None else size).copy()
 
 
+def bounded(value, name: str):
+    """``value``, a finite number or array, if no entry exceeds
+    :data:`_MAX_SCALE` in magnitude."""
+    largest = np.abs(value).max(initial=0.0)
+    if largest > _MAX_SCALE:
+        raise ValidationError(f"{name} must be at most {_MAX_SCALE:.3g} in magnitude, "
+                              f"got {largest:.3g}")
+    return value
+
+
 def positive(value, name: str) -> float:
     """``value`` as one finite float above zero."""
     x = number(value, name)
@@ -81,9 +94,9 @@ def choice(enum, value, name: str):
 
 
 def symmetric_matrix(value, name: str) -> np.ndarray:
-    """``value`` as a finite square matrix, at least 2×2 and symmetric within
-    1e-10 relative, symmetrized."""
-    mat = finite(value, name)
+    """``value`` as a finite, :func:`bounded` square matrix, at least 2×2 and
+    symmetric within 1e-10 relative, symmetrized."""
+    mat = bounded(finite(value, name), name)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ValidationError(f"{name} must be square, got shape {mat.shape}")
     if mat.shape[0] < 2:

@@ -15,8 +15,9 @@ from .errors import NumericalError
 
 
 def sym(a: np.ndarray) -> np.ndarray:
-    """Symmetrize ``a`` as (a + aᵀ)/2."""
-    return 0.5 * (a + a.T)
+    """Symmetrize ``a`` as a/2 + aᵀ/2, which stays finite for any finite ``a``."""
+    half = 0.5 * a
+    return half + half.T
 
 
 def spd_factor(a: np.ndarray, what: str = "matrix") -> np.ndarray:

@@ -1,6 +1,6 @@
 """Command-line interface.
 
-Four subcommands, all driven by a JSON configuration file (or the name of a
+Three subcommands, all driven by a JSON configuration file (or the name of a
 bundled fixture):
 
 ``eval``
@@ -10,9 +10,6 @@ bundled fixture):
     (``--mode exact``).
 ``efficiency``
     Compare two designs by their criterion-value ratio.
-``selftest``
-    Run a battery of internal consistency checks against the brute-force
-    reference implementations.
 
 Reports are printed as JSON to stdout; ``--pretty`` adds a human-readable
 table on stderr.  Exit codes: 0 success, 2 validation failure, 3 infeasible
@@ -35,15 +32,15 @@ from .criteria import CriterionSpec, DesignProblem
 from .errors import InfeasibleError, NumericalError, ValidationError
 from .fixtures import available_fixtures, fixture_path
 from .kinship import (BlockCompoundSymmetry, CompoundSymmetry, DenseKinship,
-                      Identity, load_kinship_csv, materialize, sigma2_alpha_for_unit_asv)
+                      Identity, load_kinship_csv, sigma2_alpha_for_unit_asv)
 from .model import Design, SubRegionProfile, VarianceComponents
 from .optimizer import ConstraintSet, solve_approximate, solve_exact
 
 __all__ = ["main"]
 
 _AUTO_JITTER_REL = 1e-8
-# the keys a config may carry at its top level, in each settings block, and
-# in its kinship block by variant
+# the keys a config may carry at its top level, in each settings block, in
+# its kinship block by variant, and in a design object
 _CONFIG_KEYS = ("variance", "model_variant", "subregions", "kinship", "criterion", "J",
                 "design", "designs", "constraints", "solver", "description")
 _SETTINGS = {"subregions": ("V", "ell"),
@@ -55,6 +52,7 @@ _KINSHIP_KEYS = {"identity": ("variant", "K", "jitter"),
                  "cs": ("variant", "K", "r", "sigma2_alpha", "jitter"),
                  "block_cs": ("variant", "f", "m", "r", "sigma2_alpha", "jitter"),
                  "dense": ("variant", "csv", "matrix", "jitter")}
+_DESIGN_KEYS = ("counts", "weights", "J")
 
 
 # ---------------------------------------------------------------------------
@@ -97,8 +95,9 @@ def load_config(path_or_name: str) -> list:
 
 
 def _check_keys(config: dict) -> None:
-    """Reject a key outside :data:`_CONFIG_KEYS`, a settings block's keys or
-    its kinship variant's keys."""
+    """Reject a key outside :data:`_CONFIG_KEYS`, a settings block's keys,
+    its kinship variant's keys or, in a design given as an object,
+    :data:`_DESIGN_KEYS`."""
     for key in config:
         if key not in _CONFIG_KEYS:
             raise ValidationError(f"{key!r} is not a config key; "
@@ -116,6 +115,13 @@ def _check_keys(config: dict) -> None:
             if key not in keys:
                 raise ValidationError(f"{name}.{key} is not a setting; "
                                       f"expected one of {', '.join(keys)}")
+    designs = {"design": config.get("design"),
+               **{f"designs.{k}": v for k, v in config.get("designs", {}).items()}}
+    for field, design in designs.items():
+        for key in design if isinstance(design, dict) else ():
+            if key not in _DESIGN_KEYS:
+                raise ValidationError(f"{field}.{key} is not a design key; "
+                                      "expected counts or weights, and J")
 
 
 def _deep_merge(base: dict, override: dict) -> dict:
@@ -289,10 +295,6 @@ def _parse_design(raw, P: int, default_J=None, field: str = "design") -> Design:
         raw = {"counts": raw}
     if not isinstance(raw, dict):
         raise ValidationError(f"'{field}' must be a list of counts or an object")
-    for key in raw:
-        if key not in ("counts", "weights", "J"):
-            raise ValidationError(f"{field}.{key} is not a design key; "
-                                  "expected counts or weights, and J")
     if "counts" in raw and "weights" in raw:
         raise ValidationError(f"{field}.weights cannot be given with {field}.counts")
     J = count(raw["J"], f"{field}.J", 1) if "J" in raw else None
@@ -410,14 +412,6 @@ def _render_efficiency(report: dict) -> None:
                   f"mse_trace={block['mse_trace']:.4f}  design={shown}\n")
 
 
-def _render_selftest(payload) -> None:
-    err = sys.stderr
-    for check in payload["checks"]:
-        err.write(f"  {check['status']:<4}  {check['name']}\n")
-    err.write("selftest: " + ("all checks passed\n" if payload["passed"]
-                              else "FAILURES\n"))
-
-
 # ---------------------------------------------------------------------------
 # Subcommands
 
@@ -524,146 +518,6 @@ def _cmd_rows(args) -> int:
 
 
 # ---------------------------------------------------------------------------
-# selftest
-
-
-def _selftest_checks() -> list:
-    from . import oracle
-    from .optimizer import round_to_exact
-
-    rng = np.random.default_rng(1789)
-    checks = []
-
-    def run(name, fn):
-        try:
-            fn()
-            checks.append({"name": name, "status": "pass", "detail": None})
-        except Exception as exc:  # noqa: BLE001 - report, don't crash
-            checks.append({"name": name, "status": "fail",
-                           "detail": f"{type(exc).__name__}: {exc}"})
-
-    def random_instance(kind: str):
-        P, K = 3, 6
-        a = rng.normal(size=(P, P))
-        profile = SubRegionProfile(V=a @ a.T + P * np.eye(P),
-                                   ell=rng.uniform(1.0, 3.0, size=P))
-        vc = VarianceComponents(sigma2_omega=rng.uniform(5, 40),
-                                sigma2_tau=rng.uniform(5, 40),
-                                sigma2_gamma=rng.uniform(50, 200),
-                                sigma2_phi_plus_err_over_L=rng.uniform(100, 400),
-                                H=3)
-        if kind == "cs":
-            kin = CompoundSymmetry(K=K, sigma2_alpha=rng.uniform(0.5, 2.0),
-                                   r=rng.uniform(0.1, 0.8))
-        else:
-            kin = BlockCompoundSymmetry(f=3, m=2, sigma2_alpha=rng.uniform(0.5, 2.0),
-                                        r=rng.uniform(0.1, 0.8))
-        counts = np.array([3, 2, 4])
-        return vc, profile, kin, counts
-
-    def check_direct_mse():
-        vc, profile, kin, counts = random_instance("cs")
-        problem = DesignProblem(vc, profile, kin)
-        inst = oracle.OracleInstance(vc=vc, profile=profile, kinship=kin, counts=counts)
-        direct = float(np.trace(oracle.mse_direct(inst)))
-        mine = problem.mse_trace(Design.exact(counts))
-        if abs(mine - direct) > 1e-9 * abs(direct):
-            raise AssertionError(f"{mine} vs {direct}")
-
-    def check_contrast_identity():
-        vc, profile, kin, counts = random_instance("cs")
-        inst = oracle.OracleInstance(vc=vc, profile=profile, kinship=kin, counts=counts)
-        mse = oracle.mse_direct(inst)
-        K, P = inst.K, profile.P
-        t = np.eye(K) - np.full((K, K), 1.0 / K)
-        contracted = float(np.trace(np.kron(t, np.eye(P)) @ mse))
-        paired = float(np.trace(oracle.mse_direct_contrasts(inst)))
-        if abs(paired - K * contracted) > 1e-10 * max(abs(paired), 1.0):
-            raise AssertionError(f"{paired} vs {K * contracted}")
-
-    def check_affine_reduction():
-        vc, profile, kin, counts = random_instance("cs")
-        design = Design.exact(counts)
-        full = DesignProblem(vc, profile, DenseKinship(materialize(kin))).phi(design)
-        reduced = DesignProblem(vc, profile, kin).phi(design)
-        scale = kin.a1 ** 2 * (kin.K - 1)
-        const = oracle.reduction_constants(
-            oracle.OracleInstance(vc=vc, profile=profile, kinship=kin, counts=counts),
-            which="cs_effects")
-        if abs(full - (scale * reduced + const)) > 1e-8 * max(abs(full), 1.0):
-            raise AssertionError(f"{full} vs {scale * reduced + const}")
-
-    def check_block_paths():
-        vc, profile, kin, counts = random_instance("block")
-        design = Design.exact(counts)
-        a, b = (DesignProblem(vc, profile, spec).phi(design)
-                for spec in (kin, DenseKinship(materialize(kin))))
-        if abs(a - b) > 1e-10 * max(abs(a), 1.0):
-            raise AssertionError(f"{a} vs {b}")
-
-    def check_gradient():
-        vc, profile, kin, counts = random_instance("block")
-        problem = DesignProblem(vc, profile, kin)
-        w = rng.uniform(0.2, 1.0, size=profile.P)
-        w /= w.sum()
-        J = 12
-        design = Design.approximate(w, J)
-        grad = problem.gradient(design)
-        ev = problem.evaluator(J)
-        fd = oracle.finite_difference_gradient(ev.phi, w)
-        if np.max(np.abs(grad - fd)) > 1e-5 * max(np.max(np.abs(fd)), 1.0):
-            raise AssertionError(f"{grad} vs {fd}")
-
-    def check_exact_enumeration():
-        vc, profile, kin, counts = random_instance("cs")
-        problem = DesignProblem(vc, profile, kin)
-        constraints = ConstraintSet(J=7, P=3, min_per_region=1)
-        report = solve_exact(problem, constraints, seed=3, restarts=5)
-        best = oracle.enumerate_exact_optimum(problem, constraints)
-        if tuple(report.design.counts) != tuple(best.counts):
-            raise AssertionError(f"{report.design.counts} vs {best.counts}")
-        best_value = problem.phi(best)
-        if abs(report.phi - best_value) > 1e-10 * max(abs(best_value), 1.0):
-            raise AssertionError(f"{report.phi} vs {best_value}")
-
-    def check_fixture_roundtrip():
-        [(_, config)] = load_config("maize_network")
-        problem = _build_problem(config)
-        design = _parse_design(config["design"], problem.P, default_J=config["J"])
-        value = problem.value(design)
-        again = problem.phi(Design.approximate(design.weights, design.J))
-        if not np.isfinite(value.phi) or value.mse_trace <= 0:
-            raise AssertionError("fixture evaluation is degenerate")
-        if abs(again - value.phi) > 1e-12 * max(abs(value.phi), 1.0):
-            raise AssertionError(f"{again} vs {value.phi}")
-
-    def check_rounding():
-        constraints = ConstraintSet(J=11, P=3, min_per_region=1)
-        design = round_to_exact(np.array([0.5, 0.3, 0.2]), constraints)
-        if int(design.counts.sum()) != 11 or not constraints.satisfies(design.counts):
-            raise AssertionError(f"rounded to {design.counts}")
-
-    run("direct-mse-agreement", check_direct_mse)
-    run("contrast-trace-identity", check_contrast_identity)
-    run("cs-reduction-affine-link", check_affine_reduction)
-    run("family-block-path-parity", check_block_paths)
-    run("gradient-finite-difference", check_gradient)
-    run("exact-vs-enumeration", check_exact_enumeration)
-    run("fixture-roundtrip", check_fixture_roundtrip)
-    run("rounding-feasibility", check_rounding)
-    return checks
-
-
-def _cmd_selftest(args) -> int:
-    checks = _selftest_checks()
-    passed = all(c["status"] == "pass" for c in checks)
-    payload = {"command": "selftest", "version": __version__,
-               "checks": checks, "passed": passed}
-    _emit([payload], args.pretty, _render_selftest)
-    return 0 if passed else 4
-
-
-# ---------------------------------------------------------------------------
 # Entry point
 
 
@@ -676,14 +530,13 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"trialalloc {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(name, summary, rows=None, render=None):
+    def command(name, summary, rows, render):
         p = sub.add_parser(name, help=summary)
-        if rows is not None:
-            p.add_argument("--config", required=True, metavar="PATH",
-                           help="JSON config file or bundled fixture name "
-                                f"({', '.join(available_fixtures())})")
-            p.add_argument("--jitter", default=None, metavar="X",
-                           help="kinship diagonal jitter: a number or 'auto'")
+        p.add_argument("--config", required=True, metavar="PATH",
+                       help="JSON config file or bundled fixture name "
+                            f"({', '.join(available_fixtures())})")
+        p.add_argument("--jitter", default=None, metavar="X",
+                       help="kinship diagonal jitter: a number or 'auto'")
         p.add_argument("--pretty", action="store_true",
                        help="also print a human-readable table to stderr")
         p.set_defaults(rows=rows, render=render)
@@ -704,7 +557,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     command("efficiency", "criterion-value ratio of two designs",
             _efficiency_rows, _render_efficiency)
-    command("selftest", "run internal consistency checks")
 
     return parser
 
@@ -712,7 +564,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return _cmd_rows(args) if args.rows else _cmd_selftest(args)
+        return _cmd_rows(args)
     except InfeasibleError as exc:
         payload = {"error": str(exc), "kind": "infeasible",
                    "certificate": getattr(exc, "certificate", None)}

@@ -14,7 +14,7 @@ from enum import Enum
 
 import numpy as np
 
-from ._checks import choice, finite, integers, number, symmetric_matrix
+from ._checks import bounded, choice, finite, integers, number, symmetric_matrix
 from ._linalg import frozen_array
 from .errors import ValidationError
 
@@ -84,7 +84,7 @@ class VarianceComponents:
                            choice(ModelVariant, self.model_variant, "model_variant"))
         for name in ("sigma2_omega", "sigma2_tau", "sigma2_gamma",
                      "sigma2_phi_plus_err_over_L"):
-            value = number(getattr(self, name), name)
+            value = bounded(number(getattr(self, name), name), name)
             if value < 0:
                 raise ValidationError(f"{name} must be a finite non-negative number, got {value}")
             object.__setattr__(self, name, value)
@@ -169,7 +169,7 @@ class SubRegionProfile:
             raise ValidationError("V must be positive definite")
         object.__setattr__(self, "V", frozen_array(v))
         if self.ell is not None:
-            ell = finite(self.ell, "ell").ravel()
+            ell = bounded(finite(self.ell, "ell"), "ell").ravel()
             if ell.shape != (v.shape[0],):
                 raise ValidationError(
                     f"ell must have one coefficient per sub-region ({v.shape[0]}), got {ell.shape}"

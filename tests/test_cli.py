@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import importlib
 import json
 import os
 import shutil
@@ -12,7 +13,7 @@ import pytest
 
 import helpers
 from trialalloc import (Design, DesignProblem, Identity, ValidationError,
-                        efficiency)
+                        __version__, efficiency)
 from trialalloc import _linalg, cli
 from trialalloc._linalg import spd_factor
 from trialalloc.cli import main
@@ -217,6 +218,10 @@ class TestDesign:
         ("kinship", {"variant": "dense", "matrix": [["1", 0.0], [0.0, 1.0]]}, "matrix"),
         ("kinship", {"variant": "dense", "csv": 5}, "csv"),
         ("batch", [], "batch"),
+        # finite, but beyond the scale the criteria can square
+        ("variance", {"sigma2_omega": 1e308, "sigma2_tau": 18.0, "sigma2_gamma": 160.0,
+                      "sigma2_phi_plus_err_over_L": 333.0, "H": 3}, "sigma2_omega must be"),
+        ("subregions", {"V": np.diag([1e308, 1.0, 1.0, 1.0, 1.0]).tolist()}, "V must be"),
     ])
     def test_fractional_config_values_exit_2(self, tmp_path, capsys, network_config,
                                              block, value, field):
@@ -265,6 +270,7 @@ class TestDesign:
         ("kinship", {"variant": "block_cs", "f": 6, "m": 5, "r": 0.5, "K": 30}, "kinship.K"),
         ("kinship", {"variant": "dense", "matrix": np.eye(4).tolist(), "K": 4}, "kinship.K"),
         ("batch", [{"label": "a", "kinship": {"K": 31, "m": 5}}], "kinship.m"),
+        ("design", {"countz": [13, 6, 8, 12, 1]}, "design.countz"),
     ])
     def test_unknown_settings_exit_2(self, tmp_path, capsys, network_config, block, value,
                                      field):
@@ -472,12 +478,14 @@ class TestEfficiency:
     ])
     def test_a_design_block_takes_counts_or_weights_and_j(self, tmp_path, capsys,
                                                            network_config, design, field):
-        network_config["design"] = design
-        network_config["designs"] = {"reference": [13, 6, 8, 12, 1], "alternative": design}
-        path = write_config(tmp_path, network_config)
-        for command, name in (("eval", field), ("efficiency", "designs.alternative"
-                                                + field[len("design"):])):
-            code, payload, err = run_cli(capsys, command, "--config", path)
+        evaluated = dict(network_config, design=design)
+        compared = dict(network_config, designs={"reference": [13, 6, 8, 12, 1],
+                                                 "alternative": design})
+        for command, config, name in (
+                ("eval", evaluated, field),
+                ("efficiency", compared, "designs.alternative" + field[len("design"):])):
+            code, payload, err = run_cli(capsys, command, "--config",
+                                         write_config(tmp_path, config))
             assert code == 2 and payload is None, command
             assert f"error: {name} " in err, command
 
@@ -582,8 +590,6 @@ class TestFlags:
         ("eval", "--config", "maize_network", "--seed", "3"),
         ("efficiency", "--config", "maize_network", "--tol", "1e-6"),
         ("eval", "--config", "maize_network", "--restarts", "4"),
-        ("selftest", "--seed", "3"),
-        ("selftest", "--jitter", "auto"),
     ])
     def test_flags_a_command_ignores_are_refused(self, capsys, argv):
         with pytest.raises(SystemExit) as exc_info:
@@ -592,13 +598,15 @@ class TestFlags:
         assert "unrecognized arguments" in capsys.readouterr().err
 
 
-class TestSelftest:
-    def test_all_checks_pass(self, capsys):
-        code, payload, _ = run_cli(capsys, "selftest")
-        assert code == 0
-        assert payload["passed"]
-        assert all(c["status"] == "pass" for c in payload["checks"])
-        assert len(payload["checks"]) == 8
+    def test_only_the_three_row_commands_exist(self, capsys):
+        with pytest.raises(SystemExit) as exc_info:
+            main(["--help"])
+        assert exc_info.value.code == 0
+        assert "{eval,design,efficiency}" in capsys.readouterr().out
+        with pytest.raises(SystemExit) as exc_info:
+            main(["selftest"])
+        assert exc_info.value.code == 2
+        assert "invalid choice: 'selftest'" in capsys.readouterr().err
 
 
 def test_cli_eval_leaves_scipy_optimize_unimported(tmp_path, network_config):
@@ -613,7 +621,7 @@ def test_cli_eval_leaves_scipy_optimize_unimported(tmp_path, network_config):
         "for argv in runs:\n"
         "    with contextlib.redirect_stdout(io.StringIO()):\n"
         "        assert trialalloc.cli.main(argv) == 0, argv\n"
-        "    for name in ('scipy.linalg', 'scipy.optimize'):\n"
+        "    for name in ('scipy.linalg', 'scipy.optimize', 'trialalloc.oracle'):\n"
         "        assert name not in sys.modules, f'{argv[0]} imported {name}'\n"
         "from trialalloc import optimizer\n"
         "assert callable(optimizer.minimize_scalar)\n"
@@ -632,3 +640,15 @@ def test_console_script_entry_point():
                          capture_output=True, text=True)
     assert out.returncode == 0
     assert "trialalloc" in out.stdout
+
+
+def test_console_script_target_prints_the_version(capsys):
+    tomllib = pytest.importorskip("tomllib")
+    with open(os.path.join(os.path.dirname(__file__), "..", "pyproject.toml"), "rb") as f:
+        target = tomllib.load(f)["project"]["scripts"]["trialalloc"]
+    module, _, attr = target.partition(":")
+    entry = getattr(importlib.import_module(module), attr)
+    with pytest.raises(SystemExit) as exc_info:
+        entry(["--version"])
+    assert exc_info.value.code == 0
+    assert capsys.readouterr().out == f"trialalloc {__version__}\n"

@@ -5,7 +5,7 @@ import pytest
 
 import helpers
 from trialalloc import Design, DesignProblem, NumericalError, _linalg
-from trialalloc._linalg import inverse_factor, spd_factor, spd_inverse
+from trialalloc._linalg import inverse_factor, spd_factor, spd_inverse, sym
 
 
 def _spd_stack(rng, shape, p=5):
@@ -43,3 +43,8 @@ def test_one_patch_sees_every_factorization(monkeypatch, vc5, profile5):
     value = problem.value(Design.exact(np.array([13, 6, 8, 12, 1])))
     assert whats == ["criterion inner matrix", "criterion system"]
     assert np.isfinite(value.phi)
+
+
+def test_sym_stays_finite_at_the_largest_floats():
+    a = np.array([[1e308, 1e308], [1e308, -1e308]])
+    np.testing.assert_array_equal(sym(a), a)

@@ -103,6 +103,11 @@ class TestSubRegionProfile:
         with pytest.raises(ValidationError, match="positive"):
             SubRegionProfile(V=np.eye(2), ell=[1.0, 0.0])
 
+    def test_the_largest_allowed_scale_evaluates(self, vc5):
+        v = helpers.V5 * (1.3e154 / helpers.V5.max())
+        problem = DesignProblem(vc5, SubRegionProfile(V=v), Identity(K=31))
+        assert np.isfinite(problem.phi(Design.exact([13, 6, 8, 12, 1])))
+
 
 class TestDesign:
     def test_exact_induces_weights(self):
@@ -184,7 +189,8 @@ def _with_nan(matrix):
 
 
 class TestNonFiniteAndFractionalInputs:
-    """Every constructor rejects NaN, infinities and fractional counts by name."""
+    """Every constructor rejects NaN, infinities, scales too large to square
+    and fractional counts by name."""
 
     @pytest.mark.parametrize("build, field", [
         (lambda: Design.approximate([np.nan, 0.5, 0.5], 10), "weights"),
@@ -199,9 +205,18 @@ class TestNonFiniteAndFractionalInputs:
         (lambda: VarianceComponents.from_separate(
             sigma2_omega=1.0, sigma2_tau=1.0, sigma2_gamma=1.0, sigma2_phi=1.0,
             sigma2_err=np.nan, L=2, H=1), "sigma2_err"),
+        # finite, but beyond the scale the criteria can square
+        (lambda: VarianceComponents(sigma2_omega=1e308, sigma2_tau=18.0, sigma2_gamma=160.0,
+                                    sigma2_phi_plus_err_over_L=333.0, H=3),
+         "sigma2_omega must be at most"),
+        (lambda: SubRegionProfile(V=np.diag([1e308, 1.0, 1.0])), "V must be at most"),
+        (lambda: SubRegionProfile(V=np.eye(2), ell=[1.0, 1e308]), "ell must be at most"),
+        (lambda: DenseKinship(matrix=np.diag([1e308, 1.0])), "matrix must be at most"),
     ], ids=["design-weights", "profile-V", "profile-ell", "cs-sigma2_alpha",
             "dense-matrix", "identity-K", "variance-H", "exact-counts",
-            "separate-sigma2_err"])
+            "separate-sigma2_err", "huge-sigma2_omega", "huge-V", "huge-ell",
+            "huge-dense-matrix"])
     def test_rejected_naming_the_field(self, build, field):
         with pytest.raises(ValidationError, match=field):
             build()
+
