@@ -7,7 +7,8 @@ bundled fixture):
     Evaluate the criterion for a fixed design.
 ``design``
     Compute an optimal design, approximate (``--mode approx``) or exact
-    (``--mode exact``).
+    (``--mode exact``, certified by branch-and-bound: its rows add
+    ``lower_bound``, ``certified`` and ``nodes``).
 ``efficiency``
     Compare two designs by their criterion-value ratio.
 
@@ -47,7 +48,7 @@ _SETTINGS = {"subregions": ("V", "ell"),
              "criterion": ("target", "weighting"),
              "designs": ("reference", "alternative"),
              "constraints": ("min_per_region", "max_per_region", "costs", "budget"),
-             "solver": ("mode", "tol", "max_iter", "restarts", "seed")}
+             "solver": ("mode", "tol", "max_iter")}
 _KINSHIP_KEYS = {"identity": ("variant", "K", "jitter"),
                  "cs": ("variant", "K", "r", "sigma2_alpha", "jitter"),
                  "block_cs": ("variant", "f", "m", "r", "sigma2_alpha", "jitter"),
@@ -394,8 +395,8 @@ def _render_design_table(report: dict) -> None:
         err.write("  " + "  ".join(cell.rjust(w) for cell, w in zip(r, widths)) + "\n")
     err.write(f"  phi       : {report['phi']:.6f}\n")
     err.write(f"  MSE trace : {report['mse_trace']:.4f}\n")
-    for key in ("optimality_gap", "status", "iterations", "restarts_used", "seed",
-                "best_start", "starts_descended", "cost"):
+    for key in ("optimality_gap", "status", "iterations", "lower_bound", "certified",
+                "nodes", "cost"):
         if report.get(key) is not None:
             err.write(f"  {key:<10}: {report[key]}\n")
     err.write("\n")
@@ -427,8 +428,6 @@ def _solver_settings(config: dict, args) -> dict:
 
     return {
         "tol": setting("tol", 1e-9, positive),
-        "restarts": setting("restarts", 20, count),
-        "seed": setting("seed", 0, count),
         "max_iter": setting("max_iter", 5000, lambda v, name: count(v, name, 1)),
         "mode": args.mode or block.get("mode", "approx"),
     }
@@ -460,8 +459,7 @@ def _design_rows(problem: DesignProblem, config: dict, args):
     for J in _j_grid(config):
         constraints = _build_constraints(config, J, problem.P)
         if solver["mode"] == "exact":
-            report = solve_exact(problem, constraints, seed=solver["seed"],
-                                 restarts=solver["restarts"], tol=solver["tol"],
+            report = solve_exact(problem, constraints, tol=solver["tol"],
                                  max_iter=solver["max_iter"])
         else:
             report = solve_approximate(problem, constraints, tol=solver["tol"],
@@ -476,12 +474,10 @@ def _design_rows(problem: DesignProblem, config: dict, args):
             "optimality_gap": report.optimality_gap,
             "status": report.status,
             "iterations": report.iterations,
-            "restarts_used": report.restarts_used,
-            "seed": report.seed,
         }
         if solver["mode"] == "exact":
-            row["best_start"] = report.best_start
-            row["starts_descended"] = report.starts_descended
+            row.update(lower_bound=report.lower_bound, certified=report.certified,
+                       nodes=report.nodes)
         if constraints.costs is not None and report.design.counts is not None:
             row["cost"] = float(constraints.cost(report.design.counts))
         yield row
@@ -549,11 +545,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_design.add_argument("--mode", choices=("approx", "exact"), default=None,
                           help="approximate weights or exact integer counts "
                                "(default approx)")
-    p_design.add_argument("--seed", type=int, default=None, help="solver seed override")
     p_design.add_argument("--tol", type=float, default=None,
-                          help="approximate-solver gap tolerance override")
-    p_design.add_argument("--restarts", type=int, default=None,
-                          help="exact-solver restart count override")
+                          help="relaxation gap tolerance override")
 
     command("efficiency", "criterion-value ratio of two designs",
             _efficiency_rows, _render_efficiency)

@@ -34,7 +34,7 @@ grid is one batched factorization of the (n_J, G, P, P) stack.  The value,
 gradient and MSE trace follow from L^-1 times the roots, and the solvers'
 primitives read the same factor: ``newton_terms`` gives the criterion with
 its gradient and Hessian, and ``transfer_scores`` prices every
-single-location transfer of a stack of designs, each move being a rank-2
+single-location transfer of a design, each move being a rank-2
 update of the group systems that Woodbury's identity resolves as a 2×2
 system.
 """
@@ -172,6 +172,9 @@ def _eigen_spectrum(n: np.ndarray, target: Target) -> _Spectrum:
     means = n.mean(axis=0)
     tnt = sym(n - means[:, None] - means[None, :] + means.mean())
     lam, q = np.linalg.eigh(tnt)
+    # TNT is semidefinite, but eigh returns its null eigenvalue as ±1e-16·‖N‖,
+    # and a negative one times Ṽ can outweigh R̃ in the inner matrix
+    lam = np.maximum(lam, 0.0)
     if target is Target.CONTRASTS:
         return _Spectrum(lam, lam ** 2, float(np.trace(tnt)))
     shift = means @ (q - q.mean(axis=0))                # n̄ᵀTq per eigenvector
@@ -209,8 +212,7 @@ class _TraceEvaluator:
 
     def _inverse_factor(self, w, sizes=1.0) -> np.ndarray:
         """L^-1 of the Cholesky factors LLᵀ = diag(w) + C_g/s, per group, for
-        one design (P,) or a stack (n, P), at one size or a stack ``sizes``
-        (n,)."""
+        one design (P,) at one size or a stack ``sizes`` (n,)."""
         w = np.asarray(w, dtype=float)
         s = np.asarray(sizes, dtype=float)[..., None, None, None]
         a = self.c / s + w[..., None, :, None] * np.eye(self.c.shape[-1])
@@ -252,14 +254,12 @@ class _TraceEvaluator:
         return float(self.over_sizes(w, [1])[1][0])
 
     def _inverse_terms(self, w):
-        """phi, M = A^-1 and N = A^-1 H A^-1 per group, for one design (P,)
-        or a stack (n, P)."""
+        """phi, M = A^-1 and N = A^-1 H A^-1 per group at one design."""
         l_inv = self._inverse_factor(w)
         l_inv_t = np.swapaxes(l_inv, -1, -2)
         y = l_inv @ self.root
         x = l_inv_t @ y                                       # A^-1 R
-        return (np.einsum("...gij,...gij->...", y, y), l_inv_t @ l_inv,
-                x @ np.swapaxes(x, -1, -2))
+        return float(np.einsum("gij,gij->", y, y)), l_inv_t @ l_inv, x @ np.swapaxes(x, -1, -2)
 
     def newton_terms(self, w):
         """phi, gradient and Hessian at one design.
@@ -268,34 +268,25 @@ class _TraceEvaluator:
         M = A^-1 and N = A^-1 H A^-1.
         """
         phi, m, nn = self._inverse_terms(w)
-        return (float(phi), -np.einsum("gii->i", nn),
-                2.0 * np.einsum("gij,gij->ij", m, nn))
+        return phi, -np.einsum("gii->i", nn), 2.0 * np.einsum("gij,gij->ij", m, nn)
 
-    def transfer_scores(self, weights, step: float):
-        """phi of each row of an (n, P) stack, and the exact change of phi
-        when ``step`` weight moves from region i to region k.
+    def transfer_scores(self, w, step: float):
+        """phi at one design and the exact change of phi, delta (P, P), when
+        ``step`` weight moves from region i to region k.
 
-        Returns (phi (n,), delta (n, P, P)).  Per group a transfer is the
-        rank-2 update A + U D Uᵀ with U = [e_i, e_k] and D = diag(-step,
-        step); with M = A^-1 and N = A^-1 H A^-1, Woodbury gives the change as
-        -tr(S^-1 Uᵀ N U), S = D^-1 + Uᵀ M U, a 2×2 system solved in closed
-        form.  The diagonal i = k is zero up to rounding.  Each row's values
-        depend on that row alone, not on the rest of the stack; its phi may
-        differ from :meth:`phi` in the last digits.
+        Per group a transfer is the rank-2 update A + U D Uᵀ with
+        U = [e_i, e_k] and D = diag(-step, step); with M = A^-1 and
+        N = A^-1 H A^-1, Woodbury gives the change as -tr(S^-1 Uᵀ N U),
+        S = D^-1 + Uᵀ M U, a 2×2 system solved in closed form.  The diagonal
+        i = k is zero up to rounding.
         """
-        weights = np.atleast_2d(np.asarray(weights, dtype=float))
-        n, p = weights.shape
-        phi, delta = np.empty(n), np.empty((n, p, p))
-        inv_step = 1.0 / step
-        for rows in self._batches(n):
-            phi[rows], m, nn = self._inverse_terms(weights[rows])
-            m_d = np.diagonal(m, axis1=-2, axis2=-1)
-            n_d = np.diagonal(nn, axis1=-2, axis2=-1)
-            s_ii = m_d[..., :, None] - inv_step
-            s_kk = m_d[..., None, :] + inv_step
-            num = s_kk * n_d[..., :, None] - 2.0 * m * nn + s_ii * n_d[..., None, :]
-            delta[rows] = -(num / (s_ii * s_kk - m * m)).sum(axis=1)
-        return phi, delta
+        phi, m, nn = self._inverse_terms(w)
+        m_d = np.diagonal(m, axis1=-2, axis2=-1)
+        n_d = np.diagonal(nn, axis1=-2, axis2=-1)
+        s_ii = m_d[:, :, None] - 1.0 / step
+        s_kk = m_d[:, None, :] + 1.0 / step
+        num = s_kk * n_d[:, :, None] - 2.0 * m * nn + s_ii * n_d[:, None, :]
+        return phi, -(num / (s_ii * s_kk - m * m)).sum(axis=0)
 
 
 @dataclass(frozen=True, eq=False)

@@ -45,6 +45,16 @@ def _check_numbers(spec, integral=(), real=()) -> None:
         raise ValidationError(f"jitter must be non-negative, got {spec.jitter}")
 
 
+def _check_scale(spec, field: str, largest: float) -> None:
+    """Reject a kinship whose eigenvalues, at most ``largest``, could overflow
+    K·λ², the criteria's largest group weight; name ``field`` or the jitter."""
+    limit = float(np.sqrt(np.finfo(float).max / spec.K))
+    if not largest <= limit:
+        name = "jitter" if spec.jitter >= largest / 2 else field
+        raise ValidationError(f"{name} gives the kinship an eigenvalue up to {largest:.3g}, "
+                              f"above the {limit:.3g} that K={spec.K} allows")
+
+
 @dataclass(frozen=True)
 class Identity:
     """Uncorrelated genotypes: N = I_K."""
@@ -56,6 +66,7 @@ class Identity:
         _check_numbers(self, integral=("K",))
         if self.K < 2:
             raise ValidationError(f"kinship needs at least 2 genotypes, got K={self.K}")
+        _check_scale(self, "jitter", 1.0 + self.jitter)
 
 
 @dataclass(frozen=True)
@@ -86,6 +97,7 @@ class CompoundSymmetry:
             raise ValidationError(f"sigma2_alpha must be positive, got {self.sigma2_alpha}")
         if not 0.0 <= self.r < 1.0:
             raise ValidationError(f"correlation r must lie in [0, 1), got {self.r}")
+        _check_scale(self, "sigma2_alpha", self.a1 + self.K * self.a + self.jitter)
 
     @property
     def a(self) -> float:
@@ -120,6 +132,7 @@ class BlockCompoundSymmetry:
             raise ValidationError(f"sigma2_alpha must be positive, got {self.sigma2_alpha}")
         if not 0.0 <= self.r < 1.0:
             raise ValidationError(f"correlation r must lie in [0, 1), got {self.r}")
+        _check_scale(self, "sigma2_alpha", self.b1 + self.m * self.b + self.jitter)
 
     @property
     def K(self) -> int:
@@ -145,6 +158,8 @@ class DenseKinship:
         _check_numbers(self)
         object.__setattr__(self, "matrix",
                            frozen_array(symmetric_matrix(self.matrix, "matrix")))
+        # the largest absolute row sum bounds every eigenvalue
+        _check_scale(self, "matrix", float(np.abs(self.matrix).sum(axis=1).max()) + self.jitter)
 
     @property
     def K(self) -> int:

@@ -13,12 +13,11 @@ beyond rounding there.  The polytope's best vertex for the linearized
 criterion serves only as the optimality-gap certificate.  A solve ends
 ``converged`` (gap below the tolerance), ``max_iter`` (the evaluation
 budget spent), or ``stalled`` (a step that, at rounding level, neither
-lowered the criterion nor halved the gap).  The exact solver rounds the
-approximate optimum, adds seeded random feasible starts, and runs steepest
-single-location transfers from all of them in lockstep: each sweep scores
-the designs not yet scored in a single batched call, which prices every
-move of each by a rank-2 update of its systems (see ``transfer_scores``).
-The merge over starts is deterministic.
+lowered the criterion nor halved the gap).  The exact solver is a
+branch-and-bound over integer count boxes on the same relaxation, whose
+first incumbent comes from steepest single-location transfers, each move
+priced by a rank-2 update of the group systems (``transfer_scores``).
+Nothing is random.
 """
 from __future__ import annotations
 
@@ -45,6 +44,12 @@ _BUDGET_TOL = 1e-9
 _QP_TOL = 1e-12
 # a Newton step whose phi rises by at most this many ulps is rounding
 _PHI_ULPS = 4
+# a box whose relaxation bound is within this of the incumbent is pruned
+_PRUNE_RTOL = 1e-12
+# a relaxed optimum whose counts J·w lie this close to integers is integral
+_INTEGRAL_TOL = 1e-7
+# relaxations an exact solve may take before it stops uncertified
+_NODE_LIMIT = 10_000
 
 
 def __getattr__(name):
@@ -119,33 +124,18 @@ class ConstraintSet:
                 raise ValidationError(f"budget must be a positive real, got {self.budget!r}")
             object.__setattr__(self, "budget", budget)
 
-        if int(lo.sum()) > j:
-            raise InfeasibleError(
-                "minimum allocations alone exceed the total number of locations",
-                certificate={"reason": "min-total-exceeds-J",
-                             "min_total": int(lo.sum()), "J": j},
-            )
-        if int(hi.sum()) < j:
-            raise InfeasibleError(
-                "maximum allocations cannot absorb the total number of locations",
-                certificate={"reason": "max-total-below-J",
-                             "max_total": int(hi.sum()), "J": j},
-            )
-        if self.costs is not None:
-            cheapest = _fill(lo, hi, j, self.costs)
-            min_cost = float(self.costs @ cheapest)
-            if min_cost > self.budget + _BUDGET_TOL:
-                raise InfeasibleError(
-                    "even the cheapest feasible allocation exceeds the budget",
-                    certificate={"reason": "budget-too-small",
-                                 "cheapest_cost": min_cost,
-                                 "budget": self.budget,
-                                 "cheapest_counts": cheapest.tolist()},
-                )
+        error = _infeasibility(lo, hi, j, self.costs, self.budget)
+        if error is not None:
+            raise error
 
     def weight_box(self):
         """Per-region weight bounds (lo, hi) of the continuous relaxation."""
         return self.min_per_region / self.J, self.max_per_region / self.J
+
+    def weight_budget(self):
+        """The relaxation's budget row costs·w <= b, or None: with the integer
+        designs' tolerance, so it holds every design :meth:`satisfies` takes."""
+        return None if self.costs is None else (self.budget + _BUDGET_TOL) / self.J
 
     def cost(self, counts) -> float:
         return float(self.costs @ counts) if self.costs is not None else 0.0
@@ -169,12 +159,9 @@ class OptimizerReport:
     gap fell below the tolerance), ``max_iter`` (``iterations`` counts its
     criterion evaluations, one per Newton step or step halving), or
     ``stalled`` (a Newton step that, at rounding level, neither lowered the
-    criterion nor halved the gap).  An exact solve carries the
-    status of its approximate warm start, the number of distinct starts it
-    descended from (``starts_descended``) and which start won
-    (``best_start``: 0 is the rounded approximate optimum, 1 to
-    ``restarts`` the seeded random starts); both are None for approximate
-    solves.
+    criterion nor halved the gap).  An exact solve carries its root's status
+    and adds ``lower_bound``, ``certified`` and ``nodes`` (see
+    :func:`solve_exact`), which are None for approximate solves.
     """
 
     design: Design
@@ -182,11 +169,10 @@ class OptimizerReport:
     mse_trace: float
     optimality_gap: float
     iterations: int
-    restarts_used: int
     status: str
-    seed: object = None
-    best_start: int | None = None
-    starts_descended: int | None = None
+    lower_bound: float | None = None
+    certified: bool | None = None
+    nodes: int | None = None
 
 
 def _fill(lo, hi, total, key):
@@ -201,6 +187,35 @@ def _fill(lo, hi, total, key):
         if slack <= 0:
             break
     return x
+
+
+def _infeasibility(lo, hi, j, costs, budget):
+    """The :class:`InfeasibleError` of the integer box lo <= x <= hi under
+    Σx = j and costs·x <= budget, or None when the box holds a feasible x."""
+    if int(lo.sum()) > j:
+        return InfeasibleError(
+            "minimum allocations alone exceed the total number of locations",
+            certificate={"reason": "min-total-exceeds-J",
+                         "min_total": int(lo.sum()), "J": j},
+        )
+    if int(hi.sum()) < j:
+        return InfeasibleError(
+            "maximum allocations cannot absorb the total number of locations",
+            certificate={"reason": "max-total-below-J",
+                         "max_total": int(hi.sum()), "J": j},
+        )
+    if costs is not None:
+        cheapest = _fill(lo, hi, j, costs)
+        min_cost = float(costs @ cheapest)
+        if min_cost > budget + _BUDGET_TOL:
+            return InfeasibleError(
+                "even the cheapest feasible allocation exceeds the budget",
+                certificate={"reason": "budget-too-small",
+                             "cheapest_cost": min_cost,
+                             "budget": budget,
+                             "cheapest_counts": cheapest.tolist()},
+            )
+    return None
 
 
 def _linear_minimum(g, lo, hi, costs, budget_w):
@@ -249,7 +264,8 @@ def _box_qp(g, q, lower, upper, costs=None, slack=None):
     ``costs``, costs·d <= slack.
 
     ``q`` must be positive definite and d = 0 feasible.  A primal active-set
-    method: from d = 0 it minimizes over the free coordinates, the fixed ones
+    method: from d = 0, with the bounds it sits on fixed (unless that fixes
+    every coordinate), it minimizes over the free coordinates, the fixed ones
     at their bounds and the active rows held, by one bordered KKT system that
     gives the step and the rows' multipliers at its end; it steps until a
     bound or the budget row blocks and adds it, and at each working-set
@@ -259,7 +275,12 @@ def _box_qp(g, q, lower, upper, costs=None, slack=None):
     """
     p = g.size
     d = np.zeros(p)
-    at_lo, at_hi = np.zeros(p, dtype=bool), np.zeros(p, dtype=bool)
+    # the bounds that d = 0 already sits on start in the working set, unless
+    # they would leave no coordinate free
+    at_lo = lower == 0.0
+    at_hi = (upper == 0.0) & ~at_lo
+    if np.all(at_lo | at_hi):
+        at_lo[:] = at_hi[:] = False
     budget_on = False
     # Σd = 0 and the budget row, scaled alike so their multipliers compare
     rows = np.ones((1, p)) if costs is None else np.stack([np.ones(p), costs / costs.max()])
@@ -320,11 +341,14 @@ def _box_qp(g, q, lower, upper, costs=None, slack=None):
     return d
 
 
-def _centre(lo, hi, costs, budget_w):
-    """Feasible start: the box point lo + (1 - Σlo)(hi - lo)/Σ(hi - lo),
+def _start(x, lo, hi, costs, budget_w):
+    """Feasible start near ``x``: x clipped into the box, the mass lost or
+    gained spread over the coordinates in proportion to their room, then
     moved towards the cheapest vertex until the budget row holds."""
-    room = hi - lo
-    x = lo + (1.0 - lo.sum()) * (room / room.sum() if room.any() else room)
+    x = np.clip(x, lo, hi)
+    excess = 1.0 - x.sum()
+    room = hi - x if excess >= 0.0 else x - lo
+    x = x + excess * (room / room.sum() if room.any() else room)
     if costs is not None and costs @ x > budget_w:
         cheapest = _linear_minimum(costs, lo, hi, costs, budget_w)
         x += min((costs @ x - budget_w) / (costs @ (x - cheapest)), 1.0) * (cheapest - x)
@@ -340,6 +364,35 @@ def _step_kept(phi_new, gap_new, phi, gap) -> bool:
     """
     return phi_new < phi or (phi_new <= phi + _PHI_ULPS * np.spacing(abs(phi))
                              and gap_new <= 0.5 * gap)
+
+
+def _newton(ev, y, lo, hi, costs, budget_w, tol, max_iter, cutoff=np.inf):
+    """Projected Newton from the feasible point y (see :func:`solve_approximate`),
+    also ``converged`` once the lower bound phi - gap reaches ``cutoff``.
+    Returns the last kept point, its phi and gap, the evaluations and status."""
+    status = "max_iter"
+    for it in range(1, max_iter + 1):
+        phi_y, g_y, hess_y = ev.newton_terms(y)
+        gap_y = float(g_y @ (y - _linear_minimum(g_y, lo, hi, costs, budget_w)))
+        done = gap_y <= tol * max(1.0, abs(phi_y)) or phi_y - gap_y >= cutoff
+        if it > 1 and not (done or _step_kept(phi_y, gap_y, phi_x, gap)):
+            if phi_y <= phi_x + _PHI_ULPS * np.spacing(abs(phi_x)):
+                status = "stalled"
+                break
+            t *= 0.5                        # the step overshot: halve it
+            y = x + t * d
+            continue
+        x, phi_x, g, hess, gap = y, phi_y, g_y, hess_y, gap_y
+        if done:
+            status = "converged"
+            break
+        if it == max_iter:
+            break
+        slack = None if costs is None else budget_w - costs @ x
+        d = _box_qp(g, hess, lo - x, hi - x, costs, slack)
+        t = 1.0
+        y = x + d
+    return x, phi_x, max(gap, 0.0), it, status
 
 
 def solve_approximate(problem: DesignProblem, constraints: ConstraintSet,
@@ -364,47 +417,15 @@ def solve_approximate(problem: DesignProblem, constraints: ConstraintSet,
         raise ValidationError(
             f"constraints describe {constraints.P} sub-regions, problem has {problem.P}"
         )
-    ev = problem.evaluator(constraints.J)
     lo, hi = constraints.weight_box()
-    costs = constraints.costs
-    budget_w = constraints.budget / constraints.J if costs is not None else None
-
-    y = _centre(lo, hi, costs, budget_w)
-    status = "max_iter"
-    for it in range(1, max_iter + 1):
-        phi_y, g_y, hess_y = ev.newton_terms(y)
-        gap_y = float(g_y @ (y - _linear_minimum(g_y, lo, hi, costs, budget_w)))
-        done = gap_y <= tol * max(1.0, abs(phi_y))
-        if it > 1 and not (done or _step_kept(phi_y, gap_y, phi_x, gap)):
-            if phi_y <= phi_x + _PHI_ULPS * np.spacing(abs(phi_x)):
-                status = "stalled"
-                break
-            t *= 0.5                        # the step overshot: halve it
-            y = x + t * d
-            continue
-        x, phi_x, g, hess, gap = y, phi_y, g_y, hess_y, gap_y
-        if done:
-            status = "converged"
-            break
-        if it == max_iter:
-            break
-        slack = None if costs is None else budget_w - costs @ x
-        d = _box_qp(g, hess, lo - x, hi - x, costs, slack)
-        t = 1.0
-        y = x + d
-
+    costs, budget_w = constraints.costs, constraints.weight_budget()
+    x, _, gap, iterations, status = _newton(
+        problem.evaluator(constraints.J), _start(lo, lo, hi, costs, budget_w),
+        lo, hi, costs, budget_w, tol, max_iter)
     design = Design.approximate(x, constraints.J)
     value = problem.value(design)
-    return OptimizerReport(
-        design=design,
-        phi=value.phi,
-        mse_trace=value.mse_trace,
-        optimality_gap=max(gap, 0.0),
-        iterations=it,
-        restarts_used=0,
-        status=status,
-        seed=None,
-    )
+    return OptimizerReport(design=design, phi=value.phi, mse_trace=value.mse_trace,
+                           optimality_gap=gap, iterations=iterations, status=status)
 
 
 def round_to_exact(weights, constraints: ConstraintSet) -> Design:
@@ -454,145 +475,123 @@ def round_to_exact(weights, constraints: ConstraintSet) -> Design:
     return Design.exact(counts)
 
 
-def _random_feasible(rng, constraints: ConstraintSet) -> np.ndarray:
-    """A random feasible allocation: each location in turn goes to a region
-    drawn uniformly among those below their cap.
+def _transfer_descent(ev, counts, constraints: ConstraintSet):
+    """Steepest single-location transfers from ``counts`` to a local optimum.
 
-    The draws come in chunks no longer than the least room of any open
-    region, so no region fills inside a chunk and one ``rng.integers`` call
-    serves a whole chunk; a batched draw yields the same stream as as many
-    scalar draws.
+    Each step takes the best feasible move (first strict minimum in (i, k)
+    order, so ties go to the smallest pair) and the descent stops when no
+    move lowers phi.  A move whose design does not score a strictly lower
+    phi than the design before it is undone and the descent stops, so phi
+    strictly decreases and no design is visited twice.
+
+    Returns the final phi, counts and number of moves.
     """
-    counts = np.array(constraints.min_per_region)
-    caps = constraints.max_per_region
-    left = constraints.J - int(counts.sum())
-    open_regions = np.flatnonzero(counts < caps)
-    while left:
-        chunk = min(left, int((caps - counts)[open_regions].min()))
-        draws = rng.integers(0, len(open_regions), size=chunk)
-        counts[open_regions] += np.bincount(draws, minlength=len(open_regions))
-        left -= chunk
-        open_regions = open_regions[counts[open_regions] < caps[open_regions]]
-    if constraints.costs is not None:
-        counts = round_to_exact(counts / constraints.J, constraints).counts
-    return counts
-
-
-def _feasible_moves(counts, constraints: ConstraintSet) -> np.ndarray:
-    """(n, P, P) mask of the feasible single-location moves i -> k of each
-    row of an (n, P) stack of counts."""
+    p, j, costs = constraints.P, constraints.J, constraints.costs
     lo, hi = constraints.min_per_region, constraints.max_per_region
-    ok = (counts > lo)[:, :, None] & (counts < hi)[:, None, :]
-    ok[:, np.arange(constraints.P), np.arange(constraints.P)] = False
-    if constraints.costs is not None:
-        costs = constraints.costs
-        new_cost = (counts @ costs)[:, None, None] - costs[:, None] + costs[None, :]
-        ok &= new_cost <= constraints.budget + _BUDGET_TOL
-    return ok
-
-
-def _transfer_descent(ev, starts, constraints: ConstraintSet):
-    """Steepest single-location transfers from every start to a local optimum.
-
-    A start takes its best feasible move (first strict minimum in (i, k)
-    order, so ties go to the smallest pair) and stops when no move lowers
-    phi.  A move whose design does not score a strictly lower phi than the
-    design before it is undone and the start stops, so each descent strictly
-    decreases one deterministic function and cannot cycle.
-
-    A design's phi and best move depend on its counts alone, so each design
-    is scored once, whichever start reaches it.  All starts descend in
-    lockstep sweeps: a sweep scores the designs that the starts wait on in
-    one ``transfer_scores`` call, and then each start steps by lookup until
-    it stops or reaches a design that no start has reached before.  Starts
-    that run into each other's paths then cost nothing more.
-
-    Returns the final phi, counts and number of moves of each start.
-    """
-    p = constraints.P
-    designs = [tuple(row) for row in np.asarray(starts, dtype=int).tolist()]
-    phi, moves, before = [np.inf] * len(designs), [0] * len(designs), list(designs)
-    scored = {}                            # counts -> (phi, best move i*P + k or -1)
-    waiting = range(len(designs))
-    while waiting:
-        new = list(dict.fromkeys(designs[s] for s in waiting))
-        counts = np.array(new)
-        value, delta = ev.transfer_scores(counts / constraints.J, 1.0 / constraints.J)
-        scores = np.where(_feasible_moves(counts, constraints), delta, np.inf)
-        scores = scores.reshape(len(new), p * p)
-        best = np.argmin(scores, axis=1)
-        best[~(scores[np.arange(len(new)), best] < 0.0)] = -1
-        scored.update(zip(new, zip(value.tolist(), best.tolist())))
-        still = []
-        for s in waiting:
-            while designs[s] in scored:
-                value, move = scored[designs[s]]
-                if moves[s] and not value < phi[s]:
-                    designs[s] = before[s]
-                    moves[s] -= 1
-                    break
-                phi[s] = value
-                if move < 0:
-                    break
-                src, dst = divmod(move, p)
-                moved = list(designs[s])
-                moved[src] -= 1
-                moved[dst] += 1
-                before[s], designs[s] = designs[s], tuple(moved)
-                moves[s] += 1
-            else:
-                still.append(s)
-        waiting = still
-    return np.array(phi), np.array(designs), np.array(moves)
+    counts = np.array(counts, dtype=int)
+    phi, moves = np.inf, 0
+    while True:
+        value, delta = ev.transfer_scores(counts / j, 1.0 / j)
+        if not value < phi:
+            counts[src] += 1
+            counts[dst] -= 1
+            return phi, counts, moves - 1
+        phi = value
+        feasible = (counts > lo)[:, None] & (counts < hi)[None, :]
+        np.fill_diagonal(feasible, False)
+        if costs is not None:
+            feasible &= counts @ costs - costs[:, None] + costs[None, :] \
+                <= constraints.budget + _BUDGET_TOL
+        scores = np.where(feasible, delta, np.inf)
+        move = int(np.argmin(scores))
+        if not scores.flat[move] < 0.0:
+            return phi, counts, moves
+        src, dst = divmod(move, p)
+        counts[src] -= 1
+        counts[dst] += 1
+        moves += 1
 
 
 def solve_exact(problem: DesignProblem, constraints: ConstraintSet,
-                seed: int = 0, restarts: int = 20, tol: float = 1e-9,
-                max_iter: int = 5000) -> OptimizerReport:
-    """The best local optimum of multi-start transfer descent under the
-    constraints.
+                tol: float = 1e-9, max_iter: int = 5000) -> OptimizerReport:
+    """The optimal exact design under the constraints, by branch-and-bound.
 
-    Warm-starts from the rounded approximate optimum and from ``restarts``
-    seeded random feasible allocations, improves each distinct one by
-    steepest transfer descent, and keeps the best result (criterion value,
-    then lexicographically smallest counts; ``best_start`` says which start
-    reached it first).  ``tol`` and ``max_iter`` go to the approximate warm
-    start.  The reported gap is measured against the continuous relaxation
-    bound, so it certifies nothing about the integer optimum, and more
-    restarts do not guarantee reaching it.
+    The root is :func:`solve_approximate`'s relaxation, and the first
+    incumbent its rounding improved by steepest transfer descent (none if
+    rounding cannot meet the budget).  The search goes depth first over
+    integer count boxes, each relaxation run from its parent's optimum until
+    its bound phi - gap reaches the incumbent within 1e-12 relative, which
+    prunes the box.  A box with an integral relaxed optimum is a leaf; any
+    other is split on its most fractional count, nearer side first.
+
+    ``lower_bound`` is the least bound of the closed boxes (and of the open
+    ones if ``_NODE_LIMIT`` relaxations stop the search), ``optimality_gap``
+    phi minus it, and ``certified`` that every box closed with the gap within
+    ``tol`` relative to phi.  ``iterations`` counts the Newton evaluations
+    of all ``nodes`` relaxations; ``status`` is the root's.
     """
-    restarts = count(restarts, "restarts")
-    seed = 0 if seed is None else count(seed, "seed")
-    approx = solve_approximate(problem, constraints, tol=tol, max_iter=max_iter)
+    tol = positive(tol, "tol")
+    max_iter = count(max_iter, "max_iter", 1)
+    root = solve_approximate(problem, constraints, tol=tol, max_iter=max_iter)
     ev = problem.evaluator(constraints.J)
+    j, costs, budget = constraints.J, constraints.costs, constraints.budget
+    budget_w = constraints.weight_budget()
 
-    starts = [round_to_exact(approx.design.weights, constraints).counts]
-    for child in np.random.SeedSequence(seed).spawn(restarts):
-        starts.append(_random_feasible(np.random.default_rng(child), constraints))
-    first = {}                              # distinct starts, by first index
-    for index, counts in enumerate(starts):
-        first.setdefault(tuple(int(v) for v in counts), index)
-    distinct = list(first.values())
-    phi, counts, moves = _transfer_descent(ev, [starts[i] for i in distinct],
-                                           constraints)
+    try:
+        best_phi, best, _ = _transfer_descent(
+            ev, round_to_exact(root.design.weights, constraints).counts, constraints)
+    except InfeasibleError:                 # rounding cannot meet the budget
+        best, best_phi = None, np.inf
 
-    win = min(range(len(distinct)),
-              key=lambda s: (phi[s], tuple(int(v) for v in counts[s])))
-    design = Design.exact(counts[win])
+    def cutoff():
+        return np.inf if best is None else best_phi - _PRUNE_RTOL * max(1.0, abs(best_phi))
+
+    lower_bound, nodes, iterations = np.inf, 1, root.iterations
+    # depth-first stack of (box floor, box cap, parent optimum, parent bound)
+    stack = [(constraints.min_per_region, constraints.max_per_region, None,
+              root.phi - root.optimality_gap)]
+    while stack:
+        lo_n, hi_n, parent_x, bound = node = stack.pop()
+        if parent_x is None:
+            x = root.design.weights
+        elif bound < cutoff():
+            if nodes == _NODE_LIMIT:
+                stack.append(node)
+                break
+            if _infeasibility(lo_n, hi_n, j, costs, budget) is not None:
+                continue
+            lo, hi = lo_n / j, hi_n / j
+            x, phi, gap, its, _ = _newton(ev, _start(parent_x, lo, hi, costs, budget_w),
+                                          lo, hi, costs, budget_w, tol, max_iter,
+                                          cutoff())
+            nodes += 1
+            iterations += its
+            bound = max(phi - gap, bound)       # the parent's bound holds here too
+        if bound < cutoff():
+            scaled = x * j
+            frac = scaled - np.floor(scaled)
+            if np.any(np.minimum(frac, 1.0 - frac) > _INTEGRAL_TOL):
+                i = int(np.argmin(np.abs(frac - 0.5)))      # the most fractional
+                down_hi, up_lo = np.array(hi_n), np.array(lo_n)
+                down_hi[i] = np.floor(scaled[i])
+                up_lo[i] = down_hi[i] + 1
+                down, up = (lo_n, down_hi, x, bound), (up_lo, hi_n, x, bound)
+                stack += [up, down] if frac[i] < 0.5 else [down, up]
+                continue
+            counts = np.rint(scaled).astype(int)            # a leaf
+            phi = ev.phi(counts / j)
+            if phi < best_phi and constraints.satisfies(counts):
+                best, best_phi = counts, phi
+        lower_bound = min(lower_bound, bound)               # the box is closed
+
+    design = Design.exact(best)
     value = problem.value(design)
-    relaxation_bound = approx.phi - approx.optimality_gap
+    lower_bound = min([lower_bound, value.phi] + [node[3] for node in stack])
+    gap = value.phi - lower_bound
     return OptimizerReport(
-        design=design,
-        phi=value.phi,
-        mse_trace=value.mse_trace,
-        optimality_gap=max(value.phi - relaxation_bound, 0.0),
-        iterations=int(moves.sum()),
-        restarts_used=restarts,
-        status=approx.status,
-        seed=seed,
-        best_start=distinct[win],
-        starts_descended=len(distinct),
-    )
+        design=design, phi=value.phi, mse_trace=value.mse_trace, optimality_gap=gap,
+        iterations=iterations, status=root.status, lower_bound=lower_bound,
+        certified=not stack and gap <= tol * max(1.0, abs(value.phi)), nodes=nodes)
 
 
 def efficiency(xi_unconstrained: Design, xi_constrained: Design,

@@ -63,6 +63,8 @@ def test_01_golden_family_block_designs(capsys):
         if rep["mse_trace"] > mse_e * 1.001:
             failures.append(f"{_row_label(r, f, m)}: exact solve "
                             f"{rep['mse_trace']:.1f} > {mse_e} * 1.001")
+        if not (rep["certified"] and rep["phi"] - rep["lower_bound"] <= 1e-12 * rep["phi"]):
+            failures.append(f"{_row_label(r, f, m)}: exact design not certified to 1e-12")
 
     # approximate mode reproduces the printed weights and MSE values
     t0 = time.perf_counter()
@@ -280,7 +282,7 @@ def test_07_exact_solver_enumeration_parity(capsys):
                                  budget=float(cheapest * 1.3))
         problem = DesignProblem(vc, profile, kin)
         brute = enumerate_exact_optimum(problem, cons)
-        report = solve_exact(problem, cons, seed=i, restarts=8)
+        report = solve_exact(problem, cons)
         if tuple(report.design.counts) != tuple(brute.counts):
             failures.append(f"instance {i} (style {style}): solver "
                             f"{tuple(report.design.counts)} vs enumeration "
@@ -288,8 +290,10 @@ def test_07_exact_solver_enumeration_parity(capsys):
         if not cons.satisfies(np.asarray(report.design.counts)):
             failures.append(f"instance {i}: returned design violates "
                             "its constraints")
+        if not report.certified:
+            failures.append(f"instance {i}: the search did not certify its design")
     _report(capsys, 7, "exact-solver-enumeration-parity", failures,
-            "25/25 instances match exhaustive enumeration exactly")
+            "25/25 instances match exhaustive enumeration exactly, each certified")
 
 
 def test_08_efficiency_and_determinism(capsys):
@@ -320,11 +324,10 @@ def test_08_efficiency_and_determinism(capsys):
             failures.append(f"constraint set {idx}: efficiency {eff:.6f} "
                             "outside (0, 1]")
 
-    first = solve_exact(problem, ConstraintSet(J=40, P=5), seed=7, restarts=10)
-    again = solve_exact(DesignProblem(vc, profile, kin), ConstraintSet(J=40, P=5),
-                        seed=7, restarts=10)
-    for field in ("phi", "mse_trace", "optimality_gap", "iterations",
-                  "restarts_used", "status", "seed"):
+    first = solve_exact(problem, ConstraintSet(J=40, P=5))
+    again = solve_exact(DesignProblem(vc, profile, kin), ConstraintSet(J=40, P=5))
+    for field in ("phi", "mse_trace", "optimality_gap", "iterations", "status",
+                  "lower_bound", "certified", "nodes"):
         if getattr(first, field) != getattr(again, field):
             failures.append(f"repeated run changes report field {field!r}")
     if tuple(first.design.counts) != tuple(again.design.counts):

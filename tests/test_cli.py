@@ -21,7 +21,10 @@ from trialalloc.fixtures import available_fixtures, fixture_path, load_fixture
 
 
 def run_cli(capsys, *argv):
-    code = main(list(argv))
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:           # argparse refuses the command line
+        code = exc.code
     captured = capsys.readouterr()
     payload = json.loads(captured.out) if captured.out.strip() else None
     return code, payload, captured.err
@@ -176,15 +179,16 @@ class TestDesign:
         assert payload["optimality_gap"] >= 0
         assert payload["status"] in ("converged", "max_iter", "stalled")
 
-    def test_exact_rows_say_which_start_won(self, capsys):
+    def test_exact_rows_carry_the_certificate(self, capsys):
         code, exact, _ = run_cli(capsys, "design", "--config", "maize_network",
-                                 "--mode", "exact", "--restarts", "6")
+                                 "--mode", "exact")
         assert code == 0
-        assert 1 <= exact["starts_descended"] <= 7
-        assert 0 <= exact["best_start"] <= 6
+        assert exact["certified"] is True and exact["nodes"] >= 1
+        assert exact["lower_bound"] <= exact["phi"]
+        assert exact["optimality_gap"] == exact["phi"] - exact["lower_bound"]
         code, approx, _ = run_cli(capsys, "design", "--config", "maize_network")
         assert code == 0
-        assert "best_start" not in approx and "starts_descended" not in approx
+        assert not {"lower_bound", "certified", "nodes"} & set(approx)
 
     @pytest.mark.parametrize("constraints, field", [
         ({"min_per_region": 1.7}, "min_per_region"),
@@ -231,6 +235,23 @@ class TestDesign:
         assert code == 2 and payload is None
         assert field in err
 
+    @pytest.mark.parametrize("target", ["effects", "contrasts"])
+    @pytest.mark.parametrize("kinship, field", [
+        ({"variant": "cs", "K": 31, "r": 0.5, "sigma2_alpha": 1e200}, "sigma2_alpha"),
+        ({"variant": "block_cs", "f": 6, "m": 5, "r": 0.5, "sigma2_alpha": 1.3e154},
+         "sigma2_alpha"),
+        ({"variant": "identity", "K": 31, "jitter": 1.3e154}, "jitter"),
+        ({"variant": "dense", "matrix": (1.3e154 * np.eye(31)).tolist()}, "matrix"),
+    ], ids=["cs", "block_cs", "identity", "dense"])
+    def test_kinship_scales_beyond_the_bound_exit_2(self, tmp_path, capsys, network_config,
+                                                    kinship, field, target):
+        network_config["kinship"] = kinship
+        network_config["criterion"] = {"target": target}
+        code, payload, err = run_cli(
+            capsys, "design", "--config", write_config(tmp_path, network_config))
+        assert code == 2 and payload is None
+        assert f"{field} gives the kinship an eigenvalue" in err
+
     @pytest.mark.parametrize("solver, flags, field", [
         ({"max_iter": 2.5}, (), "solver.max_iter"),
         ({"max_iter": 0}, (), "solver.max_iter"),
@@ -271,6 +292,9 @@ class TestDesign:
         ("kinship", {"variant": "dense", "matrix": np.eye(4).tolist(), "K": 4}, "kinship.K"),
         ("batch", [{"label": "a", "kinship": {"K": 31, "m": 5}}], "kinship.m"),
         ("design", {"countz": [13, 6, 8, 12, 1]}, "design.countz"),
+        # the exact search draws no random starts
+        ("solver", {"restarts": 20}, "solver.restarts"),
+        ("solver", {"seed": 0}, "solver.seed"),
     ])
     def test_unknown_settings_exit_2(self, tmp_path, capsys, network_config, block, value,
                                      field):
@@ -375,12 +399,13 @@ class TestDesign:
         assert payload["certificate"]["reason"] == "min-total-exceeds-J"
         assert "error" in payload and err
 
-    def test_flag_overrides_win(self, capsys):
-        code, a, _ = run_cli(capsys, "design", "--config", "maize_network",
-                             "--mode", "exact", "--seed", "3", "--restarts", "4")
+    def test_flag_overrides_win(self, tmp_path, capsys, network_config):
+        network_config["solver"] = {"mode": "exact", "tol": 1e-12}
+        path = write_config(tmp_path, network_config)
+        code, a, _ = run_cli(capsys, "design", "--config", path, "--mode", "approx",
+                             "--tol", "0.5")
         assert code == 0
-        assert a["seed"] == 3
-        assert a["restarts_used"] == 4
+        assert (a["mode"], a["status"], a["iterations"]) == ("approx", "converged", 1)
 
     def test_pretty_writes_table_to_stderr(self, capsys):
         code, _, err = run_cli(capsys, "design", "--config", "maize_network",
@@ -388,7 +413,7 @@ class TestDesign:
         assert code == 0
         assert "MSE trace" in err
         assert "region" in err
-        assert "best_start" in err and "starts_descended" in err
+        assert "certified" in err and "nodes" in err and "lower_bound" in err
 
 
 class TestEfficiency:
@@ -590,6 +615,8 @@ class TestFlags:
         ("eval", "--config", "maize_network", "--seed", "3"),
         ("efficiency", "--config", "maize_network", "--tol", "1e-6"),
         ("eval", "--config", "maize_network", "--restarts", "4"),
+        ("design", "--config", "maize_network", "--mode", "exact", "--seed", "3"),
+        ("design", "--config", "maize_network", "--mode", "exact", "--restarts", "4"),
     ])
     def test_flags_a_command_ignores_are_refused(self, capsys, argv):
         with pytest.raises(SystemExit) as exc_info:
@@ -652,3 +679,28 @@ def test_console_script_target_prints_the_version(capsys):
         entry(["--version"])
     assert exc_info.value.code == 0
     assert capsys.readouterr().out == f"trialalloc {__version__}\n"
+
+
+def _cli_process(*argv, env=None, timeout=120):
+    """Run the CLI in a fresh interpreter."""
+    return subprocess.run([sys.executable, "-m", "trialalloc.cli", *argv],
+                          capture_output=True, text=True, timeout=timeout,
+                          env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path),
+                               **(env or {})})
+
+
+def test_exact_design_of_a_billion_locations_finishes(tmp_path, network_config):
+    network_config["J"] = 1_000_000_000
+    out = _cli_process("design", "--config", write_config(tmp_path, network_config),
+                       "--mode", "exact", timeout=60)
+    assert out.returncode == 0, out.stderr
+    report = json.loads(out.stdout)
+    assert sum(report["design"]["counts"]) == 1_000_000_000
+    assert report["certified"] is True
+
+
+def test_exact_output_is_the_same_in_every_process():
+    runs = [_cli_process("design", "--mode", "exact", "--config", "maize_family_blocks",
+                         env={"PYTHONHASHSEED": seed}) for seed in ("1", "2")]
+    assert all(out.returncode == 0 for out in runs), runs[0].stderr
+    assert runs[0].stdout == runs[1].stdout

@@ -3,9 +3,13 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from trialalloc import (BlockCompoundSymmetry, CompoundSymmetry, DenseKinship,
-                        Identity, ValidationError, asv, load_kinship_csv,
-                        materialize, sigma2_alpha_for_unit_asv, validate_pd)
+from trialalloc import (BlockCompoundSymmetry, CompoundSymmetry, CriterionSpec, Design,
+                        DenseKinship, DesignProblem, Identity, ValidationError, asv,
+                        load_kinship_csv, materialize, sigma2_alpha_for_unit_asv,
+                        validate_pd)
+
+# the largest eigenvalue a kinship of K=30 genotypes may have: 30·λ² stays finite
+_LIMIT_30 = float(np.sqrt(np.finfo(float).max / 30))
 
 
 class TestMaterialize:
@@ -64,6 +68,37 @@ class TestValidation:
     def test_malformed_dense_is_named(self, mat, message):
         with pytest.raises(ValidationError, match=message):
             DenseKinship(matrix=mat)
+
+    @pytest.mark.parametrize("make, field", [
+        (lambda: CompoundSymmetry(K=30, sigma2_alpha=1e200, r=0.5), "sigma2_alpha"),
+        (lambda: CompoundSymmetry(K=30, sigma2_alpha=1e308, r=0.5), "sigma2_alpha"),
+        # r = 0.5 gives the exchangeable direction an eigenvalue of 15.5 sigma2_alpha
+        (lambda: CompoundSymmetry(K=30, sigma2_alpha=_LIMIT_30 / 10, r=0.5), "sigma2_alpha"),
+        (lambda: BlockCompoundSymmetry(f=6, m=5, sigma2_alpha=1.3e154, r=0.5),
+         "sigma2_alpha"),
+        (lambda: Identity(K=30, jitter=1.3e154), "jitter"),
+        (lambda: CompoundSymmetry(K=30, sigma2_alpha=1.0, r=0.5, jitter=1e308), "jitter"),
+        (lambda: DenseKinship(matrix=1.3e154 * np.eye(30)), "matrix"),
+        (lambda: DenseKinship(matrix=np.full((30, 30), _LIMIT_30 / 20)), "matrix"),
+    ], ids=["cs", "cs-max", "cs-ones", "block", "identity-jitter", "cs-jitter", "dense",
+            "dense-rows"])
+    def test_scales_beyond_the_eigenvalue_bound_are_named(self, make, field):
+        with pytest.raises(ValidationError, match=f"{field} gives the kinship an eigenvalue"):
+            make()
+
+    @pytest.mark.parametrize("target", ["effects", "contrasts"])
+    @pytest.mark.parametrize("kinship", [
+        Identity(K=30, jitter=0.99 * _LIMIT_30),
+        CompoundSymmetry(K=30, sigma2_alpha=0.99 * _LIMIT_30 / 15.5, r=0.5),
+        BlockCompoundSymmetry(f=6, m=5, sigma2_alpha=0.99 * _LIMIT_30 / 3.0, r=0.5),
+        DenseKinship(matrix=0.99 * _LIMIT_30 * np.eye(30)),
+        # eigh rounds the centred kinship's null eigenvalue to about -10 here
+        DenseKinship(matrix=1e17 * np.eye(30)),
+    ], ids=["identity", "cs", "block", "dense", "dense-1e17"])
+    def test_the_largest_allowed_scale_evaluates(self, vc5, profile5, kinship, target):
+        problem = DesignProblem(vc5, profile5, kinship, CriterionSpec(target=target))
+        value = problem.value(Design.exact([13, 6, 8, 12, 1]))
+        assert np.isfinite(value.phi) and np.isfinite(value.mse_trace)
 
     def test_asymmetric_dense_rejected(self):
         mat = np.array([[1.0, 0.5], [0.1, 1.0]])

@@ -14,7 +14,7 @@ from trialalloc import (BlockCompoundSymmetry, ConstraintSet, CriterionSpec, Des
                         ValidationError, VarianceComponents, _linalg, efficiency,
                         optimizer, round_to_exact, solve_approximate, solve_exact)
 from trialalloc._linalg import spd_factor
-from trialalloc.optimizer import _random_feasible, _transfer_descent
+from trialalloc.optimizer import _transfer_descent
 from trialalloc.oracle import enumerate_exact_optimum
 
 
@@ -102,7 +102,7 @@ class _CountingEvaluator:
             self.calls[name] += 1
             if name == "transfer_scores":
                 weights, step = args
-                self.scored += map(tuple, np.rint(weights / step).astype(int).tolist())
+                self.scored.append(tuple(np.rint(weights / step).astype(int).tolist()))
             return attr(*args, **kwargs)
         return counted
 
@@ -140,58 +140,28 @@ class TestWorkCounts:
         # together
         assert whats == Counter({"criterion system": report.iterations + 1})
 
-    def test_each_distinct_design_is_scored_once(self, counted, monkeypatch):
+    def test_each_distinct_design_is_scored_once(self, counted):
         problem, ev = counted
-        seen = {}
-
-        def descent(*args):
-            before = Counter(ev.calls)
-            seen["result"] = _transfer_descent(*args)
-            seen["calls"] = ev.calls - before
-            seen["args"] = args
-            return seen["result"]
-
-        monkeypatch.setattr(optimizer, "_transfer_descent", descent)
         cons = ConstraintSet(J=40, P=5)
-        report = solve_exact(problem, cons, seed=0)
-        phi, counts, moves = seen["result"]
-        assert len(moves) == report.starts_descended > 1
-        assert report.iterations == moves.sum() and moves.max() > 0
-        assert all(cons.satisfies(c) for c in counts)
-        assert report.phi == pytest.approx(phi.min(), rel=1e-12)
-        # the starts descending together score exactly the designs that they
-        # visit between them when each descends alone, and each of them once
-        _, starts, _ = seen["args"]
-        visited = set()
-        for start in starts:
-            alone = _CountingEvaluator(ev._ev)
-            _transfer_descent(alone, [start], cons)
-            visited.update(alone.scored)
+        phi, counts, moves = _transfer_descent(ev, [36, 1, 1, 1, 1], cons)
+        assert moves == 23 and cons.satisfies(counts)
+        assert phi == pytest.approx(problem.phi(Design.exact(counts)), rel=1e-12)
+        # the descent strictly lowers phi, so it scores each design it visits
+        # once, in one call: the start and one per move, each a move apart
         scored = ev.scored
-        assert len(scored) == len(set(scored)) == len(visited) and set(scored) == visited
-        # one scoring call per sweep, and every start still descending moves
-        # at least once between two sweeps
-        assert set(seen["calls"]) == {"transfer_scores"}
-        assert seen["calls"]["transfer_scores"] <= moves.max() + 1
+        assert len(scored) == len(set(scored)) == moves + 1
+        assert scored[-1] == tuple(counts)
+        assert all(np.abs(np.subtract(a, b)).sum() == 2 for a, b in zip(scored, scored[1:]))
+        assert ev.calls == Counter(transfer_scores=moves + 1)
 
-    def test_golden_row_work_counters(self, vc5, profile5, monkeypatch):
-        """Work counters of the 30 golden exact solves (seed 0, 20 restarts)."""
-        evaluators, evaluator = [], DesignProblem.evaluator
-
-        def counting(self, J):
-            evaluators.append(_CountingEvaluator(evaluator(self, J)))
-            return evaluators[-1]
-
-        monkeypatch.setattr(DesignProblem, "evaluator", counting)
+    def test_golden_row_work_counters(self, vc5, profile5):
+        """Work counters of the 30 golden exact solves."""
         reports = [solve_exact(DesignProblem(vc5, profile5, helpers.family_block_kinship(r, f, m)),
-                               ConstraintSet(J=40, P=5), seed=0, restarts=20)
+                               ConstraintSet(J=40, P=5))
                    for r, f, m, *_ in helpers.GOLDEN_ROWS]
-        # the starts visit 4012 distinct designs; scoring every active start
-        # at every sweep took 613 calls and 7106 rows
-        assert sum(r.iterations for r in reports) == 6476
-        assert all((r.best_start, r.starts_descended) == (0, 21) for r in reports)
-        assert sum(len(ev.scored) for ev in evaluators) <= 4012
-        assert sum(ev.calls["transfer_scores"] for ev in evaluators) <= 299
+        assert all(r.certified and r.phi - r.lower_bound <= 1e-12 * r.phi for r in reports)
+        assert sum(r.nodes for r in reports) == 326
+        assert sum(r.iterations for r in reports) == 867
 
     def test_a_newton_step_that_does_not_lower_phi_stalls(self, monkeypatch):
         class Flat:
@@ -263,63 +233,13 @@ class TestWorkCounts:
 
             def transfer_scores(self, weights, step):
                 Flat.calls += 1
-                return np.ones(len(weights)), -np.ones((len(weights), 3, 3))
+                return 1.0, -np.ones((3, 3))
 
-        start = np.array([[3, 3, 3], [1, 1, 7]])
-        phi, counts, moves = _transfer_descent(Flat(), start, ConstraintSet(J=9, P=3))
-        np.testing.assert_array_equal(counts, start)
-        np.testing.assert_array_equal(moves, [0, 0])
-        np.testing.assert_array_equal(phi, [1.0, 1.0])
-        assert Flat.calls == 2
-
-
-def _random_feasible_reference(rng, constraints):
-    """The plain form of the random start: recompute the open regions and
-    draw one with ``rng.choice`` for every location."""
-    lo, hi = constraints.min_per_region, constraints.max_per_region
-    counts = np.array(lo)
-    for _ in range(constraints.J - int(lo.sum())):
-        counts[rng.choice(np.flatnonzero(counts < hi))] += 1
-    if constraints.costs is not None:
-        counts = round_to_exact(counts / constraints.J, constraints).counts
-    return counts
-
-
-class TestRandomStarts:
-    @pytest.mark.parametrize("cons", [
-        ConstraintSet(J=40, P=5),
-        ConstraintSet(J=12, P=5, min_per_region=0, max_per_region=3),
-        ConstraintSet(J=20, min_per_region=[0, 2, 1, 3, 0],
-                      max_per_region=[10, 4, 40, 6, 2]),
-        # caps that one draw of every remaining location would overrun: each
-        # chunk ends where the fullest open region can fill
-        ConstraintSet(J=25, min_per_region=0, max_per_region=[1, 2, 3, 5, 8, 13]),
-        ConstraintSet(J=18, min_per_region=[2, 0, 3, 0, 1],
-                      max_per_region=[2, 9, 4, 9, 1]),
-        ConstraintSet(J=20, min_per_region=[0, 1, 0, 2], max_per_region=[3, 12, 6, 9],
-                      costs=[1.0, 2.0, 3.0, 1.5], budget=36.0),
-    ], ids=["default", "tight-caps", "mixed", "staggered-caps", "full-from-the-floor",
-            "budgeted"])
-    def test_same_draws_as_the_plain_form(self, cons):
-        for child in np.random.SeedSequence(2024).spawn(200):
-            got = _random_feasible(np.random.default_rng(child), cons)
-            want = _random_feasible_reference(np.random.default_rng(child), cons)
-            np.testing.assert_array_equal(got, want)
-            assert cons.satisfies(got)
-
-    @settings(max_examples=60, deadline=None)
-    @given(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 6)), min_size=1, max_size=7),
-           st.integers(0, 40), st.integers(0, 2 ** 32 - 1))
-    def test_same_draws_on_generated_caps(self, bounds, extra, seed):
-        lo = [a for a, _ in bounds]
-        hi = [a + b for a, b in bounds]
-        j = min(sum(lo) + extra, sum(hi))
-        assume(j >= 1)
-        cons = ConstraintSet(J=j, min_per_region=lo, max_per_region=hi)
-        got = _random_feasible(np.random.default_rng(seed), cons)
-        want = _random_feasible_reference(np.random.default_rng(seed), cons)
-        np.testing.assert_array_equal(got, want)
-        assert cons.satisfies(got)
+        for start in ([3, 3, 3], [1, 1, 7]):
+            Flat.calls = 0
+            phi, counts, moves = _transfer_descent(Flat(), start, ConstraintSet(J=9, P=3))
+            np.testing.assert_array_equal(counts, start)
+            assert (phi, moves, Flat.calls) == (1.0, 0, 2)
 
 
 @st.composite
@@ -348,6 +268,28 @@ def _box_has_a_feasible_vector(args):
     return False
 
 
+@st.composite
+def _search_instances(draw):
+    """A problem with P <= 3 and J <= 12 under caps and, in 60 % of draws,
+    a budget between 80 % and 100 % of the mean cost of J locations."""
+    p = draw(st.integers(2, 3))
+    j = draw(st.integers(p, 12))
+    args = {"J": j, "P": p, "min_per_region": 0,
+            "max_per_region": draw(st.lists(st.integers(1, j), min_size=p, max_size=p))}
+    if draw(st.integers(0, 4)) < 3:
+        costs = draw(st.lists(st.floats(1.0, 3.0), min_size=p, max_size=p))
+        args.update(costs=costs, budget=float(np.mean(costs) * j * draw(st.floats(0.8, 1.0))))
+    try:
+        cons = ConstraintSet(**args)
+    except InfeasibleError:
+        assume(False)
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    problem = DesignProblem(helpers.random_vc(rng), helpers.random_profile(rng, p),
+                            helpers.random_kinship(rng, draw(st.sampled_from(
+                                ["cs", "block", "dense"])), K=6))
+    return problem, cons
+
+
 class TestGeneratedInstances:
     """Exact solver and feasibility certificate on generated small instances."""
 
@@ -372,7 +314,7 @@ class TestGeneratedInstances:
         rng = np.random.default_rng(seed)
         problem = DesignProblem(helpers.random_vc(rng), helpers.random_profile(rng, cons.P),
                                 helpers.random_kinship(rng, kind, K=6))
-        report = solve_exact(problem, cons, seed=seed % 1000, restarts=4)
+        report = solve_exact(problem, cons)
         counts = report.design.counts
         assert cons.satisfies(counts)
         assert report.phi == problem.phi(report.design)
@@ -385,50 +327,17 @@ class TestGeneratedInstances:
                 assert problem.phi(Design.exact(moved)) >= report.phi - slack
         best = enumerate_exact_optimum(problem, cons)
         assert report.phi >= problem.phi(best) - slack
-        assert 0 <= report.best_start <= 4
-        assert 1 <= report.starts_descended <= 5
+        assert report.lower_bound <= report.phi
 
-
-@st.composite
-def _descent_instances(draw):
-    """A problem with P <= 5, capped and sometimes budgeted constraints, and
-    starts that repeat one another or lie on another start's path."""
-    p = draw(st.integers(2, 5))
-    lo = draw(st.lists(st.integers(0, 2), min_size=p, max_size=p))
-    hi = [v + draw(st.integers(0, 8)) for v in lo]
-    j = draw(st.integers(max(1, sum(lo)), max(1, sum(hi))))
-    args = {"J": j, "P": p, "min_per_region": lo, "max_per_region": hi}
-    if draw(st.booleans()):
-        costs = draw(st.lists(st.integers(1, 5), min_size=p, max_size=p))
-        args.update(costs=costs, budget=np.mean(costs) * j * draw(st.floats(0.75, 1.1)))
-    try:
-        cons = ConstraintSet(**args)
-    except InfeasibleError:
-        assume(False)
-    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
-    problem = DesignProblem(helpers.random_vc(rng), helpers.random_profile(rng, p),
-                            helpers.random_kinship(rng, draw(st.sampled_from(
-                                ["cs", "block", "dense"])), K=6))
-    ev = _CountingEvaluator(problem.evaluator(j))
-    starts = [_random_feasible(rng, cons) for _ in range(draw(st.integers(1, 4)))]
-    _transfer_descent(ev, [starts[0]], cons)
-    starts.append(np.array(ev.scored[draw(st.integers(0, len(ev.scored) - 1))]))
-    starts.append(starts[draw(st.integers(0, len(starts) - 1))])
-    return ev._ev, draw(st.permutations(starts)), cons
-
-
-class TestTransferDescent:
     @settings(max_examples=40, deadline=None)
-    @given(_descent_instances())
-    def test_each_start_descends_as_if_alone(self, instance):
-        ev, starts, cons = instance
-        phi, counts, moves = _transfer_descent(ev, starts, cons)
-        for s, start in enumerate(starts):
-            alone = _transfer_descent(ev, [start], cons)
-            np.testing.assert_array_equal(phi[s], alone[0][0])
-            np.testing.assert_array_equal(counts[s], alone[1][0])
-            assert moves[s] == alone[2][0]
-            assert cons.satisfies(counts[s])
+    @given(_search_instances())
+    def test_certified_optimum_equals_enumeration(self, instance):
+        problem, cons = instance
+        report = solve_exact(problem, cons)
+        best = enumerate_exact_optimum(problem, cons)
+        assert report.certified and cons.satisfies(report.design.counts)
+        assert report.phi == pytest.approx(problem.phi(best), rel=1e-12)
+        assert report.lower_bound <= report.phi
 
 
 def _equality_qp(g, q, rows, rhs):
@@ -566,11 +475,11 @@ class TestApproximateSolver:
         report = solve_approximate(problem, ConstraintSet(J=40, P=5), max_iter=1)
         assert report.status == "max_iter"
         assert report.iterations == 1
-        exact = solve_exact(problem, ConstraintSet(J=40, P=5), restarts=1)
+        exact = solve_exact(problem, ConstraintSet(J=40, P=5))
         assert exact.status == solve_approximate(problem, ConstraintSet(J=40, P=5)).status
-        capped = solve_exact(problem, ConstraintSet(J=40, P=5), restarts=1, max_iter=1)
+        capped = solve_exact(problem, ConstraintSet(J=40, P=5), max_iter=1)
         assert capped.status == "max_iter"
-        assert solve_exact(problem, ConstraintSet(J=40, P=5), restarts=1,
+        assert solve_exact(problem, ConstraintSet(J=40, P=5),
                            tol=0.5).status == "converged"
 
     @pytest.mark.parametrize("kwargs, field", [
@@ -631,6 +540,19 @@ class TestApproximateSolver:
                              costs=costs, budget=50.0 * 40)
         report = solve_approximate(problem, cons)
         assert costs @ (report.design.weights * 40) <= 50.0 * 40 + 1e-6
+
+    @pytest.mark.parametrize("costs", [[1.0, 1.0], [1.0, 2.0]])
+    def test_a_budget_met_within_its_tolerance_keeps_the_relaxation(self, costs):
+        # the cheapest design costs an ulp more than the budget, which the
+        # integer designs' tolerance accepts; the relaxation accepts it too
+        problem = _symmetric_problem()
+        cons = ConstraintSet(J=5, P=2, min_per_region=0, costs=costs,
+                             budget=np.nextafter(5 * min(costs), 0))
+        assert solve_approximate(problem, cons).status == "converged"
+        exact = solve_exact(problem, cons)
+        best = enumerate_exact_optimum(problem, cons)
+        assert exact.certified
+        assert exact.phi == pytest.approx(problem.phi(best), rel=1e-12)
 
     def test_constrained_solution_not_better_than_free(self, vc5, profile5):
         problem = DesignProblem(vc5, profile5, Identity(K=31))
@@ -760,13 +682,13 @@ class TestExactSolver:
             problem = DesignProblem(vc, profile,
                                     helpers.random_kinship(rng, kind, K=6))
             cons = ConstraintSet(J=9, P=3, min_per_region=1)
-            report = solve_exact(problem, cons, seed=1, restarts=8)
+            report = solve_exact(problem, cons)
             best = enumerate_exact_optimum(problem, cons)
             assert tuple(report.design.counts) == tuple(best.counts)
 
     def test_identity_maize_network(self, vc5, profile5):
         problem = DesignProblem(vc5, profile5, Identity(K=31))
-        report = solve_exact(problem, ConstraintSet(J=20, P=5), seed=0)
+        report = solve_exact(problem, ConstraintSet(J=20, P=5))
         assert tuple(report.design.counts) == (8, 1, 3, 7, 1)
 
     def test_constraints_satisfied_exactly(self, vc5, profile5):
@@ -774,7 +696,7 @@ class TestExactSolver:
         costs = [40.0, 44.0, 50.0, 65.0, 60.0]
         cons = ConstraintSet(J=20, P=5, min_per_region=2,
                              costs=costs, budget=50.0 * 20)
-        report = solve_exact(problem, cons, seed=0)
+        report = solve_exact(problem, cons)
         counts = report.design.counts
         assert cons.satisfies(counts)
         assert int(counts.sum()) == 20
@@ -783,54 +705,40 @@ class TestExactSolver:
     def test_gap_nonnegative_and_consistent(self, vc5, profile5):
         problem = DesignProblem(vc5, profile5, Identity(K=31))
         cons = ConstraintSet(J=40, P=5)
-        exact = solve_exact(problem, cons, seed=0)
+        exact = solve_exact(problem, cons)
         approx = solve_approximate(problem, cons)
         assert exact.optimality_gap >= -1e-10
         assert exact.phi >= approx.phi - approx.optimality_gap - 1e-9
-
-    def test_restart_dominance(self, vc5, profile5):
-        problem = DesignProblem(vc5, profile5, Identity(K=31))
-        cons = ConstraintSet(J=40, P=5)
-        few = solve_exact(problem, cons, seed=5, restarts=1)
-        many = solve_exact(problem, cons, seed=5, restarts=12)
-        assert many.phi <= few.phi + 1e-12 * abs(few.phi)
-        assert many.restarts_used == 12
+        assert exact.lower_bound >= approx.phi - approx.optimality_gap
+        assert exact.optimality_gap == exact.phi - exact.lower_bound
 
     def test_repeated_runs_give_identical_reports(self, vc5, profile5):
         cons = ConstraintSet(J=40, P=5)
-        first, again = (solve_exact(DesignProblem(vc5, profile5, Identity(K=31)),
-                                    cons, seed=7, restarts=8) for _ in range(2))
+        first, again = (solve_exact(DesignProblem(vc5, profile5, Identity(K=31)), cons)
+                        for _ in range(2))
         np.testing.assert_array_equal(first.design.counts, again.design.counts)
-        for field in ("phi", "mse_trace", "optimality_gap", "iterations",
-                      "restarts_used", "status", "seed", "best_start",
-                      "starts_descended"):
+        for field in ("phi", "mse_trace", "optimality_gap", "iterations", "status",
+                      "lower_bound", "certified", "nodes"):
             assert getattr(first, field) == getattr(again, field), field
 
-    def test_best_start_names_the_winning_start(self, vc5, profile5):
+    def test_the_search_improves_on_the_rounded_incumbent(self, vc5, profile5):
         problem = DesignProblem(vc5, profile5, Identity(K=31))
         # a tight budget leaves the rounded optimum in a worse local optimum
         cons = ConstraintSet(J=20, P=5, min_per_region=0,
                              costs=[40.0, 44.0, 50.0, 65.0, 60.0], budget=43.0 * 20)
-        only = solve_exact(problem, cons, seed=2, restarts=0)
-        assert (only.best_start, only.starts_descended) == (0, 1)
-        assert solve_approximate(problem, cons).best_start is None
+        start = round_to_exact(solve_approximate(problem, cons).design.weights, cons)
+        local, _, _ = _transfer_descent(problem.evaluator(20), start.counts, cons)
+        report = solve_exact(problem, cons)
+        assert report.certified and report.nodes > 1
+        assert report.phi < local
+        best = enumerate_exact_optimum(problem, cons)
+        np.testing.assert_array_equal(report.design.counts, best.counts)
+        assert solve_approximate(problem, cons).certified is None
 
-        # seed 2 repeats some starts before the winning one, so its index
-        # among the starts differs from its index among the distinct starts
-        report = solve_exact(problem, cons, seed=2, restarts=12)
-        assert report.phi < only.phi
-        assert report.best_start > 0 and report.starts_descended < 13
-        child = np.random.SeedSequence(2).spawn(12)[report.best_start - 1]
-        start = _random_feasible(np.random.default_rng(child), cons)
-        _, counts, _ = _transfer_descent(problem.evaluator(20), [start], cons)
-        np.testing.assert_array_equal(counts[0], report.design.counts)
-
-    @pytest.mark.xfail(strict=True, reason="multi-start transfer descent misses this "
-                       "budgeted optimum, with 200 or 1000 restarts too; ROADMAP "
-                       "item 1 (certified branch-and-bound) is the fix")
     def test_budgeted_instance_reaches_the_enumerated_optimum(self):
-        # trial 25 of np.random.default_rng(7) in the generator ROADMAP
-        # describes, written out at full precision: rounded inputs lose the miss
+        # a budgeted instance where the optimum lies two transfers from any
+        # local optimum near the rounded relaxation, written out at full
+        # precision: rounded inputs lose the difficulty
         profile = SubRegionProfile(V=np.array([
             [11.933741181973598, -0.48389201835838014, 1.2082368131158,
              -1.3012518592874454, -5.567032498805289],
@@ -858,23 +766,19 @@ class TestExactSolver:
         # enumerate_exact_optimum's answer; enumerating takes seconds
         optimum = Design.exact(np.array([19, 5, 13, 2, 5]))
         assert cons.satisfies(optimum.counts)
-        report = solve_exact(problem, cons, seed=0, restarts=20)
+        report = solve_exact(problem, cons)
         assert report.phi == pytest.approx(problem.phi(optimum), rel=1e-12)
+        np.testing.assert_array_equal(report.design.counts, optimum.counts)
+        assert report.certified
 
     @pytest.mark.parametrize("kwargs, field", [
         ({"restarts": 1.5}, "restarts"), ({"restarts": -1}, "restarts"),
         ({"seed": 3.9}, "seed"), ({"seed": -2}, "seed"),
     ])
     def test_bad_start_settings_rejected(self, kwargs, field):
-        with pytest.raises(ValidationError, match=field):
+        # the search draws no starts, so it takes no start settings at all
+        with pytest.raises(TypeError, match=field):
             solve_exact(_symmetric_problem(), ConstraintSet(J=10, P=2), **kwargs)
-
-    def test_seed_recorded_and_defaulted(self, vc5, profile5):
-        problem = DesignProblem(vc5, profile5, Identity(K=31))
-        cons = ConstraintSet(J=20, P=5)
-        report = solve_exact(problem, cons, seed=None, restarts=2)
-        assert report.seed == 0
-        assert report.phi == solve_exact(problem, cons, seed=0, restarts=2).phi
 
 
 class TestEfficiency:
@@ -885,10 +789,10 @@ class TestEfficiency:
 
     def test_binding_constraint_lowers_efficiency(self, vc5, profile5):
         problem = DesignProblem(vc5, profile5, Identity(K=31))
-        free = solve_exact(problem, ConstraintSet(J=40, P=5), seed=0)
+        free = solve_exact(problem, ConstraintSet(J=40, P=5))
         capped = solve_exact(problem,
                              ConstraintSet(J=40, P=5, min_per_region=2,
-                                           max_per_region=10), seed=0)
+                                           max_per_region=10))
         eff = efficiency(free.design, capped.design, problem)
         assert 0.0 < eff <= 1.0
         swapped = efficiency(capped.design, free.design, problem)
@@ -897,9 +801,9 @@ class TestEfficiency:
     def test_weighted_criterion_pair(self, vc5, profile5):
         problem = DesignProblem(vc5, profile5, Identity(K=31),
                                 CriterionSpec(weighting="weighted"))
-        free = solve_exact(problem, ConstraintSet(J=20, P=5), seed=0)
+        free = solve_exact(problem, ConstraintSet(J=20, P=5))
         capped = solve_exact(problem,
                              ConstraintSet(J=20, P=5, min_per_region=2,
-                                           max_per_region=5), seed=0)
+                                           max_per_region=5))
         eff = efficiency(free.design, capped.design, problem)
         assert 0.0 < eff <= 1.0
