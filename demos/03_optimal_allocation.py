@@ -46,9 +46,9 @@ def main():
     rounded = round_to_exact(approx.design.weights, constraints)
     show("rounded", rounded.counts, problem.mse_trace(rounded))
 
-    # ...and let the exact solver confirm (or beat) the rounding.  It starts
-    # from the rounded design and searches count boxes by branch-and-bound
-    # until its lower bound certifies the optimum.
+    # ...and let the exact solver confirm (or beat) the rounding.  It takes
+    # the same rounding as its first incumbent and searches count boxes by
+    # branch-and-bound until its lower bound certifies the optimum.
     exact = solve_exact(problem, constraints)
     show("exact optimum", exact.design.counts, exact.mse_trace)
     print(f"certified {exact.certified} after {exact.nodes} relaxations, "

@@ -32,11 +32,8 @@ comes from one factor: the inverse Cholesky factor L^-1 of the G systems
 diag(w) + C_g, one batched factorization costing O(G·P³), and a whole J
 grid is one batched factorization of the (n_J, G, P, P) stack.  The value,
 gradient and MSE trace follow from L^-1 times the roots, and the solvers'
-primitives read the same factor: ``newton_terms`` gives the criterion with
-its gradient and Hessian, and ``transfer_scores`` prices every
-single-location transfer of a design, each move being a rank-2
-update of the group systems that Woodbury's identity resolves as a 2×2
-system.
+one primitive reads the same factor: ``newton_terms`` gives the criterion
+with its gradient and Hessian.
 """
 from __future__ import annotations
 
@@ -48,7 +45,7 @@ import numpy as np
 
 from ._checks import choice
 from ._linalg import inverse_factor, spd_inverse, sym
-from .errors import ValidationError
+from .errors import NumericalError, ValidationError
 from .kinship import (BlockCompoundSymmetry, CompoundSymmetry, Identity,
                       KinshipSpec, materialize, validate_pd)
 from .model import (Design, SubRegionProfile, VarianceComponents,
@@ -193,12 +190,11 @@ class _TraceEvaluator:
 
     Every number comes from one kernel, :meth:`_inverse_factor`, the only
     factorization of the criterion systems: :meth:`over_sizes` (and its views
-    :meth:`phi`, :meth:`gradient` and :meth:`mse_trace`),
-    :meth:`newton_terms` and :meth:`transfer_scores` all read its L^-1.
+    :meth:`phi`, :meth:`gradient` and :meth:`mse_trace`) and
+    :meth:`newton_terms` both read its L^-1.
     """
 
-    def __init__(self, path: Path, c: np.ndarray, root: np.ndarray, mse: tuple):
-        self.path = path
+    def __init__(self, c: np.ndarray, root: np.ndarray, mse: tuple):
         self.c = c
         self.root = root
         self._mse = mse
@@ -207,7 +203,7 @@ class _TraceEvaluator:
         """The evaluator of a network ``s`` times as large: C_g/s with the same
         roots, the MSE factor divided and the MSE constant multiplied by s."""
         factor, root, const = self._mse
-        return _TraceEvaluator(self.path, self.c / s, self.root,
+        return _TraceEvaluator(self.c / s, self.root,
                                (factor / s, root, const * s))
 
     def _inverse_factor(self, w, sizes=1.0) -> np.ndarray:
@@ -253,40 +249,19 @@ class _TraceEvaluator:
     def mse_trace(self, w) -> float:
         return float(self.over_sizes(w, [1])[1][0])
 
-    def _inverse_terms(self, w):
-        """phi, M = A^-1 and N = A^-1 H A^-1 per group at one design."""
+    def newton_terms(self, w):
+        """phi, gradient and Hessian at one design.
+
+        With M = A^-1 and N = A^-1 H A^-1 per group, the gradient is
+        -diag Σ_g N_g and the Hessian 2 Σ_g M_g ∘ N_g.
+        """
         l_inv = self._inverse_factor(w)
         l_inv_t = np.swapaxes(l_inv, -1, -2)
         y = l_inv @ self.root
         x = l_inv_t @ y                                       # A^-1 R
-        return float(np.einsum("gij,gij->", y, y)), l_inv_t @ l_inv, x @ np.swapaxes(x, -1, -2)
-
-    def newton_terms(self, w):
-        """phi, gradient and Hessian at one design.
-
-        The gradient is -diag Σ_g N_g and the Hessian 2 Σ_g M_g ∘ N_g, with
-        M = A^-1 and N = A^-1 H A^-1.
-        """
-        phi, m, nn = self._inverse_terms(w)
-        return phi, -np.einsum("gii->i", nn), 2.0 * np.einsum("gij,gij->ij", m, nn)
-
-    def transfer_scores(self, w, step: float):
-        """phi at one design and the exact change of phi, delta (P, P), when
-        ``step`` weight moves from region i to region k.
-
-        Per group a transfer is the rank-2 update A + U D Uᵀ with
-        U = [e_i, e_k] and D = diag(-step, step); with M = A^-1 and
-        N = A^-1 H A^-1, Woodbury gives the change as -tr(S^-1 Uᵀ N U),
-        S = D^-1 + Uᵀ M U, a 2×2 system solved in closed form.  The diagonal
-        i = k is zero up to rounding.
-        """
-        phi, m, nn = self._inverse_terms(w)
-        m_d = np.diagonal(m, axis1=-2, axis2=-1)
-        n_d = np.diagonal(nn, axis1=-2, axis2=-1)
-        s_ii = m_d[:, :, None] - 1.0 / step
-        s_kk = m_d[:, None, :] + 1.0 / step
-        num = s_kk * n_d[:, :, None] - 2.0 * m * nn + s_ii * n_d[:, None, :]
-        return phi, -(num / (s_ii * s_kk - m * m)).sum(axis=0)
+        m, nn = l_inv_t @ l_inv, x @ np.swapaxes(x, -1, -2)
+        return (float(np.einsum("gij,gij->", y, y)), -np.einsum("gii->i", nn),
+                2.0 * np.einsum("gij,gij->ij", m, nn))
 
 
 @dataclass(frozen=True, eq=False)
@@ -352,7 +327,17 @@ class DesignProblem:
         scale = 1.0 / effective_error_constant(self.vc)
         vt = scale * self.profile.V
         inner = scaled_year_matrix(self.vc, 1, self.P) + spectrum.lam[:, None, None] * vt
-        b = spd_inverse(inner, "criterion inner matrix")
+        try:
+            b = spd_inverse(inner, "criterion inner matrix")
+        except NumericalError:
+            # positive definite in exact arithmetic (τ > 0, λ_g >= 0), so τ
+            # was lost to rounding beside ω or λ_g·Ṽ
+            raise ValidationError(
+                f"sigma2_tau = {self.vc.sigma2_tau!r} is too small beside "
+                f"sigma2_omega = {self.vc.sigma2_omega!r} (and the kinship and V "
+                "scales): the criterion's inner matrix is not positive definite "
+                "at working precision"
+            ) from None
         bv = b @ vt
 
         def root(weight):
@@ -366,7 +351,7 @@ class DesignProblem:
         mse = ((1 if self.criterion.target is Target.EFFECTS else self.kinship.K) / scale,
                root(spectrum.weight),
                spectrum.prior * np.trace(vt) - spectrum.weight @ trace_bv2)
-        return _TraceEvaluator(self.path_used, b, root(weight) * ell, mse)
+        return _TraceEvaluator(b, root(weight) * ell, mse)
 
     def phi(self, design: Design) -> float:
         return self.value(design).phi

@@ -14,13 +14,14 @@ criterion serves only as the optimality-gap certificate.  A solve ends
 ``converged`` (gap below the tolerance), ``max_iter`` (the evaluation
 budget spent), or ``stalled`` (a step that, at rounding level, neither
 lowered the criterion nor halved the gap).  The exact solver is a
-branch-and-bound over integer count boxes on the same relaxation, whose
-first incumbent comes from steepest single-location transfers, each move
-priced by a rank-2 update of the group systems (``transfer_scores``).
-Nothing is random.
+best-first branch-and-bound over integer count boxes on the same
+relaxation, the root box being the approximate problem itself and the first
+incumbent its optimum's rounding.  Nothing is random.
 """
 from __future__ import annotations
 
+import heapq
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -395,6 +396,18 @@ def _newton(ev, y, lo, hi, costs, budget_w, tol, max_iter, cutoff=np.inf):
     return x, phi_x, max(gap, 0.0), it, status
 
 
+def _checked(problem, constraints, tol, max_iter):
+    """The solver settings ``tol`` and ``max_iter``, checked, once the
+    constraints are known to describe the problem's sub-regions."""
+    tol = positive(tol, "tol")
+    max_iter = count(max_iter, "max_iter", 1)
+    if constraints.P != problem.P:
+        raise ValidationError(
+            f"constraints describe {constraints.P} sub-regions, problem has {problem.P}"
+        )
+    return tol, max_iter
+
+
 def solve_approximate(problem: DesignProblem, constraints: ConstraintSet,
                       tol: float = 1e-9, max_iter: int = 5000) -> OptimizerReport:
     """Optimal approximate design over the constraint polytope.
@@ -411,12 +424,7 @@ def solve_approximate(problem: DesignProblem, constraints: ConstraintSet,
     rounding, and otherwise ends the solve ``stalled`` at the last kept
     point.  Deterministic — no randomness is involved.
     """
-    tol = positive(tol, "tol")
-    max_iter = count(max_iter, "max_iter", 1)
-    if constraints.P != problem.P:
-        raise ValidationError(
-            f"constraints describe {constraints.P} sub-regions, problem has {problem.P}"
-        )
+    tol, max_iter = _checked(problem, constraints, tol, max_iter)
     lo, hi = constraints.weight_box()
     costs, budget_w = constraints.costs, constraints.weight_budget()
     x, _, gap, iterations, status = _newton(
@@ -475,98 +483,62 @@ def round_to_exact(weights, constraints: ConstraintSet) -> Design:
     return Design.exact(counts)
 
 
-def _transfer_descent(ev, counts, constraints: ConstraintSet):
-    """Steepest single-location transfers from ``counts`` to a local optimum.
-
-    Each step takes the best feasible move (first strict minimum in (i, k)
-    order, so ties go to the smallest pair) and the descent stops when no
-    move lowers phi.  A move whose design does not score a strictly lower
-    phi than the design before it is undone and the descent stops, so phi
-    strictly decreases and no design is visited twice.
-
-    Returns the final phi, counts and number of moves.
-    """
-    p, j, costs = constraints.P, constraints.J, constraints.costs
-    lo, hi = constraints.min_per_region, constraints.max_per_region
-    counts = np.array(counts, dtype=int)
-    phi, moves = np.inf, 0
-    while True:
-        value, delta = ev.transfer_scores(counts / j, 1.0 / j)
-        if not value < phi:
-            counts[src] += 1
-            counts[dst] -= 1
-            return phi, counts, moves - 1
-        phi = value
-        feasible = (counts > lo)[:, None] & (counts < hi)[None, :]
-        np.fill_diagonal(feasible, False)
-        if costs is not None:
-            feasible &= counts @ costs - costs[:, None] + costs[None, :] \
-                <= constraints.budget + _BUDGET_TOL
-        scores = np.where(feasible, delta, np.inf)
-        move = int(np.argmin(scores))
-        if not scores.flat[move] < 0.0:
-            return phi, counts, moves
-        src, dst = divmod(move, p)
-        counts[src] -= 1
-        counts[dst] += 1
-        moves += 1
-
-
 def solve_exact(problem: DesignProblem, constraints: ConstraintSet,
                 tol: float = 1e-9, max_iter: int = 5000) -> OptimizerReport:
     """The optimal exact design under the constraints, by branch-and-bound.
 
-    The root is :func:`solve_approximate`'s relaxation, and the first
-    incumbent its rounding improved by steepest transfer descent (none if
-    rounding cannot meet the budget).  The search goes depth first over
-    integer count boxes, each relaxation run from its parent's optimum until
-    its bound phi - gap reaches the incumbent within 1e-12 relative, which
-    prunes the box.  A box with an integral relaxed optimum is a leaf; any
-    other is split on its most fractional count, nearer side first.
+    A best-first search over integer count boxes: it always opens the box
+    whose parent's bound is least.  Each box's relaxation is run from its
+    parent's optimum until its bound phi - gap reaches the incumbent within
+    1e-12 relative, which prunes the box.  The root box is the whole
+    constraint set, run from the weight box's floor as
+    :func:`solve_approximate` runs it, and the first incumbent is its
+    optimum's rounding (none if rounding cannot meet the budget).  A box
+    with an integral relaxed optimum is a leaf; any other is split on its
+    most fractional count, nearer side first among equal bounds.  The search
+    stops once the least open bound reaches the incumbent, or after
+    ``_NODE_LIMIT`` relaxations.
 
-    ``lower_bound`` is the least bound of the closed boxes (and of the open
-    ones if ``_NODE_LIMIT`` relaxations stop the search), ``optimality_gap``
-    phi minus it, and ``certified`` that every box closed with the gap within
-    ``tol`` relative to phi.  ``iterations`` counts the Newton evaluations
-    of all ``nodes`` relaxations; ``status`` is the root's.
+    ``lower_bound`` is the least bound of the closed and the open boxes,
+    ``optimality_gap`` phi minus it, and ``certified`` that the search
+    stopped at the incumbent with the gap within ``tol`` relative to phi.
+    ``iterations`` counts the Newton evaluations of all ``nodes``
+    relaxations; ``status`` is the root's.
     """
-    tol = positive(tol, "tol")
-    max_iter = count(max_iter, "max_iter", 1)
-    root = solve_approximate(problem, constraints, tol=tol, max_iter=max_iter)
+    tol, max_iter = _checked(problem, constraints, tol, max_iter)
     ev = problem.evaluator(constraints.J)
     j, costs, budget = constraints.J, constraints.costs, constraints.budget
     budget_w = constraints.weight_budget()
-
-    try:
-        best_phi, best, _ = _transfer_descent(
-            ev, round_to_exact(root.design.weights, constraints).counts, constraints)
-    except InfeasibleError:                 # rounding cannot meet the budget
-        best, best_phi = None, np.inf
+    best, best_phi = None, np.inf
 
     def cutoff():
         return np.inf if best is None else best_phi - _PRUNE_RTOL * max(1.0, abs(best_phi))
 
-    lower_bound, nodes, iterations = np.inf, 1, root.iterations
-    # depth-first stack of (box floor, box cap, parent optimum, parent bound)
-    stack = [(constraints.min_per_region, constraints.max_per_region, None,
-              root.phi - root.optimality_gap)]
-    while stack:
-        lo_n, hi_n, parent_x, bound = node = stack.pop()
-        if parent_x is None:
-            x = root.design.weights
-        elif bound < cutoff():
-            if nodes == _NODE_LIMIT:
-                stack.append(node)
-                break
-            if _infeasibility(lo_n, hi_n, j, costs, budget) is not None:
-                continue
-            lo, hi = lo_n / j, hi_n / j
-            x, phi, gap, its, _ = _newton(ev, _start(parent_x, lo, hi, costs, budget_w),
-                                          lo, hi, costs, budget_w, tol, max_iter,
-                                          cutoff())
-            nodes += 1
-            iterations += its
-            bound = max(phi - gap, bound)       # the parent's bound holds here too
+    lower_bound, nodes, iterations, status = np.inf, 0, 0, None
+    ties = itertools.count()
+    # best-first heap of (parent bound, tie-break, box floor, box cap, parent optimum)
+    heap = [(-np.inf, next(ties), constraints.min_per_region, constraints.max_per_region,
+             constraints.weight_box()[0])]
+    while heap and heap[0][0] < cutoff():
+        if nodes == _NODE_LIMIT:
+            break
+        bound, _, lo_n, hi_n, parent_x = heapq.heappop(heap)
+        if _infeasibility(lo_n, hi_n, j, costs, budget) is not None:
+            continue
+        lo, hi = lo_n / j, hi_n / j
+        x, phi, gap, its, node_status = _newton(
+            ev, _start(parent_x, lo, hi, costs, budget_w), lo, hi, costs, budget_w,
+            tol, max_iter, cutoff())
+        nodes += 1
+        iterations += its
+        bound = max(phi - gap, bound)           # the parent's bound holds here too
+        if status is None:                      # the root
+            status = node_status
+            try:
+                best = round_to_exact(x, constraints).counts
+                best_phi = ev.phi(best / j)
+            except InfeasibleError:             # rounding cannot meet the budget
+                pass
         if bound < cutoff():
             scaled = x * j
             frac = scaled - np.floor(scaled)
@@ -575,8 +547,9 @@ def solve_exact(problem: DesignProblem, constraints: ConstraintSet,
                 down_hi, up_lo = np.array(hi_n), np.array(lo_n)
                 down_hi[i] = np.floor(scaled[i])
                 up_lo[i] = down_hi[i] + 1
-                down, up = (lo_n, down_hi, x, bound), (up_lo, hi_n, x, bound)
-                stack += [up, down] if frac[i] < 0.5 else [down, up]
+                down, up = (lo_n, down_hi), (up_lo, hi_n)
+                for box in ([down, up] if frac[i] < 0.5 else [up, down]):
+                    heapq.heappush(heap, (bound, next(ties), *box, x))
                 continue
             counts = np.rint(scaled).astype(int)            # a leaf
             phi = ev.phi(counts / j)
@@ -584,14 +557,15 @@ def solve_exact(problem: DesignProblem, constraints: ConstraintSet,
                 best, best_phi = counts, phi
         lower_bound = min(lower_bound, bound)               # the box is closed
 
+    exhausted = not heap or heap[0][0] >= cutoff()
     design = Design.exact(best)
     value = problem.value(design)
-    lower_bound = min([lower_bound, value.phi] + [node[3] for node in stack])
+    lower_bound = min([lower_bound, value.phi] + [node[0] for node in heap])
     gap = value.phi - lower_bound
     return OptimizerReport(
         design=design, phi=value.phi, mse_trace=value.mse_trace, optimality_gap=gap,
-        iterations=iterations, status=root.status, lower_bound=lower_bound,
-        certified=not stack and gap <= tol * max(1.0, abs(value.phi)), nodes=nodes)
+        iterations=iterations, status=status, lower_bound=lower_bound,
+        certified=exhausted and gap <= tol * max(1.0, abs(value.phi)), nodes=nodes)
 
 
 def efficiency(xi_unconstrained: Design, xi_constrained: Design,

@@ -252,6 +252,21 @@ class TestDesign:
         assert code == 2 and payload is None
         assert f"{field} gives the kinship an eigenvalue" in err
 
+    @pytest.mark.parametrize("argv", [("eval",), ("design",), ("design", "--mode", "exact")],
+                             ids=["eval", "approx", "exact"])
+    @pytest.mark.parametrize("omega, code", [(4e17, 0), (5e17, 2)])
+    def test_a_year_covariance_near_rank_one_exits_2(self, tmp_path, capsys, network_config,
+                                                     argv, omega, code):
+        # at tau = 18, omega = 5e17 leaves the criterion's inner matrix
+        # indefinite at working precision; 4e17 still evaluates
+        for variance in network_config["variance"].values():
+            variance["sigma2_omega"] = omega
+        got, payload, err = run_cli(
+            capsys, *argv, "--config", write_config(tmp_path, network_config))
+        assert got == code and (payload is None) == (code == 2)
+        if code == 2:
+            assert "sigma2_tau = 18.0" in err and "sigma2_omega = 5e+17" in err
+
     @pytest.mark.parametrize("solver, flags, field", [
         ({"max_iter": 2.5}, (), "solver.max_iter"),
         ({"max_iter": 0}, (), "solver.max_iter"),

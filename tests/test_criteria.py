@@ -175,35 +175,18 @@ class TestZeroWeights:
 
 
 class TestBulkPrimitives:
-    """``newton_terms`` and ``transfer_scores`` against the scalar ``phi``
-    and ``gradient`` on every path."""
+    """``newton_terms`` against the scalar ``phi`` and ``gradient`` on every
+    path."""
 
     CASES = [("cs", {}, Path.BAYES_CS), ("block", {}, Path.KBAYES),
              ("dense", {"weighting": "weighted"}, Path.FULL)]
 
     @pytest.mark.parametrize("kind, crit, path", CASES, ids=[c[2].value for c in CASES])
-    def test_transfer_scores_match_phi(self, kind, crit, path):
-        rng = np.random.default_rng(21)
-        ev = _problem(rng, kind, **crit).evaluator(12)
-        assert ev.path is path
-        counts = np.vstack([[0, 5, 7], [10, 1, 1], rng.multinomial(12, np.ones(3) / 3, 4)])
-        for c in counts:
-            phi, delta = ev.transfer_scores(c / 12, 1 / 12)
-            assert phi == pytest.approx(ev.phi(c / 12), rel=1e-12)
-            for i, k in np.argwhere(~np.eye(3, dtype=bool)):
-                if c[i] == 0:
-                    continue
-                moved = c.copy()
-                moved[i] -= 1
-                moved[k] += 1
-                want = ev.phi(moved / 12) - ev.phi(c / 12)
-                assert delta[i, k] == pytest.approx(want, rel=1e-10, abs=1e-13 * phi)
-
-    @pytest.mark.parametrize("kind, crit, path", CASES, ids=[c[2].value for c in CASES])
     def test_newton_terms_match_gradient_differences(self, kind, crit, path):
         rng = np.random.default_rng(22)
-        ev = _problem(rng, kind, **crit).evaluator(12)
-        assert ev.path is path
+        problem = _problem(rng, kind, **crit)
+        assert problem.path_used is path
+        ev = problem.evaluator(12)
         step = 1e-6
         for x in (np.array([0.0, 0.45, 0.55]), np.array([0.2, 0.3, 0.5])):
             phi, grad, hess = ev.newton_terms(x)
@@ -216,10 +199,10 @@ class TestBulkPrimitives:
             np.testing.assert_allclose(hess, central, rtol=1e-6,
                                        atol=1e-8 * np.abs(central).max())
 
-    def test_transfer_scores_rejects_an_indefinite_system(self, vc5, profile5):
+    def test_newton_terms_rejects_an_indefinite_system(self, vc5, profile5):
         ev = DesignProblem(vc5, profile5, Identity(K=6)).evaluator(10)
         with pytest.raises(NumericalError, match="not positive definite"):
-            ev.transfer_scores(np.array([-1e9, 0.0, 0.0, 0.0, 0.0]), 0.1)
+            ev.newton_terms(np.array([-1e9, 0.0, 0.0, 0.0, 0.0]))
 
 
 class TestProblemCaching:

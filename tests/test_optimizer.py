@@ -14,7 +14,6 @@ from trialalloc import (BlockCompoundSymmetry, ConstraintSet, CriterionSpec, Des
                         ValidationError, VarianceComponents, _linalg, efficiency,
                         optimizer, round_to_exact, solve_approximate, solve_exact)
 from trialalloc._linalg import spd_factor
-from trialalloc.optimizer import _transfer_descent
 from trialalloc.oracle import enumerate_exact_optimum
 
 
@@ -87,28 +86,46 @@ class TestConstraintValidation:
 
 
 class _CountingEvaluator:
-    """Forwards to an evaluator and counts each public call by name; keeps
-    the counts of every design that ``transfer_scores`` scores, in order."""
+    """Forwards to an evaluator and counts each public call by name."""
 
     def __init__(self, ev):
         self._ev = ev
         self.calls = Counter()
-        self.scored = []
 
     def __getattr__(self, name):
         attr = getattr(self._ev, name)
 
         def counted(*args, **kwargs):
             self.calls[name] += 1
-            if name == "transfer_scores":
-                weights, step = args
-                self.scored.append(tuple(np.rint(weights / step).astype(int).tolist()))
             return attr(*args, **kwargs)
         return counted
 
 
+def _budgeted_instances():
+    """Eight fixed budgeted instances: P in [4, 6], J in [3P, 10P), K = 8
+    kinships of each kind in turn, costs U(1, 3) and a budget of 80-95 % of
+    the mean cost of J locations."""
+    rng = np.random.default_rng(7)
+    instances = []
+    while len(instances) < 8:
+        p = int(rng.integers(4, 7))
+        j = int(rng.integers(3 * p, 10 * p))
+        costs = rng.uniform(1.0, 3.0, p)
+        budget = float(costs.mean() * j * rng.uniform(0.80, 0.95))
+        kind = ("cs", "block", "dense")[len(instances) % 3]
+        problem = DesignProblem(helpers.random_vc(rng), helpers.random_profile(rng, p),
+                                helpers.random_kinship(rng, kind, K=8))
+        try:
+            cons = ConstraintSet(J=j, P=p, min_per_region=0, costs=costs, budget=budget)
+        except InfeasibleError:
+            continue
+        instances.append((problem, cons))
+    return instances
+
+
 class TestWorkCounts:
-    """Work per Newton iteration and per descent sweep on one golden row."""
+    """Work per Newton iteration on one golden row, and the branch-and-bound
+    work of whole exact solves."""
 
     @pytest.fixture()
     def counted(self, monkeypatch, vc5, profile5):
@@ -140,20 +157,6 @@ class TestWorkCounts:
         # together
         assert whats == Counter({"criterion system": report.iterations + 1})
 
-    def test_each_distinct_design_is_scored_once(self, counted):
-        problem, ev = counted
-        cons = ConstraintSet(J=40, P=5)
-        phi, counts, moves = _transfer_descent(ev, [36, 1, 1, 1, 1], cons)
-        assert moves == 23 and cons.satisfies(counts)
-        assert phi == pytest.approx(problem.phi(Design.exact(counts)), rel=1e-12)
-        # the descent strictly lowers phi, so it scores each design it visits
-        # once, in one call: the start and one per move, each a move apart
-        scored = ev.scored
-        assert len(scored) == len(set(scored)) == moves + 1
-        assert scored[-1] == tuple(counts)
-        assert all(np.abs(np.subtract(a, b)).sum() == 2 for a, b in zip(scored, scored[1:]))
-        assert ev.calls == Counter(transfer_scores=moves + 1)
-
     def test_golden_row_work_counters(self, vc5, profile5):
         """Work counters of the 30 golden exact solves."""
         reports = [solve_exact(DesignProblem(vc5, profile5, helpers.family_block_kinship(r, f, m)),
@@ -161,7 +164,32 @@ class TestWorkCounts:
                    for r, f, m, *_ in helpers.GOLDEN_ROWS]
         assert all(r.certified and r.phi - r.lower_bound <= 1e-12 * r.phi for r in reports)
         assert sum(r.nodes for r in reports) == 326
-        assert sum(r.iterations for r in reports) == 867
+        assert sum(r.iterations for r in reports) == 878
+
+    def test_budgeted_work_counters(self):
+        """Work counters of exact solves under a binding budget."""
+        reports = [solve_exact(problem, cons) for problem, cons in _budgeted_instances()]
+        assert all(r.certified and r.phi - r.lower_bound <= 1e-12 * r.phi for r in reports)
+        assert [r.nodes for r in reports] == [17, 25, 23, 14, 7, 12, 9, 10]
+        assert sum(r.iterations for r in reports) == 295
+
+    def test_the_node_limit_stops_the_search_with_a_valid_bound(self, monkeypatch,
+                                                                vc5, profile5):
+        problem = DesignProblem(vc5, profile5, helpers.family_block_kinship(0.5, 6, 50))
+        cons = ConstraintSet(J=40, P=5)
+        default, gaps = optimizer._NODE_LIMIT, []
+        for limit in (1, 3, default):
+            monkeypatch.setattr(optimizer, "_NODE_LIMIT", limit)
+            report = solve_exact(problem, cons)
+            assert cons.satisfies(report.design.counts)
+            assert report.lower_bound <= report.phi
+            assert report.optimality_gap == report.phi - report.lower_bound
+            gaps.append(report.optimality_gap)
+            if limit < default:
+                assert report.nodes == limit and not report.certified
+        assert report.certified and report.nodes < default
+        # a larger limit never loosens the bound
+        assert gaps == sorted(gaps, reverse=True) and gaps[1] < gaps[0]
 
     def test_a_newton_step_that_does_not_lower_phi_stalls(self, monkeypatch):
         class Flat:
@@ -225,21 +253,6 @@ class TestWorkCounts:
         assert not optimizer._step_kept(100.0 + 2 * ulp, 0.6e-6, 100.0, 1e-6)
         assert not optimizer._step_kept(100.0, 0.6e-6, 100.0, 1e-6)
         assert not optimizer._step_kept(100.0 + 64 * ulp, 1e-9, 100.0, 1e-6)
-
-    def test_a_move_that_does_not_lower_phi_is_undone(self):
-        class Flat:
-            """Claims every move gains, but phi never changes."""
-            calls = 0
-
-            def transfer_scores(self, weights, step):
-                Flat.calls += 1
-                return 1.0, -np.ones((3, 3))
-
-        for start in ([3, 3, 3], [1, 1, 7]):
-            Flat.calls = 0
-            phi, counts, moves = _transfer_descent(Flat(), start, ConstraintSet(J=9, P=3))
-            np.testing.assert_array_equal(counts, start)
-            assert (phi, moves, Flat.calls) == (1.0, 0, 2)
 
 
 @st.composite
@@ -723,14 +736,15 @@ class TestExactSolver:
 
     def test_the_search_improves_on_the_rounded_incumbent(self, vc5, profile5):
         problem = DesignProblem(vc5, profile5, Identity(K=31))
-        # a tight budget leaves the rounded optimum in a worse local optimum
+        # under a tight budget the rounded relaxation, the first incumbent,
+        # is far from the optimum
         cons = ConstraintSet(J=20, P=5, min_per_region=0,
                              costs=[40.0, 44.0, 50.0, 65.0, 60.0], budget=43.0 * 20)
         start = round_to_exact(solve_approximate(problem, cons).design.weights, cons)
-        local, _, _ = _transfer_descent(problem.evaluator(20), start.counts, cons)
+        assert problem.phi(start) == pytest.approx(11.0537, abs=1e-4)
         report = solve_exact(problem, cons)
-        assert report.certified and report.nodes > 1
-        assert report.phi < local
+        assert (report.certified, report.nodes) == (True, 20)
+        assert report.phi == pytest.approx(10.5515, abs=1e-4)
         best = enumerate_exact_optimum(problem, cons)
         np.testing.assert_array_equal(report.design.counts, best.counts)
         assert solve_approximate(problem, cons).certified is None
