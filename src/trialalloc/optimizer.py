@@ -28,7 +28,7 @@ import numpy as np
 
 from ._checks import count, finite, integers, number, positive
 from .criteria import DesignProblem
-from .errors import InfeasibleError, NumericalError, ValidationError
+from .errors import InfeasibleError, ValidationError
 from .model import Design
 
 __all__ = [
@@ -69,7 +69,8 @@ class ConstraintSet:
 
     Feasibility is certified at construction time; an infeasible set raises
     :class:`InfeasibleError` carrying a certificate of the violated aggregate
-    rather than failing later inside a solver.
+    rather than failing later inside a solver; :meth:`within_budget` is its
+    one budget test of integer counts.
     """
 
     J: int
@@ -124,8 +125,11 @@ class ConstraintSet:
             if not budget > 0:
                 raise ValidationError(f"budget must be a positive real, got {self.budget!r}")
             object.__setattr__(self, "budget", budget)
+            levels, level_of = np.unique(costs, return_inverse=True)
+            object.__setattr__(self, "_levels", levels)
+            object.__setattr__(self, "_level_of", level_of)
 
-        error = _infeasibility(lo, hi, j, self.costs, self.budget)
+        error = self._infeasibility(lo, hi)
         if error is not None:
             raise error
 
@@ -134,12 +138,24 @@ class ConstraintSet:
         return self.min_per_region / self.J, self.max_per_region / self.J
 
     def weight_budget(self):
-        """The relaxation's budget row costs·w <= b, or None: with the integer
-        designs' tolerance, so it holds every design :meth:`satisfies` takes."""
+        """The relaxation's budget row costs·w <= b, or None: b is (budget +
+        ``_BUDGET_TOL``)/J, so the row holds every design :meth:`within_budget`
+        accepts, up to the rounding of costs·w."""
         return None if self.costs is None else (self.budget + _BUDGET_TOL) / self.J
 
     def cost(self, counts) -> float:
-        return float(self.costs @ counts) if self.costs is not None else 0.0
+        """Spend of integer ``counts``, 0.0 without costs: the count totals per
+        distinct cost, dotted with those costs, so that designs differing only
+        between regions of equal cost spend the same float."""
+        if self.costs is None:
+            return 0.0
+        totals = np.bincount(self._level_of, weights=counts, minlength=self._levels.size)
+        return float(self._levels @ totals)
+
+    def within_budget(self, counts) -> bool:
+        """Whether integer ``counts`` spend at most the budget, within
+        ``_BUDGET_TOL``: the one budget test of integer designs."""
+        return self.costs is None or self.cost(counts) <= self.budget + _BUDGET_TOL
 
     def satisfies(self, counts) -> bool:
         counts = np.asarray(counts)
@@ -147,9 +163,36 @@ class ConstraintSet:
             return False
         if np.any(counts < self.min_per_region) or np.any(counts > self.max_per_region):
             return False
-        if self.costs is not None and self.cost(counts) > self.budget + _BUDGET_TOL:
-            return False
-        return True
+        return self.within_budget(counts)
+
+    def _infeasibility(self, lo, hi):
+        """The :class:`InfeasibleError` of the integer box lo <= x <= hi under
+        Σx = J and the budget, or None when the box holds a feasible x: its
+        cheapest fill, when within the budget."""
+        j = self.J
+        if int(lo.sum()) > j:
+            return InfeasibleError(
+                "minimum allocations alone exceed the total number of locations",
+                certificate={"reason": "min-total-exceeds-J",
+                             "min_total": int(lo.sum()), "J": j},
+            )
+        if int(hi.sum()) < j:
+            return InfeasibleError(
+                "maximum allocations cannot absorb the total number of locations",
+                certificate={"reason": "max-total-below-J",
+                             "max_total": int(hi.sum()), "J": j},
+            )
+        if self.costs is not None:
+            cheapest = _fill(lo, hi, j, self.costs)
+            if not self.within_budget(cheapest):
+                return InfeasibleError(
+                    "even the cheapest feasible allocation exceeds the budget",
+                    certificate={"reason": "budget-too-small",
+                                 "cheapest_cost": self.cost(cheapest),
+                                 "budget": self.budget,
+                                 "cheapest_counts": cheapest.tolist()},
+                )
+        return None
 
 
 @dataclass(frozen=True)
@@ -190,35 +233,6 @@ def _fill(lo, hi, total, key):
     return x
 
 
-def _infeasibility(lo, hi, j, costs, budget):
-    """The :class:`InfeasibleError` of the integer box lo <= x <= hi under
-    Σx = j and costs·x <= budget, or None when the box holds a feasible x."""
-    if int(lo.sum()) > j:
-        return InfeasibleError(
-            "minimum allocations alone exceed the total number of locations",
-            certificate={"reason": "min-total-exceeds-J",
-                         "min_total": int(lo.sum()), "J": j},
-        )
-    if int(hi.sum()) < j:
-        return InfeasibleError(
-            "maximum allocations cannot absorb the total number of locations",
-            certificate={"reason": "max-total-below-J",
-                         "max_total": int(hi.sum()), "J": j},
-        )
-    if costs is not None:
-        cheapest = _fill(lo, hi, j, costs)
-        min_cost = float(costs @ cheapest)
-        if min_cost > budget + _BUDGET_TOL:
-            return InfeasibleError(
-                "even the cheapest feasible allocation exceeds the budget",
-                certificate={"reason": "budget-too-small",
-                             "cheapest_cost": min_cost,
-                             "budget": budget,
-                             "cheapest_counts": cheapest.tolist()},
-            )
-    return None
-
-
 def _linear_minimum(g, lo, hi, costs, budget_w):
     """Vertex of the weight polytope minimizing the linear form g.
 
@@ -229,7 +243,8 @@ def _linear_minimum(g, lo, hi, costs, budget_w):
     or the point of the budget row between it and the fill just before: an
     exact certificate, free of an LP solver's tolerances.  A fill meets the
     budget within ``_BUDGET_TOL``, so that a cheapest fill whose spend rounds
-    a few ulps over a tight budget still closes the bracket.
+    a few ulps over a tight budget still closes the bracket; one over by
+    more, at spends whose ulp exceeds that, is itself the answer.
     """
     if costs is None:
         return _fill(lo, hi, 1.0, g)
@@ -256,7 +271,9 @@ def _linear_minimum(g, lo, hi, costs, budget_w):
     if over < 0:
         return at(0)
     spend_over, spend_under = costs @ at(over), costs @ at(under)
-    theta = min((spend_over - budget_w) / (spend_over - spend_under), 1.0)
+    if spend_under >= budget_w:
+        return at(under)
+    theta = (spend_over - budget_w) / (spend_over - spend_under)
     return at(over) + theta * (at(under) - at(over))
 
 
@@ -303,6 +320,8 @@ def _box_qp(g, q, lower, upper, costs=None, slack=None):
         # components at rounding level would add a constraint that the
         # working set already implies, so they are dropped
         step[np.abs(step) <= _QP_TOL * max(width, float(np.abs(step).max()))] = 0.0
+        if free.sum() <= m:             # the active rows fix the free coordinates
+            step[:] = 0.0
 
         # longest step in [0, 1] before a constraint outside the working set blocks
         alpha, block = 1.0, None
@@ -312,7 +331,8 @@ def _box_qp(g, q, lower, upper, costs=None, slack=None):
                 k = int(np.argmin(ratio))
                 if ratio[k] < alpha:
                     alpha, block = max(float(ratio[k]), 0.0), int(np.flatnonzero(mask)[k])
-        if costs is not None and not budget_on:
+        # on free coordinates of one cost the budget row is the sum row: it cannot block
+        if costs is not None and not budget_on and np.ptp(costs[free]) > 0:
             rate = float(costs @ step)
             if rate > _QP_TOL * float(costs @ np.abs(step)):
                 ratio = (slack - float(costs @ d)) / rate
@@ -352,7 +372,8 @@ def _start(x, lo, hi, costs, budget_w):
     x = x + excess * (room / room.sum() if room.any() else room)
     if costs is not None and costs @ x > budget_w:
         cheapest = _linear_minimum(costs, lo, hi, costs, budget_w)
-        x += min((costs @ x - budget_w) / (costs @ (x - cheapest)), 1.0) * (cheapest - x)
+        over, drop = costs @ x - budget_w, costs @ (x - cheapest)
+        x += (over / drop if drop > over else 1.0) * (cheapest - x)
     return x
 
 
@@ -439,10 +460,15 @@ def solve_approximate(problem: DesignProblem, constraints: ConstraintSet,
 def round_to_exact(weights, constraints: ConstraintSet) -> Design:
     """Apportion approximate weights to a feasible integer design.
 
-    Largest-deficit apportionment within the bounds, followed by
-    cheapest-direction transfers until the budget holds.  The weights must
-    pass :class:`Design`'s checks (finite, non-negative, summing to 1).  The
-    result sums to J exactly and satisfies every constraint.
+    Largest-deficit apportionment within the bounds, then a budget repair:
+    while over the budget, the dearest region that can give a location gives
+    one to the cheapest that can take one.  Each move lowers costs·counts, so
+    the repair ends, and it ends within the budget: where no giver is dearer
+    than a taker the counts are a least-cost point of the box, whose totals
+    per cost level, and so (:meth:`ConstraintSet.cost`) whose spend, are
+    those of the cheapest fill the constraint set certified.  The weights
+    must pass :class:`Design`'s checks (finite, non-negative, summing to 1).
+    The result sums to J exactly and satisfies every constraint.
     """
     w = np.asarray(weights, dtype=float)
     if w.shape != (constraints.P,):
@@ -459,27 +485,12 @@ def round_to_exact(weights, constraints: ConstraintSet) -> Design:
         surplus = np.where(counts > lo, counts - target, -np.inf)
         counts[int(np.argmax(surplus))] -= 1
 
-    if constraints.costs is not None:
-        costs = constraints.costs
-        for _ in range(j * constraints.P + 1):
-            if constraints.cost(counts) <= constraints.budget + _BUDGET_TOL:
-                break
-            movable = np.where(counts > lo, costs, -np.inf)
-            receiving = np.where(counts < hi, costs, np.inf)
-            i, k = int(np.argmax(movable)), int(np.argmin(receiving))
-            if not np.isfinite(movable[i]) or not np.isfinite(receiving[k]) \
-                    or costs[k] >= costs[i]:
-                raise InfeasibleError(
-                    "rounding cannot reach the budget",
-                    certificate={"reason": "rounding-budget",
-                                 "counts": counts.tolist(),
-                                 "cost": constraints.cost(counts),
-                                 "budget": constraints.budget},
-                )
-            counts[i] -= 1
-            counts[k] += 1
-        else:
-            raise NumericalError("budget repair failed to terminate")
+    costs = constraints.costs
+    while not constraints.within_budget(counts):
+        i = int(np.argmax(np.where(counts > lo, costs, -np.inf)))
+        k = int(np.argmin(np.where(counts < hi, costs, np.inf)))
+        counts[i] -= 1
+        counts[k] += 1
     return Design.exact(counts)
 
 
@@ -493,11 +504,10 @@ def solve_exact(problem: DesignProblem, constraints: ConstraintSet,
     1e-12 relative, which prunes the box.  The root box is the whole
     constraint set, run from the weight box's floor as
     :func:`solve_approximate` runs it, and the first incumbent is its
-    optimum's rounding (none if rounding cannot meet the budget).  A box
-    with an integral relaxed optimum is a leaf; any other is split on its
-    most fractional count, nearer side first among equal bounds.  The search
-    stops once the least open bound reaches the incumbent, or after
-    ``_NODE_LIMIT`` relaxations.
+    optimum's rounding.  A box with an integral relaxed optimum is a leaf;
+    any other is split on its most fractional count, nearer side first
+    among equal bounds.  The search stops once the least open bound reaches
+    the incumbent, or after ``_NODE_LIMIT`` relaxations.
 
     ``lower_bound`` is the least bound of the closed and the open boxes,
     ``optimality_gap`` phi minus it, and ``certified`` that the search
@@ -507,39 +517,33 @@ def solve_exact(problem: DesignProblem, constraints: ConstraintSet,
     """
     tol, max_iter = _checked(problem, constraints, tol, max_iter)
     ev = problem.evaluator(constraints.J)
-    j, costs, budget = constraints.J, constraints.costs, constraints.budget
+    j, costs = constraints.J, constraints.costs
     budget_w = constraints.weight_budget()
-    best, best_phi = None, np.inf
-
-    def cutoff():
-        return np.inf if best is None else best_phi - _PRUNE_RTOL * max(1.0, abs(best_phi))
-
-    lower_bound, nodes, iterations, status = np.inf, 0, 0, None
+    # the root, the first box opened, sets the incumbent ``best`` and the cutoff
+    lower_bound, nodes, iterations, status, cutoff = np.inf, 0, 0, None, np.inf
     ties = itertools.count()
     # best-first heap of (parent bound, tie-break, box floor, box cap, parent optimum)
     heap = [(-np.inf, next(ties), constraints.min_per_region, constraints.max_per_region,
              constraints.weight_box()[0])]
-    while heap and heap[0][0] < cutoff():
+    while heap and heap[0][0] < cutoff:
         if nodes == _NODE_LIMIT:
             break
         bound, _, lo_n, hi_n, parent_x = heapq.heappop(heap)
-        if _infeasibility(lo_n, hi_n, j, costs, budget) is not None:
+        if constraints._infeasibility(lo_n, hi_n) is not None:
             continue
         lo, hi = lo_n / j, hi_n / j
         x, phi, gap, its, node_status = _newton(
             ev, _start(parent_x, lo, hi, costs, budget_w), lo, hi, costs, budget_w,
-            tol, max_iter, cutoff())
+            tol, max_iter, cutoff)
         nodes += 1
         iterations += its
         bound = max(phi - gap, bound)           # the parent's bound holds here too
         if status is None:                      # the root
             status = node_status
-            try:
-                best = round_to_exact(x, constraints).counts
-                best_phi = ev.phi(best / j)
-            except InfeasibleError:             # rounding cannot meet the budget
-                pass
-        if bound < cutoff():
+            best = round_to_exact(x, constraints).counts
+            best_phi = ev.phi(best / j)
+            cutoff = best_phi - _PRUNE_RTOL * max(1.0, abs(best_phi))
+        if bound < cutoff:
             scaled = x * j
             frac = scaled - np.floor(scaled)
             if np.any(np.minimum(frac, 1.0 - frac) > _INTEGRAL_TOL):
@@ -555,9 +559,10 @@ def solve_exact(problem: DesignProblem, constraints: ConstraintSet,
             phi = ev.phi(counts / j)
             if phi < best_phi and constraints.satisfies(counts):
                 best, best_phi = counts, phi
+                cutoff = phi - _PRUNE_RTOL * max(1.0, abs(phi))
         lower_bound = min(lower_bound, bound)               # the box is closed
 
-    exhausted = not heap or heap[0][0] >= cutoff()
+    exhausted = not heap or heap[0][0] >= cutoff
     design = Design.exact(best)
     value = problem.value(design)
     lower_bound = min([lower_bound, value.phi] + [node[0] for node in heap])

@@ -260,11 +260,7 @@ def finite_difference_gradient(fun, w, step: float = 1e-6) -> np.ndarray:
 
 def _feasible_counts(constraints):
     """Yield every integer allocation satisfying ``constraints`` (lex order)."""
-    lo = np.asarray(constraints.min_per_region, dtype=int)
-    hi = (np.asarray(constraints.max_per_region, dtype=int)
-          if constraints.max_per_region is not None
-          else np.full(lo.size, constraints.J, dtype=int))
-    hi = np.minimum(hi, constraints.J)
+    lo, hi = constraints.min_per_region, constraints.max_per_region
     p, total = lo.size, constraints.J
 
     def rec(prefix, remaining, slot):
@@ -280,11 +276,8 @@ def _feasible_counts(constraints):
             yield from rec(prefix + (j,), remaining - j, slot + 1)
 
     for counts in rec((), total, 0):
-        if constraints.costs is not None:
-            cost = float(np.dot(constraints.costs, counts))
-            if cost > constraints.budget + 1e-9:
-                continue
-        yield counts
+        if constraints.within_budget(counts):
+            yield counts
 
 
 def enumerate_exact_optimum(problem, constraints):
@@ -307,11 +300,8 @@ def enumerate_exact_optimum(problem, constraints):
     if n_seen == 0:
         raise ValidationError("constraint set admits no feasible design")
 
-    best = None
-    for counts in _feasible_counts(constraints):
-        design = Design.exact(np.array(counts, dtype=int))
-        value = problem.phi(design)
-        key = (value, counts)
-        if best is None or key < best[0]:
-            best = (key, design)
-    return best[1]
+    def design(counts):
+        return Design.exact(np.array(counts, dtype=int))
+
+    return design(min(_feasible_counts(constraints),
+                      key=lambda counts: (problem.phi(design(counts)), counts)))

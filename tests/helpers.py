@@ -23,6 +23,15 @@ V5 = np.array([
 ELL5 = np.array([813685.0, 432716.0, 477365.0, 995298.0, 1174818.0])
 
 
+# The first four maize sub-regions at J=22 with floors of 1, two regions of
+# equal cost and the budget at the cheapest fill's spend, 2.6e7.  Above 2**23
+# an ulp of the spend exceeds the 1e-9 allowance, and designs that differ only
+# between the tied regions can spend floats an ulp apart when summed in region
+# order.
+TIED_COSTS = [1094066.9566520222, 1549873.183324853, 2107917.219306369, 1094066.9566520222]
+TIED_BUDGET = 25539129.535671663
+
+
 def maize_vc(variant: str = "cross_classified") -> VarianceComponents:
     composite = 333.0 if variant == "cross_classified" else 493.0
     return VarianceComponents(sigma2_omega=31.0, sigma2_tau=18.0,

@@ -345,6 +345,39 @@ class TestDesign:
         weights = np.array(payload["design"]["weights"])
         assert np.dot(costs, weights) * payload["J"] <= 50 + 1e-9
 
+    def test_tied_costs_at_a_budget_of_the_cheapest_fill_are_certified(
+            self, tmp_path, capsys, network_config):
+        network_config["subregions"] = {"V": helpers.V5[:4, :4].tolist(),
+                                        "ell": helpers.ELL5[:4].tolist()}
+        network_config.update(J=22, constraints={"min_per_region": 1,
+                                                 "costs": helpers.TIED_COSTS,
+                                                 "budget": helpers.TIED_BUDGET})
+        network_config.pop("design")
+        code, payload, err = run_cli(
+            capsys, "design", "--config", write_config(tmp_path, network_config),
+            "--mode", "exact")
+        assert code == 0, err
+        assert payload["certified"] is True
+        assert payload["design"]["counts"] == [10, 1, 1, 10]
+
+    def test_equal_costs_at_a_budget_every_design_meets(self, tmp_path, capsys,
+                                                         network_config):
+        # every design spends the budget exactly, so the relaxation's budget
+        # row is its sum row and binds everywhere
+        network_config.pop("design")
+        network_config["constraints"] = {"min_per_region": 0}
+        code, free, _ = run_cli(
+            capsys, "design", "--config", write_config(tmp_path, network_config),
+            "--mode", "exact")
+        assert code == 0
+        network_config["constraints"].update(costs=[1e7] * 5, budget=4e8)
+        code, payload, err = run_cli(
+            capsys, "design", "--config", write_config(tmp_path, network_config),
+            "--mode", "exact")
+        assert code == 0, err
+        assert payload["certified"] is True and payload["cost"] == 4e8
+        assert payload["design"] == free["design"]
+
     def test_exact_mode_honours_the_warm_start_settings(self, tmp_path, capsys,
                                                         network_config):
         network_config["solver"] = {"max_iter": 1}
@@ -668,6 +701,32 @@ def test_cli_eval_leaves_scipy_optimize_unimported(tmp_path, network_config):
         "from trialalloc import optimizer\n"
         "assert callable(optimizer.minimize_scalar)\n"
         "assert 'scipy.optimize' in sys.modules\n"
+    )
+    out = subprocess.run([sys.executable, "-c", script, write_config(tmp_path, network_config)],
+                         capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+    assert out.returncode == 0, out.stderr
+
+
+def test_the_cli_runs_with_scipy_blocked(tmp_path, network_config):
+    # scipy is a test dependency only: the commands run where importing it fails
+    network_config["designs"] = {"reference": [13, 6, 8, 12, 1],
+                                 "alternative": [10, 10, 10, 5, 5]}
+    script = (
+        "import sys, contextlib, io\n"
+        "class BlockScipy:\n"
+        "    def find_spec(self, name, path=None, target=None):\n"
+        "        if name.partition('.')[0] == 'scipy':\n"
+        "            raise ModuleNotFoundError(f'{name} is blocked')\n"
+        "sys.meta_path.insert(0, BlockScipy())\n"
+        "import trialalloc.cli\n"
+        "for argv in (['eval', '--config', 'maize_network'],\n"
+        "             ['design', '--config', 'maize_network', '--mode', 'exact'],\n"
+        "             ['efficiency', '--config', sys.argv[1]]):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert trialalloc.cli.main(argv) == 0, argv\n"
+        "loaded = [name for name in sys.modules if name.partition('.')[0] == 'scipy']\n"
+        "assert not loaded, loaded\n"
     )
     out = subprocess.run([sys.executable, "-c", script, write_config(tmp_path, network_config)],
                          capture_output=True, text=True,

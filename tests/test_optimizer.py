@@ -57,6 +57,12 @@ class TestConstraintSet:
                           costs=[3.0, 5.0], budget=25.0)
         assert exc_info.value.certificate["reason"] == "budget-too-small"
 
+    def test_equal_costs_spend_cost_times_j(self):
+        # summed region by region, 36c + c + c + c + c is an ulp over 40c
+        c = 123456789.1
+        cons = ConstraintSet(J=40, P=5, min_per_region=1, costs=[c] * 5, budget=c * 40)
+        assert cons.cost([36, 1, 1, 1, 1]) == cons.cost([8, 8, 8, 8, 8]) == c * 40
+
     def test_costs_and_budget_come_together(self):
         with pytest.raises(ValidationError, match="budget"):
             ConstraintSet(J=10, P=2, costs=[1.0, 2.0])
@@ -303,6 +309,26 @@ def _search_instances(draw):
     return problem, cons
 
 
+@st.composite
+def _tied_cost_sets(draw, max_p=6, max_j=40, min_exponent=0, slacks=(1.0,)):
+    """A ConstraintSet whose P regions share fewer than P cost levels in
+    [1, 3) scaled by 10**k, k in [min_exponent, 12]: floors of 0 or 1, caps
+    in half the draws, and the budget at the cheapest fill's spend times a
+    factor from ``slacks``."""
+    p = draw(st.integers(2, max_p))
+    j = draw(st.integers(2 * p, max_j))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    levels = rng.uniform(1.0, 3.0, draw(st.integers(1, p - 1)))
+    costs = levels[rng.integers(0, levels.size, p)] * 10.0 ** draw(st.integers(min_exponent, 12))
+    lo = rng.integers(0, 2, p)
+    hi = lo + rng.integers(-(-j // p), j + 1, p) if draw(st.booleans()) else None
+    free = ConstraintSet(J=j, min_per_region=lo, max_per_region=hi, costs=costs,
+                         budget=float(costs.max()) * j)
+    fill = optimizer._fill(free.min_per_region, free.max_per_region, j, costs)
+    return ConstraintSet(J=j, min_per_region=lo, max_per_region=hi, costs=costs,
+                         budget=free.cost(fill) * draw(st.sampled_from(slacks)))
+
+
 class TestGeneratedInstances:
     """Exact solver and feasibility certificate on generated small instances."""
 
@@ -351,6 +377,18 @@ class TestGeneratedInstances:
         assert report.certified and cons.satisfies(report.design.counts)
         assert report.phi == pytest.approx(problem.phi(best), rel=1e-12)
         assert report.lower_bound <= report.phi
+
+    @settings(max_examples=25, deadline=None)
+    @given(_tied_cost_sets(max_p=4, max_j=14, min_exponent=7, slacks=(1.0, 1.05, 1.2)),
+           st.sampled_from(["cs", "block", "dense"]), st.integers(0, 2 ** 32 - 1))
+    def test_certified_optimum_equals_enumeration_under_tied_costs(self, cons, kind, seed):
+        rng = np.random.default_rng(seed)
+        problem = DesignProblem(helpers.random_vc(rng), helpers.random_profile(rng, cons.P),
+                                helpers.random_kinship(rng, kind, K=6))
+        report = solve_exact(problem, cons)
+        best = enumerate_exact_optimum(problem, cons)
+        assert report.certified and cons.satisfies(report.design.counts)
+        assert report.phi == pytest.approx(problem.phi(best), rel=1e-12)
 
 
 def _equality_qp(g, q, rows, rhs):
@@ -436,6 +474,30 @@ class TestNewtonStep:
                  np.array([[1.65, 0.34, 0.49], [0.34, 1.65, 0.51], [0.49, 0.51, 2.38]]),
                  np.array([-0.6, -0.7, -1.0]), np.array([0.3, 0.6, 0.7]),
                  np.array([2.0, 1.0, 5.0]), 0.1))
+    # the budget and sum rows fix both free coordinates: a solved step there
+    # is rounding, which moves Σd (by -4.9e-12 here)
+    @example(qp=(np.array([1562.335887318896, -136.10668829148022, -379.39663173317905,
+                           -682.3555498833435]),
+                 np.array([[2.649479519896543, -1.2171256919793207, 0.5557263776569407,
+                            0.3378178790697857],
+                           [-1.2171256919793207, 1.7552128375393095, -0.2510774311822359,
+                            -0.46805097214073904],
+                           [0.5557263776569407, -0.2510774311822359, 1.2879465976719795,
+                            1.5973892245812464],
+                           [0.3378178790697857, -0.46805097214073904, 1.5973892245812464,
+                            2.5309044717477374]]),
+                 np.array([-0.9568383538773919, -0.8727859854368892, -0.605386922492655, 0.0]),
+                 np.array([0.0, 0.0, 0.049996279161972246, 0.0919691904194444]),
+                 np.array([3.5663223577498395, 3.4269521309447417, 3.618667551725817,
+                           1.4958907845171345]), 0.0))
+    # as above, and a bound then blocks that step, leaving one free
+    # coordinate under both rows: a singular system
+    @example(qp=(np.array([-91.32773880749363, -613.0539422156091]),
+                 np.array([[1.7741432724844284, -0.4423384973652637],
+                           [-0.4423384973652637, 2.903883699077879]]),
+                 np.array([-0.7820426720607044, -0.5400694637244676]),
+                 np.array([0.0, 0.3229057945509941]),
+                 np.array([1.2186556029062805, 1.5032902985007413]), 0.0))
     def test_qp_answer_is_kkt_and_beats_every_active_set(self, qp):
         g, q, lower, upper, costs, slack = qp
         d = optimizer._box_qp(g, q, lower, upper, costs, slack)
@@ -673,6 +735,20 @@ class TestRounding:
         design = round_to_exact(np.array([0.1, 0.1, 0.8]), cons)
         assert cons.satisfies(design.counts)
         assert cons.cost(design.counts) <= 30.0 + 1e-9
+
+    def test_tied_costs_at_a_budget_of_the_cheapest_fill(self, vc5):
+        problem = DesignProblem(vc5, SubRegionProfile(V=helpers.V5[:4, :4], ell=helpers.ELL5[:4]),
+                                Identity(K=31))
+        cons = ConstraintSet(J=22, min_per_region=1, costs=helpers.TIED_COSTS,
+                             budget=helpers.TIED_BUDGET)
+        root = solve_approximate(problem, cons).design.weights
+        assert cons.satisfies(round_to_exact(root, cons).counts)
+
+    @settings(max_examples=200, deadline=None)
+    @given(_tied_cost_sets(), st.integers(0, 2 ** 32 - 1))
+    def test_rounding_meets_a_budget_of_the_cheapest_fill(self, cons, seed):
+        weights = np.random.default_rng(seed).dirichlet(np.ones(cons.P))
+        assert cons.satisfies(round_to_exact(weights, cons).counts)
 
     @pytest.mark.parametrize("weights", [[np.nan, 0.5, 0.5], [0.2, 0.2, 0.2],
                                          [np.inf, 0.0, 0.0], [-0.1, 0.6, 0.5]])
