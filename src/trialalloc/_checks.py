@@ -1,14 +1,14 @@
 """Input checks shared by the constructors and the solver settings: finite
-numbers, positive numbers, whole numbers, bounded scales and symmetric
-matrices, none of them booleans or text, and choices among an enum's values.
+numbers, positive numbers, whole numbers within int64, bounded scales and
+symmetric matrices, none of them booleans or text, and choices among an
+enum's values.
 
 Each check raises :class:`ValidationError` naming the offending field, which
-the CLI reports with exit status 2, so that no NaN, infinity or fractional
-count reaches a factorization or a solver.
+the CLI reports with exit status 2, so that no NaN, infinity, fractional
+count or count beyond int64 reaches a factorization or a solver.
 """
 from __future__ import annotations
 
-import operator
 import reprlib
 
 import numpy as np
@@ -41,6 +41,8 @@ def finite(value, name: str) -> np.ndarray:
         arr = np.array(value, dtype=float)
     except (TypeError, ValueError):
         raise ValidationError(f"{name} must be numeric, got {reprlib.repr(value)}") from None
+    except OverflowError:                   # an int beyond float range
+        raise ValidationError(f"{name} must be finite, got {reprlib.repr(value)}") from None
     if not np.all(np.isfinite(arr)):
         raise ValidationError(f"{name} must be finite, got {reprlib.repr(value)}")
     return arr
@@ -55,10 +57,14 @@ def number(value, name: str) -> float:
 
 
 def integers(value, name: str, size: int | None = None) -> np.ndarray:
-    """``value`` as ints: a scalar, or broadcast to a vector of length ``size``."""
+    """``value`` as int64s below 2**63 in magnitude: a scalar, or broadcast to
+    a vector of length ``size``."""
     arr = finite(value, name)
     if np.any(arr != np.round(arr)):
         raise ValidationError(f"{name} must be integral, got {reprlib.repr(value)}")
+    if np.any(np.abs(arr) >= 2.0 ** 63):
+        raise ValidationError(f"{name} must be below 2**63 in magnitude, "
+                              f"got {reprlib.repr(value)}")
     if arr.shape not in ((), (size,)):
         count = "" if size is None else f" or {size} of them"
         raise ValidationError(f"{name} must be a whole number{count}, "
@@ -104,14 +110,3 @@ def symmetric_matrix(value, name: str) -> np.ndarray:
     if np.abs(mat - mat.T).max() > _SYM_RTOL * max(np.abs(mat).max(), 1.0):
         raise ValidationError(f"{name} is not symmetric within 1e-10 relative")
     return sym(mat)
-
-
-def count(value, name: str, minimum: int = 0) -> int:
-    """``value`` as one int no smaller than ``minimum``."""
-    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
-        n = operator.index(value)           # exact for ints beyond float range
-    else:
-        n = int(integers(value, name))
-    if n < minimum:
-        raise ValidationError(f"{name} must be >= {minimum}, got {reprlib.repr(value)}")
-    return n

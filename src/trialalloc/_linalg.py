@@ -45,7 +45,7 @@ def spd_inverse(a: np.ndarray, what: str = "matrix") -> np.ndarray:
 
 
 def frozen_array(values, dtype=float) -> np.ndarray:
-    """Copy ``values`` into a read-only ndarray (safe to share across threads)."""
+    """Copy ``values`` into a read-only ndarray."""
     arr = np.array(values, dtype=dtype)
     arr.setflags(write=False)
     return arr

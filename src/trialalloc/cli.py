@@ -28,14 +28,14 @@ from pathlib import Path as _FsPath
 import numpy as np
 
 from . import __version__
-from ._checks import count, finite, integers, number, positive
+from ._checks import finite, integers, number, positive
 from .criteria import CriterionSpec, DesignProblem
 from .errors import InfeasibleError, NumericalError, ValidationError
 from .fixtures import available_fixtures, fixture_path
 from .kinship import (BlockCompoundSymmetry, CompoundSymmetry, DenseKinship,
                       Identity, load_kinship_csv, sigma2_alpha_for_unit_asv)
 from .model import Design, SubRegionProfile, VarianceComponents
-from .optimizer import ConstraintSet, solve_approximate, solve_exact
+from .optimizer import ConstraintSet, phi_ratio, solve_approximate, solve_exact
 
 __all__ = ["main"]
 
@@ -48,7 +48,7 @@ _SETTINGS = {"subregions": ("V", "ell"),
              "criterion": ("target", "weighting"),
              "designs": ("reference", "alternative"),
              "constraints": ("min_per_region", "max_per_region", "costs", "budget"),
-             "solver": ("mode", "tol", "max_iter")}
+             "solver": ("mode", "tol")}
 _KINSHIP_KEYS = {"identity": ("variant", "K", "jitter"),
                  "cs": ("variant", "K", "r", "sigma2_alpha", "jitter"),
                  "block_cs": ("variant", "f", "m", "r", "sigma2_alpha", "jitter"),
@@ -88,7 +88,10 @@ def load_config(path_or_name: str) -> list:
             or not all(isinstance(e, dict) for e in batch)):
         raise ValidationError("'batch' must be a non-empty list of override objects")
     entries = []
-    for override in batch:
+    for i, override in enumerate(batch):
+        if "label" in override and not isinstance(override["label"], str):
+            raise ValidationError(f"batch[{i}].label must be a string, "
+                                  f"got {override['label']!r}")
         merged = _deep_merge(config, {k: v for k, v in override.items() if k != "label"})
         _check_keys(merged)
         entries.append((override.get("label"), dict(merged, _base_dir=base_dir)))
@@ -298,7 +301,9 @@ def _parse_design(raw, P: int, default_J=None, field: str = "design") -> Design:
         raise ValidationError(f"'{field}' must be a list of counts or an object")
     if "counts" in raw and "weights" in raw:
         raise ValidationError(f"{field}.weights cannot be given with {field}.counts")
-    J = count(raw["J"], f"{field}.J", 1) if "J" in raw else None
+    J = int(integers(raw["J"], f"{field}.J")) if "J" in raw else None
+    if J is not None and J < 1:
+        raise ValidationError(f"{field}.J must be >= 1, got {J}")
     if "counts" in raw:
         counts = finite(raw["counts"], field)
         if counts.shape != (P,):
@@ -419,18 +424,9 @@ def _render_efficiency(report: dict) -> None:
 
 def _solver_settings(config: dict, args) -> dict:
     block = config.get("solver", {})
-
-    def setting(name, default, check):
-        flag = getattr(args, name, None)
-        if flag is not None:
-            return check(flag, f"--{name}")
-        return check(block.get(name, default), f"solver.{name}")
-
-    return {
-        "tol": setting("tol", 1e-9, positive),
-        "max_iter": setting("max_iter", 5000, lambda v, name: count(v, name, 1)),
-        "mode": args.mode or block.get("mode", "approx"),
-    }
+    tol = (positive(args.tol, "--tol") if args.tol is not None
+           else positive(block.get("tol", 1e-9), "solver.tol"))
+    return {"tol": tol, "mode": args.mode or block.get("mode", "approx")}
 
 
 def _eval_rows(problem: DesignProblem, config: dict, args):
@@ -459,11 +455,9 @@ def _design_rows(problem: DesignProblem, config: dict, args):
     for J in _j_grid(config):
         constraints = _build_constraints(config, J, problem.P)
         if solver["mode"] == "exact":
-            report = solve_exact(problem, constraints, tol=solver["tol"],
-                                 max_iter=solver["max_iter"])
+            report = solve_exact(problem, constraints, tol=solver["tol"])
         else:
-            report = solve_approximate(problem, constraints, tol=solver["tol"],
-                                       max_iter=solver["max_iter"])
+            report = solve_approximate(problem, constraints, tol=solver["tol"])
         row = {
             "mode": solver["mode"],
             "J": J,
@@ -496,7 +490,8 @@ def _efficiency_rows(problem: DesignProblem, config: dict, args):
         pair[key] = {"design": _design_payload(design), "phi": value.phi,
                      "mse_trace": value.mse_trace}
     yield {"criterion": _criterion_payload(problem),
-           "efficiency": pair["reference"]["phi"] / pair["alternative"]["phi"], **pair}
+           "efficiency": phi_ratio(pair["reference"]["phi"], pair["alternative"]["phi"]),
+           **pair}
 
 
 def _cmd_rows(args) -> int:

@@ -11,10 +11,10 @@ model over the polytope exactly by a primal active-set method, and takes
 the full step to that minimizer, halved for as long as the criterion rises
 beyond rounding there.  The polytope's best vertex for the linearized
 criterion serves only as the optimality-gap certificate.  A solve ends
-``converged`` (gap below the tolerance), ``max_iter`` (the evaluation
-budget spent), or ``stalled`` (a step that, at rounding level, neither
-lowered the criterion nor halved the gap).  The exact solver is a
-best-first branch-and-bound over integer count boxes on the same
+``converged`` (gap below the tolerance), ``max_iter`` (``_EVALUATION_LIMIT``
+criterion evaluations spent), or ``stalled`` (a step that, at rounding
+level, neither lowered the criterion nor halved the gap).  The exact solver
+is a best-first branch-and-bound over integer count boxes on the same
 relaxation, the root box being the approximate problem itself and the first
 incumbent its optimum's rounding.  Nothing is random.
 """
@@ -26,9 +26,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._checks import count, finite, integers, number, positive
+from ._checks import finite, integers, number, positive
 from .criteria import DesignProblem
-from .errors import InfeasibleError, ValidationError
+from .errors import InfeasibleError, NumericalError, ValidationError
 from .model import Design
 
 __all__ = [
@@ -51,6 +51,8 @@ _PRUNE_RTOL = 1e-12
 _INTEGRAL_TOL = 1e-7
 # relaxations an exact solve may take before it stops uncertified
 _NODE_LIMIT = 10_000
+# criterion evaluations a relaxation may take before it stops ``max_iter``
+_EVALUATION_LIMIT = 5000
 
 
 def __getattr__(name):
@@ -95,6 +97,8 @@ class ConstraintSet:
                 "number of sub-regions is ambiguous: pass P or a vector bound"
             )
         p = int(integers(p, "P"))
+        if p < 1:
+            raise ValidationError(f"number of sub-regions P must be >= 1, got {p}")
         object.__setattr__(self, "P", p)
 
         lo = integers(self.min_per_region, "min_per_region", p)
@@ -200,12 +204,13 @@ class OptimizerReport:
     """Result of a solve.
 
     ``status`` says why the approximate solver stopped: ``converged`` (the
-    gap fell below the tolerance), ``max_iter`` (``iterations`` counts its
-    criterion evaluations, one per Newton step or step halving), or
-    ``stalled`` (a Newton step that, at rounding level, neither lowered the
-    criterion nor halved the gap).  An exact solve carries its root's status
-    and adds ``lower_bound``, ``certified`` and ``nodes`` (see
-    :func:`solve_exact`), which are None for approximate solves.
+    gap fell below the tolerance), ``max_iter`` (``iterations``, which counts
+    criterion evaluations, one per Newton step or step halving, reached
+    ``_EVALUATION_LIMIT``), or ``stalled`` (a Newton step that, at rounding
+    level, neither lowered the criterion nor halved the gap).  An exact solve
+    carries its root's status and adds ``lower_bound``, ``certified`` and
+    ``nodes`` (see :func:`solve_exact`), which are None for approximate
+    solves.
     """
 
     design: Design
@@ -388,12 +393,13 @@ def _step_kept(phi_new, gap_new, phi, gap) -> bool:
                              and gap_new <= 0.5 * gap)
 
 
-def _newton(ev, y, lo, hi, costs, budget_w, tol, max_iter, cutoff=np.inf):
+def _newton(ev, y, lo, hi, costs, budget_w, tol, cutoff=np.inf):
     """Projected Newton from the feasible point y (see :func:`solve_approximate`),
-    also ``converged`` once the lower bound phi - gap reaches ``cutoff``.
-    Returns the last kept point, its phi and gap, the evaluations and status."""
+    also ``converged`` once the lower bound phi - gap reaches ``cutoff``, and
+    ``max_iter`` after ``_EVALUATION_LIMIT`` evaluations.  Returns the last
+    kept point, its phi and gap, the evaluations and status."""
     status = "max_iter"
-    for it in range(1, max_iter + 1):
+    for it in range(1, _EVALUATION_LIMIT + 1):
         phi_y, g_y, hess_y = ev.newton_terms(y)
         gap_y = float(g_y @ (y - _linear_minimum(g_y, lo, hi, costs, budget_w)))
         done = gap_y <= tol * max(1.0, abs(phi_y)) or phi_y - gap_y >= cutoff
@@ -408,7 +414,7 @@ def _newton(ev, y, lo, hi, costs, budget_w, tol, max_iter, cutoff=np.inf):
         if done:
             status = "converged"
             break
-        if it == max_iter:
+        if it == _EVALUATION_LIMIT:
             break
         slack = None if costs is None else budget_w - costs @ x
         d = _box_qp(g, hess, lo - x, hi - x, costs, slack)
@@ -417,20 +423,19 @@ def _newton(ev, y, lo, hi, costs, budget_w, tol, max_iter, cutoff=np.inf):
     return x, phi_x, max(gap, 0.0), it, status
 
 
-def _checked(problem, constraints, tol, max_iter):
-    """The solver settings ``tol`` and ``max_iter``, checked, once the
-    constraints are known to describe the problem's sub-regions."""
+def _checked(problem, constraints, tol):
+    """The solver setting ``tol``, checked, once the constraints are known to
+    describe the problem's sub-regions."""
     tol = positive(tol, "tol")
-    max_iter = count(max_iter, "max_iter", 1)
     if constraints.P != problem.P:
         raise ValidationError(
             f"constraints describe {constraints.P} sub-regions, problem has {problem.P}"
         )
-    return tol, max_iter
+    return tol
 
 
 def solve_approximate(problem: DesignProblem, constraints: ConstraintSet,
-                      tol: float = 1e-9, max_iter: int = 5000) -> OptimizerReport:
+                      tol: float = 1e-9) -> OptimizerReport:
     """Optimal approximate design over the constraint polytope.
 
     Projected Newton: the quadratic model at the current weights is
@@ -443,14 +448,15 @@ def solve_approximate(problem: DesignProblem, constraints: ConstraintSet,
     valid bound on the distance to the true optimum.  Any other step that is
     not kept (:func:`_step_kept`) is halved when the criterion rose beyond
     rounding, and otherwise ends the solve ``stalled`` at the last kept
-    point.  Deterministic — no randomness is involved.
+    point.  A solve that spends ``_EVALUATION_LIMIT`` evaluations ends
+    ``max_iter``.  Deterministic — no randomness is involved.
     """
-    tol, max_iter = _checked(problem, constraints, tol, max_iter)
+    tol = _checked(problem, constraints, tol)
     lo, hi = constraints.weight_box()
     costs, budget_w = constraints.costs, constraints.weight_budget()
     x, _, gap, iterations, status = _newton(
         problem.evaluator(constraints.J), _start(lo, lo, hi, costs, budget_w),
-        lo, hi, costs, budget_w, tol, max_iter)
+        lo, hi, costs, budget_w, tol)
     design = Design.approximate(x, constraints.J)
     value = problem.value(design)
     return OptimizerReport(design=design, phi=value.phi, mse_trace=value.mse_trace,
@@ -495,7 +501,7 @@ def round_to_exact(weights, constraints: ConstraintSet) -> Design:
 
 
 def solve_exact(problem: DesignProblem, constraints: ConstraintSet,
-                tol: float = 1e-9, max_iter: int = 5000) -> OptimizerReport:
+                tol: float = 1e-9) -> OptimizerReport:
     """The optimal exact design under the constraints, by branch-and-bound.
 
     A best-first search over integer count boxes: it always opens the box
@@ -515,7 +521,7 @@ def solve_exact(problem: DesignProblem, constraints: ConstraintSet,
     ``iterations`` counts the Newton evaluations of all ``nodes``
     relaxations; ``status`` is the root's.
     """
-    tol, max_iter = _checked(problem, constraints, tol, max_iter)
+    tol = _checked(problem, constraints, tol)
     ev = problem.evaluator(constraints.J)
     j, costs = constraints.J, constraints.costs
     budget_w = constraints.weight_budget()
@@ -534,7 +540,7 @@ def solve_exact(problem: DesignProblem, constraints: ConstraintSet,
         lo, hi = lo_n / j, hi_n / j
         x, phi, gap, its, node_status = _newton(
             ev, _start(parent_x, lo, hi, costs, budget_w), lo, hi, costs, budget_w,
-            tol, max_iter, cutoff)
+            tol, cutoff)
         nodes += 1
         iterations += its
         bound = max(phi - gap, bound)           # the parent's bound holds here too
@@ -580,4 +586,13 @@ def efficiency(xi_unconstrained: Design, xi_constrained: Design,
     With the first argument optimal for a less constrained problem the value
     lies in (0, 1]; swapping the arguments gives the reciprocal.
     """
-    return problem.phi(xi_unconstrained) / problem.phi(xi_constrained)
+    return phi_ratio(problem.phi(xi_unconstrained), problem.phi(xi_constrained))
+
+
+def phi_ratio(phi, phi_alternative) -> float:
+    """phi / phi_alternative, raising :class:`NumericalError` when the
+    alternative's criterion is not positive (say, underflowed to zero)."""
+    if not phi_alternative > 0:
+        raise NumericalError(f"the alternative design's criterion is {phi_alternative}, "
+                             "so the efficiency ratio is undefined")
+    return phi / phi_alternative

@@ -58,21 +58,11 @@ class OracleInstance:
 
     @property
     def K(self) -> int:
-        return _kinship_size(self.kinship)
+        return self.kinship.K
 
     @property
     def J(self) -> int:
         return sum(self.counts)
-
-
-def _kinship_size(spec: KinshipSpec) -> int:
-    if isinstance(spec, (Identity, CompoundSymmetry)):
-        return spec.K
-    if isinstance(spec, BlockCompoundSymmetry):
-        return spec.f * spec.m
-    if isinstance(spec, DenseKinship):
-        return spec.K
-    raise ValidationError(f"unknown kinship spec: {type(spec).__name__}")
 
 
 def _kinship_dense(spec: KinshipSpec) -> np.ndarray:

@@ -7,6 +7,7 @@ import os
 import shutil
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ import pytest
 import helpers
 from trialalloc import (Design, DesignProblem, Identity, ValidationError,
                         __version__, efficiency)
-from trialalloc import _linalg, cli
+from trialalloc import _linalg, cli, optimizer
 from trialalloc._linalg import spd_factor
 from trialalloc.cli import main
 from trialalloc.fixtures import available_fixtures, fixture_path, load_fixture
@@ -378,16 +379,14 @@ class TestDesign:
         assert payload["certified"] is True and payload["cost"] == 4e8
         assert payload["design"] == free["design"]
 
-    def test_exact_mode_honours_the_warm_start_settings(self, tmp_path, capsys,
-                                                        network_config):
-        network_config["solver"] = {"max_iter": 1}
-        code, payload, _ = run_cli(
-            capsys, "design", "--config", write_config(tmp_path, network_config),
-            "--mode", "exact")
-        assert code == 0 and payload["status"] == "max_iter"
+    def test_exact_mode_honours_the_warm_start_settings(self, capsys, monkeypatch):
         code, payload, _ = run_cli(capsys, "design", "--config", "maize_network",
                                    "--mode", "exact", "--tol", "0.5")
         assert code == 0 and payload["status"] == "converged"
+        monkeypatch.setattr(optimizer, "_EVALUATION_LIMIT", 1)
+        code, payload, _ = run_cli(capsys, "design", "--config", "maize_network",
+                                   "--mode", "exact")
+        assert code == 0 and payload["status"] == "max_iter"
 
     def test_non_finite_report_is_refused(self, capsys, monkeypatch):
         real = cli.solve_approximate
@@ -569,6 +568,18 @@ class TestEfficiency:
         assert code == 2
         assert "designs" in err
 
+    def test_a_criterion_that_underflows_to_zero_exits_4(self, tmp_path, capsys,
+                                                        network_config):
+        # V scaled by 1e-300 underflows phi to 0.0, so the ratio has no value
+        network_config["subregions"]["V"] = [
+            [v * 1e-300 for v in row] for row in network_config["subregions"]["V"]]
+        network_config["designs"] = {"reference": [13, 6, 8, 12, 1],
+                                     "alternative": [12, 6, 8, 12, 2]}
+        code, payload, err = run_cli(
+            capsys, "efficiency", "--config", write_config(tmp_path, network_config))
+        assert code == 4 and payload is None
+        assert "alternative design's criterion is 0.0" in err
+
 
 class TestKinshipConfig:
     def test_csv_path_resolves_relative_to_config(self, tmp_path, capsys,
@@ -656,6 +667,49 @@ class TestConfigValidation:
         code, _, err = run_cli(capsys, "eval", "--config", "missing_thing")
         assert code == 2
         assert "unknown fixture" in err
+
+    @pytest.mark.parametrize("value", [1e20, 2**63, 10**30], ids=["1e20", "2**63", "10**30"])
+    @pytest.mark.parametrize("command, field, put", [
+        ("eval", "J", lambda c, v: c.update(J=v)),
+        ("eval", "design.J", lambda c, v: c.update(design={"weights": [0.2] * 5, "J": v})),
+        ("eval", "counts", lambda c, v: c.update(design=[v, 6, 8, 12, 1])),
+        ("design", "K", lambda c, v: c["kinship"].update(K=v)),
+        ("design", "f", lambda c, v: c.update(
+            kinship={"variant": "block_cs", "f": v, "m": 5, "r": 0.5})),
+        ("design", "H", lambda c, v: c["variance"]["cross_classified"].update(H=v)),
+        ("design", "min_per_region", lambda c, v: c.update(constraints={"min_per_region": v})),
+    ], ids=["J", "design.J", "counts", "kinship.K", "kinship.f", "variance.H",
+            "constraints.min_per_region"])
+    def test_an_integer_beyond_int64_exits_2(self, tmp_path, capsys, network_config,
+                                            value, command, field, put):
+        put(network_config, value)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)      # no cast out of range
+            code, payload, err = run_cli(
+                capsys, command, "--config", write_config(tmp_path, network_config))
+        assert code == 2 and payload is None
+        assert f"error: {field} must be below 2**63 in magnitude" in err
+
+    @pytest.mark.parametrize("command, field, put", [
+        ("eval", "J", lambda c, v: c.update(J=v)),
+        ("design", "budget",
+         lambda c, v: c.update(constraints={"costs": [1] * 5, "budget": v})),
+    ], ids=["J", "constraints.budget"])
+    def test_a_json_integer_beyond_float_range_exits_2(self, tmp_path, capsys,
+                                                      network_config, command, field, put):
+        put(network_config, 10**400)
+        code, payload, err = run_cli(
+            capsys, command, "--config", write_config(tmp_path, network_config))
+        assert code == 2 and payload is None
+        assert f"error: {field} must be finite" in err
+
+    @pytest.mark.parametrize("label", [float("nan"), {"a": 1}], ids=["nan", "object"])
+    def test_a_batch_label_must_be_text(self, tmp_path, capsys, network_config, label):
+        network_config["batch"] = [{"label": "a"}, {"label": label}]
+        code, payload, err = run_cli(
+            capsys, "eval", "--config", write_config(tmp_path, network_config))
+        assert code == 2 and payload is None
+        assert "error: batch[1].label must be a string" in err
 
 
 class TestFlags:

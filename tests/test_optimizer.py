@@ -10,9 +10,10 @@ from scipy.optimize import linprog
 
 import helpers
 from trialalloc import (BlockCompoundSymmetry, ConstraintSet, CriterionSpec, Design,
-                        DesignProblem, Identity, InfeasibleError, SubRegionProfile,
-                        ValidationError, VarianceComponents, _linalg, efficiency,
-                        optimizer, round_to_exact, solve_approximate, solve_exact)
+                        DesignProblem, Identity, InfeasibleError, NumericalError,
+                        SubRegionProfile, ValidationError, VarianceComponents, _linalg,
+                        efficiency, optimizer, round_to_exact, solve_approximate,
+                        solve_exact)
 from trialalloc._linalg import spd_factor
 from trialalloc.oracle import enumerate_exact_optimum
 
@@ -85,6 +86,9 @@ class TestConstraintValidation:
         ({"J": 10.9}, "J"),
         ({"costs": [1.0, np.nan, 2.0], "budget": 30.0}, "costs"),
         ({"costs": [1.0, 1.0, 2.0], "budget": np.nan}, "budget"),
+        # fewer than one region; one region is a valid feasibility object
+        ({"P": -1}, "sub-regions P"), ({"P": 0}, "sub-regions P"),
+        ({"P": None, "min_per_region": []}, "sub-regions P"),
     ])
     def test_non_integral_or_non_finite_rejected(self, kwargs, field):
         with pytest.raises(ValidationError, match=field):
@@ -229,7 +233,8 @@ class TestWorkCounts:
                 return (x[1] - 0.65) ** 2, np.array([0.0, 2.0 * (x[1] - 0.65)]), 0.4 * np.eye(2)
 
         monkeypatch.setattr(DesignProblem, "evaluator", lambda self, J: Quadratic())
-        report = solve_approximate(_symmetric_problem(), ConstraintSet(J=10, P=2), max_iter=3)
+        monkeypatch.setattr(optimizer, "_EVALUATION_LIMIT", 3)
+        report = solve_approximate(_symmetric_problem(), ConstraintSet(J=10, P=2))
         np.testing.assert_allclose(Quadratic.points,
                                    [[0.5, 0.5], [0.125, 0.875], [0.3125, 0.6875]], rtol=1e-12)
         assert (report.status, report.iterations) == ("max_iter", 3)
@@ -545,21 +550,21 @@ class TestApproximateSolver:
         assert report.status == "converged"
         assert report.optimality_gap <= 1e-9 * max(1.0, report.phi)
 
-    def test_iteration_cap_reported(self, vc5, profile5):
+    def test_iteration_cap_reported(self, monkeypatch, vc5, profile5):
         problem = DesignProblem(vc5, profile5, Identity(K=31))
-        report = solve_approximate(problem, ConstraintSet(J=40, P=5), max_iter=1)
-        assert report.status == "max_iter"
-        assert report.iterations == 1
         exact = solve_exact(problem, ConstraintSet(J=40, P=5))
         assert exact.status == solve_approximate(problem, ConstraintSet(J=40, P=5)).status
-        capped = solve_exact(problem, ConstraintSet(J=40, P=5), max_iter=1)
+        monkeypatch.setattr(optimizer, "_EVALUATION_LIMIT", 1)
+        report = solve_approximate(problem, ConstraintSet(J=40, P=5))
+        assert report.status == "max_iter"
+        assert report.iterations == 1
+        capped = solve_exact(problem, ConstraintSet(J=40, P=5))
         assert capped.status == "max_iter"
         assert solve_exact(problem, ConstraintSet(J=40, P=5),
                            tol=0.5).status == "converged"
 
     @pytest.mark.parametrize("kwargs, field", [
         ({"tol": float("nan")}, "tol"), ({"tol": -1.0}, "tol"), ({"tol": 0.0}, "tol"),
-        ({"max_iter": 0}, "max_iter"), ({"max_iter": 2.5}, "max_iter"),
     ])
     def test_bad_settings_rejected(self, kwargs, field):
         cons = ConstraintSet(J=10, P=2)
@@ -864,11 +869,14 @@ class TestExactSolver:
     @pytest.mark.parametrize("kwargs, field", [
         ({"restarts": 1.5}, "restarts"), ({"restarts": -1}, "restarts"),
         ({"seed": 3.9}, "seed"), ({"seed": -2}, "seed"),
+        ({"max_iter": 0}, "max_iter"), ({"max_iter": 2.5}, "max_iter"),
     ])
     def test_bad_start_settings_rejected(self, kwargs, field):
-        # the search draws no starts, so it takes no start settings at all
-        with pytest.raises(TypeError, match=field):
-            solve_exact(_symmetric_problem(), ConstraintSet(J=10, P=2), **kwargs)
+        # removed settings: the search draws no starts, and the evaluation
+        # cap is the constant _EVALUATION_LIMIT
+        for solve in (solve_approximate, solve_exact):
+            with pytest.raises(TypeError, match=field):
+                solve(_symmetric_problem(), ConstraintSet(J=10, P=2), **kwargs)
 
 
 class TestEfficiency:
@@ -876,6 +884,14 @@ class TestEfficiency:
         problem = DesignProblem(vc5, profile5, Identity(K=31))
         d = Design.exact(np.array([13, 6, 8, 12, 1]))
         assert efficiency(d, d, problem) == pytest.approx(1.0)
+
+    def test_a_criterion_that_underflows_to_zero_is_a_numerical_error(self, vc5, profile5):
+        tiny = SubRegionProfile(V=profile5.V * 1e-300, ell=profile5.ell)
+        problem = DesignProblem(vc5, tiny, Identity(K=31))
+        alternative = Design.exact(np.array([12, 6, 8, 12, 2]))
+        assert problem.phi(alternative) == 0.0
+        with pytest.raises(NumericalError, match="criterion is 0.0"):
+            efficiency(Design.exact(np.array([13, 6, 8, 12, 1])), alternative, problem)
 
     def test_binding_constraint_lowers_efficiency(self, vc5, profile5):
         problem = DesignProblem(vc5, profile5, Identity(K=31))
