@@ -35,7 +35,7 @@ from .fixtures import available_fixtures, fixture_path
 from .kinship import (BlockCompoundSymmetry, CompoundSymmetry, DenseKinship,
                       Identity, load_kinship_csv, sigma2_alpha_for_unit_asv)
 from .model import Design, SubRegionProfile, VarianceComponents
-from .optimizer import ConstraintSet, phi_ratio, solve_approximate, solve_exact
+from .optimizer import ConstraintSet, solve_approximate, solve_exact
 
 __all__ = ["main"]
 
@@ -48,10 +48,10 @@ _SETTINGS = {"subregions": ("V", "ell"),
              "criterion": ("target", "weighting"),
              "designs": ("reference", "alternative"),
              "constraints": ("min_per_region", "max_per_region", "costs", "budget"),
-             "solver": ("mode", "tol")}
-_KINSHIP_KEYS = {"identity": ("variant", "K", "jitter"),
-                 "cs": ("variant", "K", "r", "sigma2_alpha", "jitter"),
-                 "block_cs": ("variant", "f", "m", "r", "sigma2_alpha", "jitter"),
+             "solver": ("tol",)}
+_KINSHIP_KEYS = {"identity": ("variant", "K"),
+                 "cs": ("variant", "K", "r", "sigma2_alpha"),
+                 "block_cs": ("variant", "f", "m", "r", "sigma2_alpha"),
                  "dense": ("variant", "csv", "matrix", "jitter")}
 _DESIGN_KEYS = ("counts", "weights", "J")
 
@@ -161,6 +161,8 @@ def _build_variance(config: dict) -> VarianceComponents:
                 f"(available: {sorted(block)})"
             )
         block = block[variant]
+        if not isinstance(block, dict):
+            raise ValidationError(f"variance.{variant} must be an object")
     fields = dict(block)
     fields.setdefault("model_variant", variant)
     try:
@@ -178,38 +180,11 @@ def _build_profile(config: dict) -> SubRegionProfile:
     return SubRegionProfile(V=block["V"], ell=block.get("ell"))
 
 
-def _mean_diag(spec) -> float:
-    if isinstance(spec, Identity):
-        return 1.0
-    if isinstance(spec, (CompoundSymmetry, BlockCompoundSymmetry)):
-        return spec.sigma2_alpha
-    return float(np.mean(np.diag(spec.matrix)))
-
-
-def _resolve_jitter(spec, requested):
-    """Return ``spec`` with the jitter replaced by ``requested``.
-
-    ``requested`` is a float or the string ``"auto"``, which scales to the
-    mean diagonal of the kinship.
-    """
-    if requested is None:
-        return spec
-    if requested == "auto":
-        value = _AUTO_JITTER_REL * _mean_diag(spec)
-    else:
-        try:
-            value = float(requested)
-        except (TypeError, ValueError):
-            raise ValidationError(f"jitter must be a number or 'auto', got {requested!r}")
-    return dataclasses.replace(spec, jitter=value)
-
-
-def _build_kinship(config: dict, jitter_override=None):
+def _build_kinship(config: dict):
     block = _require(config, "kinship")
     if not isinstance(block, dict):
         raise ValidationError("'kinship' must be an object")
     variant = block.get("variant")
-    jitter = block.get("jitter", 0.0)
 
     def _sigma2_alpha(K: int, m: int) -> float:
         raw = block.get("sigma2_alpha", 1.0)
@@ -222,16 +197,14 @@ def _build_kinship(config: dict, jitter_override=None):
 
     try:
         if variant == "identity":
-            spec = Identity(K=block["K"], jitter=jitter)
+            spec = Identity(K=block["K"])
         elif variant == "cs":
             K = _count("K")
-            spec = CompoundSymmetry(K=K, sigma2_alpha=_sigma2_alpha(K, K),
-                                    r=block["r"], jitter=jitter)
+            spec = CompoundSymmetry(K=K, sigma2_alpha=_sigma2_alpha(K, K), r=block["r"])
         elif variant == "block_cs":
             f, m = _count("f"), _count("m")
-            spec = BlockCompoundSymmetry(f=f, m=m,
-                                         sigma2_alpha=_sigma2_alpha(f * m, m),
-                                         r=block["r"], jitter=jitter)
+            spec = BlockCompoundSymmetry(f=f, m=m, sigma2_alpha=_sigma2_alpha(f * m, m),
+                                         r=block["r"])
         elif variant == "dense":
             if "csv" in block and "matrix" in block:
                 raise ValidationError("kinship.matrix cannot be given with kinship.csv")
@@ -241,11 +214,16 @@ def _build_kinship(config: dict, jitter_override=None):
                 csv_path = _FsPath(block["csv"])
                 if not csv_path.is_absolute() and config.get("_base_dir"):
                     csv_path = _FsPath(config["_base_dir"]) / csv_path
-                spec = load_kinship_csv(csv_path, jitter=jitter)
+                spec = load_kinship_csv(csv_path)
             elif "matrix" in block:
-                spec = DenseKinship(matrix=block["matrix"], jitter=jitter)
+                spec = DenseKinship(matrix=block["matrix"])
             else:
                 raise ValidationError("dense kinship needs a 'csv' path or a 'matrix'")
+            jitter = block.get("jitter", 0.0)
+            if jitter == "auto":        # relative to the matrix's mean diagonal
+                jitter = _AUTO_JITTER_REL * float(np.mean(np.diag(spec.matrix)))
+            if number(jitter, "kinship.jitter"):
+                spec = dataclasses.replace(spec, jitter=jitter)
         else:
             raise ValidationError(
                 f"unknown kinship variant {variant!r}; "
@@ -253,7 +231,7 @@ def _build_kinship(config: dict, jitter_override=None):
             )
     except KeyError as exc:
         raise ValidationError(f"kinship block is missing the {exc.args[0]!r} field")
-    return _resolve_jitter(spec, jitter_override)
+    return spec
 
 
 def _build_criterion(config: dict) -> CriterionSpec:
@@ -285,10 +263,10 @@ def _build_constraints(config: dict, J: int, P: int) -> ConstraintSet:
                          budget=block.get("budget"))
 
 
-def _build_problem(config: dict, jitter_override=None) -> DesignProblem:
+def _build_problem(config: dict) -> DesignProblem:
     return DesignProblem(vc=_build_variance(config),
                          profile=_build_profile(config),
-                         kinship=_build_kinship(config, jitter_override),
+                         kinship=_build_kinship(config),
                          criterion=_build_criterion(config))
 
 
@@ -310,6 +288,9 @@ def _parse_design(raw, P: int, default_J=None, field: str = "design") -> Design:
             raise ValidationError(
                 f"'{field}' has {counts.size} entries but the problem has {P} sub-regions"
             )
+        counts = integers(raw["counts"], field, P)
+        if np.any(counts < 0):
+            raise ValidationError(f"{field} counts must be non-negative, got {raw['counts']!r}")
         design = Design.exact(counts)
         if J is not None and design.J != J:
             raise ValidationError(f"{field}.J is {J} but the counts sum to {design.J}")
@@ -422,13 +403,6 @@ def _render_efficiency(report: dict) -> None:
 # Subcommands
 
 
-def _solver_settings(config: dict, args) -> dict:
-    block = config.get("solver", {})
-    tol = (positive(args.tol, "--tol") if args.tol is not None
-           else positive(block.get("tol", 1e-9), "solver.tol"))
-    return {"tol": tol, "mode": args.mode or block.get("mode", "approx")}
-
-
 def _eval_rows(problem: DesignProblem, config: dict, args):
     """One row per network size: the config's design evaluated on its J grid,
     or at its own J when it names one."""
@@ -449,17 +423,13 @@ def _eval_rows(problem: DesignProblem, config: dict, args):
 
 def _design_rows(problem: DesignProblem, config: dict, args):
     """One optimal design per network size of the J grid."""
-    solver = _solver_settings(config, args)
-    if solver["mode"] not in ("approx", "exact"):
-        raise ValidationError(f"mode must be 'approx' or 'exact', got {solver['mode']!r}")
+    tol = positive(config.get("solver", {}).get("tol", 1e-9), "solver.tol")
+    solve = solve_exact if args.mode == "exact" else solve_approximate
     for J in _j_grid(config):
         constraints = _build_constraints(config, J, problem.P)
-        if solver["mode"] == "exact":
-            report = solve_exact(problem, constraints, tol=solver["tol"])
-        else:
-            report = solve_approximate(problem, constraints, tol=solver["tol"])
+        report = solve(problem, constraints, tol=tol)
         row = {
-            "mode": solver["mode"],
+            "mode": args.mode,
             "J": J,
             "criterion": _criterion_payload(problem),
             "design": _design_payload(report.design),
@@ -469,7 +439,7 @@ def _design_rows(problem: DesignProblem, config: dict, args):
             "status": report.status,
             "iterations": report.iterations,
         }
-        if solver["mode"] == "exact":
+        if args.mode == "exact":
             row.update(lower_bound=report.lower_bound, certified=report.certified,
                        nodes=report.nodes)
         if constraints.costs is not None and report.design.counts is not None:
@@ -490,7 +460,7 @@ def _efficiency_rows(problem: DesignProblem, config: dict, args):
         pair[key] = {"design": _design_payload(design), "phi": value.phi,
                      "mse_trace": value.mse_trace}
     yield {"criterion": _criterion_payload(problem),
-           "efficiency": phi_ratio(pair["reference"]["phi"], pair["alternative"]["phi"]),
+           "efficiency": pair["reference"]["phi"] / pair["alternative"]["phi"],
            **pair}
 
 
@@ -500,7 +470,7 @@ def _cmd_rows(args) -> int:
     the entry's label, and emit them once."""
     reports = []
     for label, config in load_config(args.config):
-        problem = _build_problem(config, args.jitter)
+        problem = _build_problem(config)
         for row in args.rows(problem, config, args):
             mode = {"mode": row.pop("mode")} if "mode" in row else {}
             reports.append({"command": args.command, **mode, "label": label, **row})
@@ -526,8 +496,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, metavar="PATH",
                        help="JSON config file or bundled fixture name "
                             f"({', '.join(available_fixtures())})")
-        p.add_argument("--jitter", default=None, metavar="X",
-                       help="kinship diagonal jitter: a number or 'auto'")
         p.add_argument("--pretty", action="store_true",
                        help="also print a human-readable table to stderr")
         p.set_defaults(rows=rows, render=render)
@@ -537,11 +505,9 @@ def _build_parser() -> argparse.ArgumentParser:
             _eval_rows, _render_design_table)
     p_design = command("design", "compute an optimal design",
                        _design_rows, _render_design_table)
-    p_design.add_argument("--mode", choices=("approx", "exact"), default=None,
+    p_design.add_argument("--mode", choices=("approx", "exact"), default="approx",
                           help="approximate weights or exact integer counts "
                                "(default approx)")
-    p_design.add_argument("--tol", type=float, default=None,
-                          help="relaxation gap tolerance override")
 
     command("efficiency", "criterion-value ratio of two designs",
             _efficiency_rows, _render_efficiency)

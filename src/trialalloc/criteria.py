@@ -62,6 +62,8 @@ __all__ = [
 
 # matrix entries per batched factorization of the criterion systems (2 MB of float64)
 _BATCH_ENTRIES = 1 << 18
+# the least positive normal float: a phi below it has underflowed
+_TINY = float(np.finfo(float).tiny)
 
 
 class Target(str, Enum):
@@ -142,10 +144,9 @@ def _closed_form_spectrum(spec: KinshipSpec, target: Target):
     """
     if isinstance(spec, (Identity, CompoundSymmetry)):
         a1, a = (1.0, 0.0) if isinstance(spec, Identity) else (spec.a1, spec.a)
-        a1 += spec.jitter
         lam, mult, trace_n = [a1], [spec.K - 1], spec.K * (a1 + a)
     elif isinstance(spec, BlockCompoundSymmetry):
-        f, m, b1, b = spec.f, spec.m, spec.b1 + spec.jitter, spec.b
+        f, m, b1, b = spec.f, spec.m, spec.b1, spec.b
         # within-family contrasts see b1, between-family ones b1 + m*b
         lam, mult, trace_n = [b1, b1 + m * b], [f * (m - 1), f - 1], f * m * (b1 + b)
     else:
@@ -226,6 +227,9 @@ class _TraceEvaluator:
         With Y = L^-1 R, phi is ‖Y‖², the MSE trace the same of the MSE
         root, and the gradient -diag Σ_g X_g X_gᵀ with X = L^-ᵀY = A^-1 R.
         A long ``sizes`` is taken in batches of bounded memory.
+
+        phi is positive in exact arithmetic, so one below the least normal
+        float has underflowed and raises :class:`NumericalError`.
         """
         s = np.asarray(sizes, dtype=float)
         factor, mse_root, const = self._mse
@@ -238,6 +242,9 @@ class _TraceEvaluator:
             mse[rows] = factor / s[rows] * (np.einsum("ngij,ngij->n", y_mse, y_mse)
                                             + const * s[rows])
             grad[rows] = -np.einsum("ngij,ngij->ni", x, x)
+        if np.any(phi < _TINY):
+            raise NumericalError(f"the criterion underflows (phi = {phi.min():.3g}, below "
+                                 f"{_TINY:.3g}): the model's scales are too small")
         return phi, mse, grad
 
     def phi(self, w) -> float:

@@ -35,23 +35,19 @@ __all__ = [
 
 
 def _check_numbers(spec, integral=(), real=()) -> None:
-    """Store the named fields of ``spec`` as checked ints and finite floats,
-    and reject a negative jitter."""
+    """Store the named fields of ``spec`` as checked ints and finite floats."""
     for name in integral:
         object.__setattr__(spec, name, int(integers(getattr(spec, name), name)))
-    for name in real + ("jitter",):
+    for name in real:
         object.__setattr__(spec, name, number(getattr(spec, name), name))
-    if spec.jitter < 0:
-        raise ValidationError(f"jitter must be non-negative, got {spec.jitter}")
 
 
 def _check_scale(spec, field: str, largest: float) -> None:
     """Reject a kinship whose eigenvalues, at most ``largest``, could overflow
-    K·λ², the criteria's largest group weight; name ``field`` or the jitter."""
+    K·λ², the criteria's largest group weight; name ``field``."""
     limit = float(np.sqrt(np.finfo(float).max / spec.K))
     if not largest <= limit:
-        name = "jitter" if spec.jitter >= largest / 2 else field
-        raise ValidationError(f"{name} gives the kinship an eigenvalue up to {largest:.3g}, "
+        raise ValidationError(f"{field} gives the kinship an eigenvalue up to {largest:.3g}, "
                               f"above the {limit:.3g} that K={spec.K} allows")
 
 
@@ -60,13 +56,11 @@ class Identity:
     """Uncorrelated genotypes: N = I_K."""
 
     K: int
-    jitter: float = 0.0
 
     def __post_init__(self):
         _check_numbers(self, integral=("K",))
         if self.K < 2:
             raise ValidationError(f"kinship needs at least 2 genotypes, got K={self.K}")
-        _check_scale(self, "jitter", 1.0 + self.jitter)
 
 
 @dataclass(frozen=True)
@@ -87,7 +81,6 @@ class CompoundSymmetry:
     K: int
     sigma2_alpha: float
     r: float
-    jitter: float = 0.0
 
     def __post_init__(self):
         _check_numbers(self, integral=("K",), real=("sigma2_alpha", "r"))
@@ -97,7 +90,7 @@ class CompoundSymmetry:
             raise ValidationError(f"sigma2_alpha must be positive, got {self.sigma2_alpha}")
         if not 0.0 <= self.r < 1.0:
             raise ValidationError(f"correlation r must lie in [0, 1), got {self.r}")
-        _check_scale(self, "sigma2_alpha", self.a1 + self.K * self.a + self.jitter)
+        _check_scale(self, "sigma2_alpha", self.a1 + self.K * self.a)
 
     @property
     def a(self) -> float:
@@ -120,7 +113,6 @@ class BlockCompoundSymmetry:
     m: int
     sigma2_alpha: float
     r: float
-    jitter: float = 0.0
 
     def __post_init__(self):
         _check_numbers(self, integral=("f", "m"), real=("sigma2_alpha", "r"))
@@ -132,7 +124,7 @@ class BlockCompoundSymmetry:
             raise ValidationError(f"sigma2_alpha must be positive, got {self.sigma2_alpha}")
         if not 0.0 <= self.r < 1.0:
             raise ValidationError(f"correlation r must lie in [0, 1), got {self.r}")
-        _check_scale(self, "sigma2_alpha", self.b1 + self.m * self.b + self.jitter)
+        _check_scale(self, "sigma2_alpha", self.b1 + self.m * self.b)
 
     @property
     def K(self) -> int:
@@ -149,17 +141,22 @@ class BlockCompoundSymmetry:
 
 @dataclass(frozen=True, eq=False)
 class DenseKinship:
-    """An explicit K×K relationship matrix, e.g. a genomic one read from file."""
+    """An explicit K×K relationship matrix, e.g. a genomic one read from file,
+    plus ``jitter`` on its diagonal: a ridge for a matrix that is singular or
+    not quite positive definite."""
 
     matrix: np.ndarray
     jitter: float = 0.0
 
     def __post_init__(self):
-        _check_numbers(self)
+        _check_numbers(self, real=("jitter",))
+        if self.jitter < 0:
+            raise ValidationError(f"jitter must be non-negative, got {self.jitter}")
         object.__setattr__(self, "matrix",
                            frozen_array(symmetric_matrix(self.matrix, "matrix")))
         # the largest absolute row sum bounds every eigenvalue
-        _check_scale(self, "matrix", float(np.abs(self.matrix).sum(axis=1).max()) + self.jitter)
+        rows = float(np.abs(self.matrix).sum(axis=1).max())
+        _check_scale(self, "jitter" if self.jitter >= rows else "matrix", rows + self.jitter)
 
     @property
     def K(self) -> int:
@@ -170,7 +167,8 @@ KinshipSpec = Union[Identity, CompoundSymmetry, BlockCompoundSymmetry, DenseKins
 
 
 def materialize(spec: KinshipSpec) -> np.ndarray:
-    """Return the dense K×K matrix N described by ``spec`` (jitter included)."""
+    """Return the dense K×K matrix N described by ``spec`` (a dense one's
+    jitter included)."""
     if isinstance(spec, Identity):
         n = np.eye(spec.K)
     elif isinstance(spec, CompoundSymmetry):
@@ -179,11 +177,9 @@ def materialize(spec: KinshipSpec) -> np.ndarray:
         block = spec.b1 * np.eye(spec.m) + spec.b * np.ones((spec.m, spec.m))
         n = np.kron(np.eye(spec.f), block)
     elif isinstance(spec, DenseKinship):
-        n = spec.matrix.copy()
+        n = spec.matrix + spec.jitter * np.eye(spec.K) if spec.jitter else spec.matrix.copy()
     else:
         raise ValidationError(f"unknown kinship spec: {type(spec).__name__}")
-    if spec.jitter:
-        n = n + spec.jitter * np.eye(n.shape[0])
     return n
 
 

@@ -28,7 +28,7 @@ import numpy as np
 
 from ._checks import finite, integers, number, positive
 from .criteria import DesignProblem
-from .errors import InfeasibleError, NumericalError, ValidationError
+from .errors import InfeasibleError, ValidationError
 from .model import Design
 
 __all__ = [
@@ -376,7 +376,7 @@ def _start(x, lo, hi, costs, budget_w):
     room = hi - x if excess >= 0.0 else x - lo
     x = x + excess * (room / room.sum() if room.any() else room)
     if costs is not None and costs @ x > budget_w:
-        cheapest = _linear_minimum(costs, lo, hi, costs, budget_w)
+        cheapest = _fill(lo, hi, 1.0, costs)
         over, drop = costs @ x - budget_w, costs @ (x - cheapest)
         x += (over / drop if drop > over else 1.0) * (cheapest - x)
     return x
@@ -586,13 +586,4 @@ def efficiency(xi_unconstrained: Design, xi_constrained: Design,
     With the first argument optimal for a less constrained problem the value
     lies in (0, 1]; swapping the arguments gives the reciprocal.
     """
-    return phi_ratio(problem.phi(xi_unconstrained), problem.phi(xi_constrained))
-
-
-def phi_ratio(phi, phi_alternative) -> float:
-    """phi / phi_alternative, raising :class:`NumericalError` when the
-    alternative's criterion is not positive (say, underflowed to zero)."""
-    if not phi_alternative > 0:
-        raise NumericalError(f"the alternative design's criterion is {phi_alternative}, "
-                             "so the efficiency ratio is undefined")
-    return phi / phi_alternative
+    return problem.phi(xi_unconstrained) / problem.phi(xi_constrained)

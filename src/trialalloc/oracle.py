@@ -77,10 +77,10 @@ def _kinship_dense(spec: KinshipSpec) -> np.ndarray:
         n = np.kron(np.eye(spec.f), block)
     elif isinstance(spec, DenseKinship):
         n = np.array(spec.matrix, dtype=float)
+        if spec.jitter:
+            n = n + spec.jitter * np.eye(n.shape[0])
     else:
         raise ValidationError(f"unknown kinship spec: {type(spec).__name__}")
-    if spec.jitter:
-        n = n + spec.jitter * np.eye(n.shape[0])
     return n
 
 

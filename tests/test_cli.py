@@ -4,6 +4,7 @@ import dataclasses
 import importlib
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -241,7 +242,8 @@ class TestDesign:
         ({"variant": "cs", "K": 31, "r": 0.5, "sigma2_alpha": 1e200}, "sigma2_alpha"),
         ({"variant": "block_cs", "f": 6, "m": 5, "r": 0.5, "sigma2_alpha": 1.3e154},
          "sigma2_alpha"),
-        ({"variant": "identity", "K": 31, "jitter": 1.3e154}, "jitter"),
+        # the identity matrix plus a jitter beyond the bound
+        ({"variant": "dense", "matrix": np.eye(31).tolist(), "jitter": 1.3e154}, "jitter"),
         ({"variant": "dense", "matrix": (1.3e154 * np.eye(31)).tolist()}, "matrix"),
     ], ids=["cs", "block_cs", "identity", "dense"])
     def test_kinship_scales_beyond_the_bound_exit_2(self, tmp_path, capsys, network_config,
@@ -268,6 +270,22 @@ class TestDesign:
         if code == 2:
             assert "sigma2_tau = 18.0" in err and "sigma2_omega = 5e+17" in err
 
+    @pytest.mark.parametrize("argv", [("eval",), ("design",), ("design", "--mode", "exact"),
+                                      ("efficiency",)],
+                             ids=["eval", "approx", "exact", "efficiency"])
+    @pytest.mark.parametrize("scale", [1e-300, 1e-160])
+    def test_a_criterion_below_the_least_normal_float_exits_4(
+            self, tmp_path, capsys, network_config, argv, scale):
+        # V scaled by 1e-300 underflows phi to 0.0, by 1e-160 to a subnormal
+        network_config["subregions"]["V"] = [
+            [v * scale for v in row] for row in network_config["subregions"]["V"]]
+        network_config["designs"] = {"reference": [13, 6, 8, 12, 1],
+                                     "alternative": [12, 6, 8, 12, 2]}
+        code, payload, err = run_cli(
+            capsys, *argv, "--config", write_config(tmp_path, network_config))
+        assert code == 4 and payload is None
+        assert "error: the criterion underflows" in err
+
     @pytest.mark.parametrize("solver, flags, field", [
         ({"max_iter": 2.5}, (), "solver.max_iter"),
         ({"max_iter": 0}, (), "solver.max_iter"),
@@ -276,6 +294,7 @@ class TestDesign:
         ({"seed": 3.9}, (), "solver.seed"),
         ({"tol": float("nan")}, (), "solver.tol"),
         ({"tol": -1.0}, (), "solver.tol"),
+        # flags that are gone exit 2 as unrecognised arguments, naming themselves
         ({}, ("--tol", "nan"), "--tol"),
         ({}, ("--tol", "0"), "--tol"),
         ({}, ("--restarts", "-1"), "--restarts"),
@@ -379,9 +398,11 @@ class TestDesign:
         assert payload["certified"] is True and payload["cost"] == 4e8
         assert payload["design"] == free["design"]
 
-    def test_exact_mode_honours_the_warm_start_settings(self, capsys, monkeypatch):
-        code, payload, _ = run_cli(capsys, "design", "--config", "maize_network",
-                                   "--mode", "exact", "--tol", "0.5")
+    def test_exact_mode_honours_the_warm_start_settings(self, tmp_path, capsys, monkeypatch,
+                                                        network_config):
+        network_config["solver"] = {"tol": 0.5}
+        code, payload, _ = run_cli(capsys, "design", "--config",
+                                   write_config(tmp_path, network_config), "--mode", "exact")
         assert code == 0 and payload["status"] == "converged"
         monkeypatch.setattr(optimizer, "_EVALUATION_LIMIT", 1)
         code, payload, _ = run_cli(capsys, "design", "--config", "maize_network",
@@ -446,13 +467,14 @@ class TestDesign:
         assert payload["certificate"]["reason"] == "min-total-exceeds-J"
         assert "error" in payload and err
 
-    def test_flag_overrides_win(self, tmp_path, capsys, network_config):
-        network_config["solver"] = {"mode": "exact", "tol": 1e-12}
-        path = write_config(tmp_path, network_config)
-        code, a, _ = run_cli(capsys, "design", "--config", path, "--mode", "approx",
-                             "--tol", "0.5")
-        assert code == 0
-        assert (a["mode"], a["status"], a["iterations"]) == ("approx", "converged", 1)
+    def test_the_mode_is_a_flag_not_a_setting(self, tmp_path, capsys, network_config):
+        network_config["solver"] = {"mode": "exact", "tol": 1e-9}
+        code, payload, err = run_cli(
+            capsys, "design", "--config", write_config(tmp_path, network_config))
+        assert code == 2 and payload is None
+        assert "error: solver.mode is not a setting; expected one of tol" in err
+        code, payload, _ = run_cli(capsys, "design", "--config", "maize_network")
+        assert code == 0 and payload["mode"] == "approx"
 
     def test_pretty_writes_table_to_stderr(self, capsys):
         code, _, err = run_cli(capsys, "design", "--config", "maize_network",
@@ -578,7 +600,22 @@ class TestEfficiency:
         code, payload, err = run_cli(
             capsys, "efficiency", "--config", write_config(tmp_path, network_config))
         assert code == 4 and payload is None
-        assert "alternative design's criterion is 0.0" in err
+        assert "error: the criterion underflows (phi = 0, below 2.23e-308)" in err
+
+    @pytest.mark.parametrize("counts, message", [
+        ([12.5, 6, 8, 12, 1.5], "must be integral, got [12.5, 6, 8, 12, 1.5]"),
+        ([-1, 6, 8, 12, 15], "counts must be non-negative, got [-1, 6, 8, 12, 15]"),
+    ], ids=["fractional", "negative"])
+    @pytest.mark.parametrize("key", ["reference", "alternative"])
+    def test_a_bad_count_names_its_design(self, tmp_path, capsys, network_config, key,
+                                          counts, message):
+        network_config["designs"] = {"reference": [13, 6, 8, 12, 1],
+                                     "alternative": [12, 6, 8, 12, 2]}
+        network_config["designs"][key] = counts
+        code, payload, err = run_cli(
+            capsys, "efficiency", "--config", write_config(tmp_path, network_config))
+        assert code == 2 and payload is None
+        assert f"error: designs.{key} {message}" in err
 
 
 class TestKinshipConfig:
@@ -599,19 +636,35 @@ class TestKinshipConfig:
         n = np.ones((5, 5)) + np.eye(5) * 0.0   # rank one, singular
         np.savetxt(tmp_path / "kin.csv", n, delimiter=",")
         network_config["kinship"] = {"variant": "dense", "csv": "kin.csv"}
-        config_path = write_config(tmp_path, network_config)
-        code, _, err = run_cli(capsys, "eval", "--config", config_path)
+        code, _, err = run_cli(capsys, "eval", "--config",
+                               write_config(tmp_path, network_config))
         assert code == 2
         assert "jitter" in err
-        code, payload, _ = run_cli(capsys, "eval", "--config", config_path,
-                                   "--jitter", "auto")
+        network_config["kinship"]["jitter"] = "auto"
+        code, payload, _ = run_cli(capsys, "eval", "--config",
+                                   write_config(tmp_path, network_config))
         assert code == 0
 
-    def test_bogus_jitter_rejected(self, capsys):
-        code, _, err = run_cli(capsys, "eval", "--config", "maize_network",
-                               "--jitter", "lots")
+    def test_bogus_jitter_rejected(self, tmp_path, capsys, network_config):
+        network_config["kinship"] = {"variant": "dense", "matrix": np.eye(31).tolist(),
+                                     "jitter": "lots"}
+        code, _, err = run_cli(capsys, "eval", "--config",
+                               write_config(tmp_path, network_config))
         assert code == 2
-        assert "jitter" in err
+        assert "error: kinship.jitter must be numeric, got 'lots'" in err
+
+    @pytest.mark.parametrize("kinship", [
+        {"variant": "identity", "K": 31, "jitter": 1e-6},
+        {"variant": "cs", "K": 31, "r": 0.5, "jitter": "auto"},
+        {"variant": "block_cs", "f": 6, "m": 5, "r": 0.5, "jitter": 0.0},
+    ], ids=["identity", "cs", "block_cs"])
+    def test_a_structured_kinship_takes_no_jitter(self, tmp_path, capsys, network_config,
+                                                 kinship):
+        network_config["kinship"] = kinship
+        code, payload, err = run_cli(
+            capsys, "eval", "--config", write_config(tmp_path, network_config))
+        assert code == 2 and payload is None
+        assert "error: kinship.jitter is not a setting" in err
 
     def test_unit_asv_calibration_applied(self, tmp_path, capsys,
                                           network_config):
@@ -672,7 +725,7 @@ class TestConfigValidation:
     @pytest.mark.parametrize("command, field, put", [
         ("eval", "J", lambda c, v: c.update(J=v)),
         ("eval", "design.J", lambda c, v: c.update(design={"weights": [0.2] * 5, "J": v})),
-        ("eval", "counts", lambda c, v: c.update(design=[v, 6, 8, 12, 1])),
+        ("eval", "design", lambda c, v: c.update(design=[v, 6, 8, 12, 1])),
         ("design", "K", lambda c, v: c["kinship"].update(K=v)),
         ("design", "f", lambda c, v: c.update(
             kinship={"variant": "block_cs", "f": v, "m": 5, "r": 0.5})),
@@ -703,6 +756,15 @@ class TestConfigValidation:
         assert code == 2 and payload is None
         assert f"error: {field} must be finite" in err
 
+    @pytest.mark.parametrize("block", [3, "x", [1, 2]], ids=["number", "text", "list"])
+    def test_a_variance_block_per_variant_must_be_an_object(self, tmp_path, capsys,
+                                                           network_config, block):
+        network_config["variance"]["cross_classified"] = block
+        code, payload, err = run_cli(
+            capsys, "eval", "--config", write_config(tmp_path, network_config))
+        assert code == 2 and payload is None
+        assert "error: variance.cross_classified must be an object" in err
+
     @pytest.mark.parametrize("label", [float("nan"), {"a": 1}], ids=["nan", "object"])
     def test_a_batch_label_must_be_text(self, tmp_path, capsys, network_config, label):
         network_config["batch"] = [{"label": "a"}, {"label": label}]
@@ -719,6 +781,8 @@ class TestFlags:
         ("eval", "--config", "maize_network", "--restarts", "4"),
         ("design", "--config", "maize_network", "--mode", "exact", "--seed", "3"),
         ("design", "--config", "maize_network", "--mode", "exact", "--restarts", "4"),
+        ("design", "--config", "maize_network", "--tol", "1e-6"),
+        ("eval", "--config", "maize_network", "--jitter", "auto"),
     ])
     def test_flags_a_command_ignores_are_refused(self, capsys, argv):
         with pytest.raises(SystemExit) as exc_info:
@@ -726,6 +790,18 @@ class TestFlags:
         assert exc_info.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
 
+
+    @pytest.mark.parametrize("command, flags", [
+        ("eval", ["--config", "--pretty"]),
+        ("design", ["--config", "--mode", "--pretty"]),
+        ("efficiency", ["--config", "--pretty"]),
+    ])
+    def test_each_command_offers_only_its_flags(self, capsys, command, flags):
+        with pytest.raises(SystemExit) as exc_info:
+            main([command, "--help"])
+        assert exc_info.value.code == 0
+        offered = re.findall(r"(?<![\w-])--[a-z]+", capsys.readouterr().out)
+        assert sorted(set(offered) - {"--help"}) == flags
 
     def test_only_the_three_row_commands_exist(self, capsys):
         with pytest.raises(SystemExit) as exc_info:

@@ -38,9 +38,19 @@ class TestMaterialize:
 
     def test_jitter_adds_to_diagonal(self):
         base = materialize(CompoundSymmetry(K=4, sigma2_alpha=1.0, r=0.3))
-        jittered = materialize(CompoundSymmetry(K=4, sigma2_alpha=1.0, r=0.3,
-                                                jitter=1e-4))
+        jittered = materialize(DenseKinship(matrix=base, jitter=1e-4))
         np.testing.assert_allclose(jittered, base + 1e-4 * np.eye(4))
+
+    @pytest.mark.parametrize("make", [
+        lambda: Identity(K=3, jitter=1e-4),
+        lambda: CompoundSymmetry(K=3, sigma2_alpha=1.0, r=0.3, jitter=1e-4),
+        lambda: BlockCompoundSymmetry(f=2, m=2, sigma2_alpha=1.0, r=0.3, jitter=1e-4),
+    ], ids=["identity", "cs", "block"])
+    def test_only_a_dense_kinship_takes_a_jitter(self, make):
+        # positive definite by construction; a ridge j is sigma2_alpha + j
+        # with r scaled by sigma2_alpha / (sigma2_alpha + j)
+        with pytest.raises(TypeError, match="jitter"):
+            make()
 
 
 class TestValidation:
@@ -58,7 +68,7 @@ class TestValidation:
 
     def test_negative_jitter_rejected(self):
         with pytest.raises(ValidationError, match="jitter"):
-            Identity(K=3, jitter=-1e-9)
+            DenseKinship(matrix=np.eye(3), jitter=-1e-9)
 
     @pytest.mark.parametrize("mat, message", [
         (np.ones((2, 3)), "matrix must be square"),
@@ -76,8 +86,11 @@ class TestValidation:
         (lambda: CompoundSymmetry(K=30, sigma2_alpha=_LIMIT_30 / 10, r=0.5), "sigma2_alpha"),
         (lambda: BlockCompoundSymmetry(f=6, m=5, sigma2_alpha=1.3e154, r=0.5),
          "sigma2_alpha"),
-        (lambda: Identity(K=30, jitter=1.3e154), "jitter"),
-        (lambda: CompoundSymmetry(K=30, sigma2_alpha=1.0, r=0.5, jitter=1e308), "jitter"),
+        # the identity and an exchangeable matrix, each plus a jitter beyond the bound
+        (lambda: DenseKinship(matrix=np.eye(30), jitter=1.3e154), "jitter"),
+        (lambda: DenseKinship(matrix=materialize(CompoundSymmetry(K=30, sigma2_alpha=1.0,
+                                                                  r=0.5)),
+                              jitter=1e308), "jitter"),
         (lambda: DenseKinship(matrix=1.3e154 * np.eye(30)), "matrix"),
         (lambda: DenseKinship(matrix=np.full((30, 30), _LIMIT_30 / 20)), "matrix"),
     ], ids=["cs", "cs-max", "cs-ones", "block", "identity-jitter", "cs-jitter", "dense",
@@ -88,7 +101,8 @@ class TestValidation:
 
     @pytest.mark.parametrize("target", ["effects", "contrasts"])
     @pytest.mark.parametrize("kinship", [
-        Identity(K=30, jitter=0.99 * _LIMIT_30),
+        # the identity plus the largest jitter within the bound
+        DenseKinship(matrix=np.eye(30), jitter=0.99 * _LIMIT_30),
         CompoundSymmetry(K=30, sigma2_alpha=0.99 * _LIMIT_30 / 15.5, r=0.5),
         BlockCompoundSymmetry(f=6, m=5, sigma2_alpha=0.99 * _LIMIT_30 / 3.0, r=0.5),
         DenseKinship(matrix=0.99 * _LIMIT_30 * np.eye(30)),

@@ -886,12 +886,13 @@ class TestEfficiency:
         assert efficiency(d, d, problem) == pytest.approx(1.0)
 
     def test_a_criterion_that_underflows_to_zero_is_a_numerical_error(self, vc5, profile5):
-        tiny = SubRegionProfile(V=profile5.V * 1e-300, ell=profile5.ell)
-        problem = DesignProblem(vc5, tiny, Identity(K=31))
         alternative = Design.exact(np.array([12, 6, 8, 12, 2]))
-        assert problem.phi(alternative) == 0.0
-        with pytest.raises(NumericalError, match="criterion is 0.0"):
-            efficiency(Design.exact(np.array([13, 6, 8, 12, 1])), alternative, problem)
+        # V scaled by 1e-300 underflows phi to 0.0, by 1e-160 to a subnormal
+        for scale in (1e-300, 1e-160):
+            tiny = SubRegionProfile(V=profile5.V * scale, ell=profile5.ell)
+            problem = DesignProblem(vc5, tiny, Identity(K=31))
+            with pytest.raises(NumericalError, match="criterion underflows"):
+                efficiency(Design.exact(np.array([13, 6, 8, 12, 1])), alternative, problem)
 
     def test_binding_constraint_lowers_efficiency(self, vc5, profile5):
         problem = DesignProblem(vc5, profile5, Identity(K=31))
