@@ -1,11 +1,11 @@
 """Input checks shared by the constructors and the solver settings: finite
-numbers, positive numbers, whole numbers within int64, bounded scales and
+numbers, positive numbers, whole numbers of at most 2**53, bounded scales and
 symmetric matrices, none of them booleans or text, and choices among an
 enum's values.
 
 Each check raises :class:`ValidationError` naming the offending field, which
 the CLI reports with exit status 2, so that no NaN, infinity, fractional
-count or count beyond int64 reaches a factorization or a solver.
+count or count beyond 2**53 reaches a factorization or a solver.
 """
 from __future__ import annotations
 
@@ -18,6 +18,8 @@ from .errors import ValidationError
 
 # relative asymmetry, of the largest entry or of 1, that a matrix may carry
 _SYM_RTOL = 1e-10
+# every whole number up to 2**53 is a float, so counts stay exact as weights
+_MAX_INTEGER = 2 ** 53
 # the criteria multiply model scales pairwise (Ṽ², the gradient's squared
 # roots), so no scale may exceed √(float max)
 _MAX_SCALE = float(np.sqrt(np.finfo(float).max))
@@ -56,15 +58,35 @@ def number(value, name: str) -> float:
     return float(arr)
 
 
+def _largest_int(value) -> int:
+    """The largest magnitude among the exact integers in ``value``: Python
+    and numpy ints, integer arrays and lists of them; 0 if it holds none."""
+    if isinstance(value, (list, tuple)):
+        return max(map(_largest_int, value), default=0)
+    if isinstance(value, np.ndarray) and value.dtype.kind in "iu":
+        return max(int(value.max(initial=0)), -int(value.min(initial=0)))
+    if isinstance(value, (int, np.integer)) and not isinstance(value, (bool, np.bool_)):
+        return abs(int(value))
+    return 0
+
+
 def integers(value, name: str, size: int | None = None) -> np.ndarray:
-    """``value`` as int64s below 2**63 in magnitude: a scalar, or broadcast to
-    a vector of length ``size``."""
-    arr = finite(value, name)
-    if np.any(arr != np.round(arr)):
-        raise ValidationError(f"{name} must be integral, got {reprlib.repr(value)}")
-    if np.any(np.abs(arr) >= 2.0 ** 63):
-        raise ValidationError(f"{name} must be below 2**63 in magnitude, "
-                              f"got {reprlib.repr(value)}")
+    """``value`` as int64s of at most 2**53 in magnitude, the range in which
+    floats hold every whole number: a scalar, or broadcast to a vector of
+    length ``size``.  Python and numpy ints are compared with the limit as
+    they are, never rounded through float64 first."""
+    if type(value) is int and abs(value) <= _MAX_INTEGER:
+        arr = np.array(value)
+    else:
+        if isinstance(value, np.ndarray) and value.dtype.kind in "iu":
+            arr = value
+        else:
+            arr = finite(value, name)
+            if np.any(arr != np.round(arr)):
+                raise ValidationError(f"{name} must be integral, got {reprlib.repr(value)}")
+        if _largest_int(value) > _MAX_INTEGER or np.any(np.abs(arr) > _MAX_INTEGER):
+            raise ValidationError(f"{name} must be at most 2**53 in magnitude, "
+                                  f"got {reprlib.repr(value)}")
     if arr.shape not in ((), (size,)):
         count = "" if size is None else f" or {size} of them"
         raise ValidationError(f"{name} must be a whole number{count}, "

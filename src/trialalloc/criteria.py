@@ -210,9 +210,9 @@ class _TraceEvaluator:
     def _inverse_factor(self, w, sizes=1.0) -> np.ndarray:
         """L^-1 of the Cholesky factors LLᵀ = diag(w) + C_g/s, per group, for
         one design (P,) at one size or a stack ``sizes`` (n,)."""
-        w = np.asarray(w, dtype=float)
-        s = np.asarray(sizes, dtype=float)[..., None, None, None]
-        a = self.c / s + w[..., None, :, None] * np.eye(self.c.shape[-1])
+        a = self.c / np.asarray(sizes, dtype=float)[..., None, None, None]
+        p = a.shape[-1]
+        a.reshape(-1, p * p)[:, ::p + 1] += w                 # its diagonal, in place
         return inverse_factor(a, "criterion system")
 
     def _batches(self, n: int):
@@ -263,12 +263,12 @@ class _TraceEvaluator:
         -diag Σ_g N_g and the Hessian 2 Σ_g M_g ∘ N_g.
         """
         l_inv = self._inverse_factor(w)
-        l_inv_t = np.swapaxes(l_inv, -1, -2)
+        l_inv_t = l_inv.transpose(0, 2, 1)
         y = l_inv @ self.root
         x = l_inv_t @ y                                       # A^-1 R
-        m, nn = l_inv_t @ l_inv, x @ np.swapaxes(x, -1, -2)
-        return (float(np.einsum("gij,gij->", y, y)), -np.einsum("gii->i", nn),
-                2.0 * np.einsum("gij,gij->ij", m, nn))
+        m, nn = l_inv_t @ l_inv, x @ x.transpose(0, 2, 1)
+        return (float(np.vdot(y, y)), -nn.sum(axis=0).diagonal(),
+                2.0 * (m * nn).sum(axis=0))
 
 
 @dataclass(frozen=True, eq=False)

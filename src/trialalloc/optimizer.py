@@ -16,7 +16,11 @@ criterion evaluations spent), or ``stalled`` (a step that, at rounding
 level, neither lowered the criterion nor halved the gap).  The exact solver
 is a best-first branch-and-bound over integer count boxes on the same
 relaxation, the root box being the approximate problem itself and the first
-incumbent its optimum's rounding.  Nothing is random.
+incumbent its optimum's rounding.  It splits a box on the fractional count
+whose moves to the two nearest integers raise the quadratic model most,
+gives each child the first-order bound of the parent's gradient over the
+child (no evaluation), and prunes every box whose bound comes within ``tol``
+of the incumbent.  Nothing is random.
 """
 from __future__ import annotations
 
@@ -45,8 +49,6 @@ _BUDGET_TOL = 1e-9
 _QP_TOL = 1e-12
 # a Newton step whose phi rises by at most this many ulps is rounding
 _PHI_ULPS = 4
-# a box whose relaxation bound is within this of the incumbent is pruned
-_PRUNE_RTOL = 1e-12
 # a relaxed optimum whose counts J·w lie this close to integers is integral
 _INTEGRAL_TOL = 1e-7
 # relaxations an exact solve may take before it stops uncertified
@@ -288,9 +290,15 @@ def _box_qp(g, q, lower, upper, costs=None, slack=None):
 
     ``q`` must be positive definite and d = 0 feasible.  A primal active-set
     method: from d = 0, with the bounds it sits on fixed (unless that fixes
-    every coordinate), it minimizes over the free coordinates, the fixed ones
-    at their bounds and the active rows held, by one bordered KKT system that
-    gives the step and the rows' multipliers at its end; it steps until a
+    every coordinate), it minimizes over the free coordinates, the active
+    rows held, by one KKT system: the free block of q bordered by the rows.
+    It gives the step and the rows' multipliers at its end; where the rows
+    fix the free coordinates (as many of them as rows) the step is 0.  With
+    fewer free coordinates than rows the system is singular and is not
+    solved: the step is 0 and the multipliers come by least squares.  From
+    d = 0 that state is not reached, since a bound joins the working set
+    only after a step, which needs more free coordinates than rows, and the
+    budget row only with two free ones of different cost.  It steps until a
     bound or the budget row blocks and adds it, and at each working-set
     minimum drops the constraint with the most negative multiplier until none
     is negative.  Every step lowers the quadratic, so if the iteration cap is
@@ -302,62 +310,80 @@ def _box_qp(g, q, lower, upper, costs=None, slack=None):
     # they would leave no coordinate free
     at_lo = lower == 0.0
     at_hi = (upper == 0.0) & ~at_lo
-    if np.all(at_lo | at_hi):
+    if (at_lo | at_hi).all():
         at_lo[:] = at_hi[:] = False
-    budget_on = False
-    # Σd = 0 and the budget row, scaled alike so their multipliers compare
-    rows = np.ones((1, p)) if costs is None else np.stack([np.ones(p), costs / costs.max()])
-    tol = _QP_TOL * float(np.abs(g).max())
-    width = float((upper - lower).max())
+    width = (upper - lower).max()
     if not width > 0.0:
         return d                            # the box is the single point 0
+    budget_on = False
+    # q bordered by Σd = 0 and the budget row, the rows scaled alike so that
+    # their multipliers compare; each working set's KKT system is a principal
+    # block of it
+    m_all = 1 if costs is None else 2
+    bordered = np.zeros((p + m_all, p + m_all))
+    bordered[:p, :p] = q
+    bordered[p, :p] = bordered[:p, p] = 1.0
+    if costs is not None:
+        bordered[p + 1, :p] = bordered[:p, p + 1] = costs / costs.max()
+    tol = _QP_TOL * abs(g).max()
+    index = np.arange(p + m_all)
+    r = g                                   # the model's gradient g + q·d
     for _ in range(10 * (p + 2)):
-        free = ~(at_lo | at_hi)
-        m = 1 + budget_on
-        # q over the free coordinates, pinned to identity at the bounds and
-        # bordered by the active rows
-        kkt = np.zeros((p + m, p + m))
-        kkt[:p, :p] = np.where(np.outer(free, free), q, np.eye(p))
-        kkt[p:, :p] = rows[:m] * free
-        kkt[:p, p:] = kkt[p:, :p].T
-        sol = np.linalg.solve(kkt, np.concatenate([-(g + q @ d) * free, np.zeros(m)]))
-        step, nu = sol[:p], sol[p:]
-        # components at rounding level would add a constraint that the
-        # working set already implies, so they are dropped
-        step[np.abs(step) <= _QP_TOL * max(width, float(np.abs(step).max()))] = 0.0
-        if free.sum() <= m:             # the active rows fix the free coordinates
-            step[:] = 0.0
+        free = index[:p][~(at_lo | at_hi)]
+        n, m = free.size, 1 + budget_on
+        if n < m:
+            # a singular system: the step is 0 and the rows' multipliers
+            # solve the free coordinates' equations by least squares
+            step = np.zeros(n)
+            nu = np.linalg.lstsq(bordered[p:p + m, free].T, -r[free], rcond=None)[0]
+        else:
+            kept = np.concatenate([free, index[p:p + m]])
+            sol = np.linalg.solve(bordered[kept[:, None], kept],
+                                  np.concatenate([-r[free], np.zeros(m)]))
+            step, nu = sol[:n], sol[n:]
+            # components at rounding level would add a constraint that the
+            # working set already implies, so they are dropped
+            size = abs(step)
+            step[size <= _QP_TOL * max(width, size.max())] = 0.0
+            if n == m:                      # the rows fix the free coordinates
+                step[:] = 0.0
 
-        # longest step in [0, 1] before a constraint outside the working set blocks
-        alpha, block = 1.0, None
-        for mask, room in ((step < 0.0, lower - d), (step > 0.0, upper - d)):
-            if mask.any():
-                ratio = room[mask] / step[mask]
-                k = int(np.argmin(ratio))
-                if ratio[k] < alpha:
-                    alpha, block = max(float(ratio[k]), 0.0), int(np.flatnonzero(mask)[k])
-        # on free coordinates of one cost the budget row is the sum row: it cannot block
-        if costs is not None and not budget_on and np.ptp(costs[free]) > 0:
-            rate = float(costs @ step)
-            if rate > _QP_TOL * float(costs @ np.abs(step)):
-                ratio = (slack - float(costs @ d)) / rate
-                if ratio < alpha:
-                    alpha, block = max(ratio, 0.0), "budget"
-        d += alpha * step
-        if block == "budget":
-            budget_on = True
-        elif block is not None:
-            upper_hit = step[block] > 0
-            (at_hi if upper_hit else at_lo)[block] = True
-            d[block] = upper[block] if upper_hit else lower[block]
-        if block is not None:
-            continue
+        moving = step != 0.0
+        if moving.any():
+            # longest step in [0, 1] before a constraint outside the working set blocks
+            alpha, block = 1.0, None
+            rate, coord = step[moving], free[moving]
+            ratio = (np.where(rate > 0.0, upper[coord], lower[coord]) - d[coord]) / rate
+            k = ratio.argmin()
+            if ratio[k] < 1.0:
+                alpha, block = max(ratio[k], 0.0), coord[k]
+            # on free coordinates of one cost the budget row is the sum row: it cannot block
+            if costs is not None and not budget_on:
+                spend = costs[coord]
+                if spend.max() > spend.min():
+                    rise = spend @ rate
+                    if rise > _QP_TOL * (spend @ abs(rate)):
+                        ratio = (slack - costs @ d) / rise
+                        if ratio < alpha:
+                            alpha, block = max(ratio, 0.0), "budget"
+            d[coord] += alpha * rate
+            if block == "budget":
+                budget_on = True
+            elif block is not None:
+                if rate[k] > 0.0:
+                    at_hi[block], d[block] = True, upper[block]
+                else:
+                    at_lo[block], d[block] = True, lower[block]
+            r = g + q @ d
+            if block is not None:
+                continue
 
         # at the minimum of the working set, where the rows' multipliers are
         # nu: its bounds' multipliers follow from the gradient there
-        base = g + q @ d + rows[:m].T @ nu
-        mult = np.where(at_lo, base, np.where(at_hi, -base, np.inf))
-        k = int(np.argmin(mult))
+        base = r + nu @ bordered[p:p + m, :p]
+        mult = np.where(at_hi, -base, base)
+        mult[free] = np.inf
+        k = mult.argmin()
         if budget_on and nu[1] < min(mult[k], -tol):
             budget_on = False
         elif mult[k] < -tol:
@@ -397,7 +423,8 @@ def _newton(ev, y, lo, hi, costs, budget_w, tol, cutoff=np.inf):
     """Projected Newton from the feasible point y (see :func:`solve_approximate`),
     also ``converged`` once the lower bound phi - gap reaches ``cutoff``, and
     ``max_iter`` after ``_EVALUATION_LIMIT`` evaluations.  Returns the last
-    kept point, its phi and gap, the evaluations and status."""
+    kept point, its phi, gap, gradient and Hessian, the evaluations and
+    status."""
     status = "max_iter"
     for it in range(1, _EVALUATION_LIMIT + 1):
         phi_y, g_y, hess_y = ev.newton_terms(y)
@@ -420,7 +447,7 @@ def _newton(ev, y, lo, hi, costs, budget_w, tol, cutoff=np.inf):
         d = _box_qp(g, hess, lo - x, hi - x, costs, slack)
         t = 1.0
         y = x + d
-    return x, phi_x, max(gap, 0.0), it, status
+    return x, phi_x, max(gap, 0.0), g, hess, it, status
 
 
 def _checked(problem, constraints, tol):
@@ -454,7 +481,7 @@ def solve_approximate(problem: DesignProblem, constraints: ConstraintSet,
     tol = _checked(problem, constraints, tol)
     lo, hi = constraints.weight_box()
     costs, budget_w = constraints.costs, constraints.weight_budget()
-    x, _, gap, iterations, status = _newton(
+    x, _, gap, _, _, iterations, status = _newton(
         problem.evaluator(constraints.J), _start(lo, lo, hi, costs, budget_w),
         lo, hi, costs, budget_w, tol)
     design = Design.approximate(x, constraints.J)
@@ -500,24 +527,56 @@ def round_to_exact(weights, constraints: ConstraintSet) -> Design:
     return Design.exact(counts)
 
 
+def _branch(x, j, hess):
+    """The count to split J·x on, or None when every count is within
+    ``_INTEGRAL_TOL`` of an integer.
+
+    For a count J·x_i = n + f the quadratic model at x rises by about
+    ½h_ii f² when x_i moves down to n and ½h_ii (1 - f)² when it moves up to
+    n + 1 (in units of 1/J², h the Hessian).  The split goes to the
+    fractional count whose two rises have the largest product, ranked as its
+    square root h_ii·f(1 - f).
+    """
+    scaled = x * j
+    frac = scaled - np.floor(scaled)
+    fractional = np.minimum(frac, 1.0 - frac) > _INTEGRAL_TOL
+    if not fractional.any():
+        return None
+    score = np.diagonal(hess) * frac * (1.0 - frac)
+    return int(np.argmax(np.where(fractional, score, -np.inf)))
+
+
+def _child_bound(phi, x, g, lo, hi, costs, budget_w) -> float:
+    """phi(x) + g·(s - x), with s the best vertex for g of the child polytope
+    lo <= w <= hi under the rows: phi is convex with gradient g at x, so no
+    point of the child lies below it."""
+    return phi + float(g @ (_linear_minimum(g, lo, hi, costs, budget_w) - x))
+
+
 def solve_exact(problem: DesignProblem, constraints: ConstraintSet,
                 tol: float = 1e-9) -> OptimizerReport:
-    """The optimal exact design under the constraints, by branch-and-bound.
+    """An exact design within ``tol`` of the integer optimum, by
+    branch-and-bound.
 
-    A best-first search over integer count boxes: it always opens the box
-    whose parent's bound is least.  Each box's relaxation is run from its
-    parent's optimum until its bound phi - gap reaches the incumbent within
-    1e-12 relative, which prunes the box.  The root box is the whole
-    constraint set, run from the weight box's floor as
+    A best-first search over integer count boxes: it always opens the open
+    box with the least bound.  The cutoff is the incumbent's phi less
+    tol·max(1, |phi|).  Each box's relaxation runs from its parent's optimum
+    until its bound phi - gap reaches the cutoff, which prunes the box.  The
+    root box is the whole constraint set, run from the weight box's floor as
     :func:`solve_approximate` runs it, and the first incumbent is its
-    optimum's rounding.  A box with an integral relaxed optimum is a leaf;
-    any other is split on its most fractional count, nearer side first
-    among equal bounds.  The search stops once the least open bound reaches
-    the incumbent, or after ``_NODE_LIMIT`` relaxations.
+    optimum's rounding.  A box whose relaxed optimum x has integral counts
+    J·x is a leaf.  Any other is split on the fractional count J·x_i = n + f
+    with the largest h_ii·f(1 - f), h the Hessian at x (:func:`_branch`).
+    Each child's bound is the greater of its parent's and the first-order
+    bound phi(x) + g·(s - x) of :func:`_child_bound`, which costs no
+    evaluation.  A child whose bound reaches the cutoff is closed unopened;
+    the nearer side goes first among equal bounds.  The search stops once
+    the least open bound reaches the cutoff, or after ``_NODE_LIMIT``
+    relaxations.
 
     ``lower_bound`` is the least bound of the closed and the open boxes,
     ``optimality_gap`` phi minus it, and ``certified`` that the search
-    stopped at the incumbent with the gap within ``tol`` relative to phi.
+    stopped at the cutoff with the gap within ``tol`` relative to phi.
     ``iterations`` counts the Newton evaluations of all ``nodes``
     relaxations; ``status`` is the root's.
     """
@@ -528,17 +587,15 @@ def solve_exact(problem: DesignProblem, constraints: ConstraintSet,
     # the root, the first box opened, sets the incumbent ``best`` and the cutoff
     lower_bound, nodes, iterations, status, cutoff = np.inf, 0, 0, None, np.inf
     ties = itertools.count()
-    # best-first heap of (parent bound, tie-break, box floor, box cap, parent optimum)
+    # best-first heap of (bound, tie-break, box floor, box cap, parent optimum)
     heap = [(-np.inf, next(ties), constraints.min_per_region, constraints.max_per_region,
              constraints.weight_box()[0])]
     while heap and heap[0][0] < cutoff:
         if nodes == _NODE_LIMIT:
             break
         bound, _, lo_n, hi_n, parent_x = heapq.heappop(heap)
-        if constraints._infeasibility(lo_n, hi_n) is not None:
-            continue
         lo, hi = lo_n / j, hi_n / j
-        x, phi, gap, its, node_status = _newton(
+        x, phi, gap, g, hess, its, node_status = _newton(
             ev, _start(parent_x, lo, hi, costs, budget_w), lo, hi, costs, budget_w,
             tol, cutoff)
         nodes += 1
@@ -548,24 +605,29 @@ def solve_exact(problem: DesignProblem, constraints: ConstraintSet,
             status = node_status
             best = round_to_exact(x, constraints).counts
             best_phi = ev.phi(best / j)
-            cutoff = best_phi - _PRUNE_RTOL * max(1.0, abs(best_phi))
+            cutoff = best_phi - tol * max(1.0, abs(best_phi))
         if bound < cutoff:
-            scaled = x * j
-            frac = scaled - np.floor(scaled)
-            if np.any(np.minimum(frac, 1.0 - frac) > _INTEGRAL_TOL):
-                i = int(np.argmin(np.abs(frac - 0.5)))      # the most fractional
+            i = _branch(x, j, hess)
+            if i is not None:
                 down_hi, up_lo = np.array(hi_n), np.array(lo_n)
-                down_hi[i] = np.floor(scaled[i])
+                down_hi[i] = np.floor(x[i] * j)
                 up_lo[i] = down_hi[i] + 1
                 down, up = (lo_n, down_hi), (up_lo, hi_n)
-                for box in ([down, up] if frac[i] < 0.5 else [up, down]):
-                    heapq.heappush(heap, (bound, next(ties), *box, x))
+                for lo_c, hi_c in ([down, up] if x[i] * j - down_hi[i] < 0.5 else [up, down]):
+                    if constraints._infeasibility(lo_c, hi_c) is not None:
+                        continue
+                    child = max(bound, _child_bound(phi, x, g, lo_c / j, hi_c / j,
+                                                    costs, budget_w))
+                    if child < cutoff:
+                        heapq.heappush(heap, (child, next(ties), lo_c, hi_c, x))
+                    else:                                   # closed unopened
+                        lower_bound = min(lower_bound, child)
                 continue
-            counts = np.rint(scaled).astype(int)            # a leaf
+            counts = np.rint(x * j).astype(int)             # a leaf
             phi = ev.phi(counts / j)
             if phi < best_phi and constraints.satisfies(counts):
                 best, best_phi = counts, phi
-                cutoff = phi - _PRUNE_RTOL * max(1.0, abs(phi))
+                cutoff = phi - tol * max(1.0, abs(phi))
         lower_bound = min(lower_bound, bound)               # the box is closed
 
     exhausted = not heap or heap[0][0] >= cutoff

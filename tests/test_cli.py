@@ -741,7 +741,33 @@ class TestConfigValidation:
             code, payload, err = run_cli(
                 capsys, command, "--config", write_config(tmp_path, network_config))
         assert code == 2 and payload is None
-        assert f"error: {field} must be below 2**63 in magnitude" in err
+        assert f"error: {field} must be at most 2**53 in magnitude" in err
+
+    @pytest.mark.parametrize("command, field, put", [
+        ("design", "J", lambda c: c.update(J=1e17)),
+        ("design", "J", lambda c: c.update(J=2**53 + 1)),
+        ("eval", "design", lambda c: c.update(design=[2**53 + 1, 6, 8, 12, 1])),
+        ("eval", "design.J", lambda c: c.update(design={"weights": [0.2] * 5,
+                                                          "J": 2**53 + 1})),
+    ], ids=["J-1e17", "J-2**53+1", "counts-2**53+1", "design.J-2**53+1"])
+    def test_a_whole_number_beyond_2_53_exits_2_naming_it(self, tmp_path, capsys,
+                                                          network_config, command, field, put):
+        # above 2**53 not every whole number is a float: such a count would
+        # be rounded before the sum check, which then reports its own mismatch
+        put(network_config)
+        argv = [command, "--config", write_config(tmp_path, network_config)]
+        code, payload, err = run_cli(capsys, *argv, *(["--mode", "exact"] if command == "design"
+                                                      else []))
+        assert code == 2 and payload is None
+        assert f"error: {field} must be at most 2**53 in magnitude" in err
+
+    def test_a_whole_number_of_2_53_is_exact(self, tmp_path, capsys, network_config):
+        del network_config["J"]
+        network_config["design"] = [2**53 - 4, 1, 1, 1, 1]
+        code, payload, _ = run_cli(capsys, "eval", "--config",
+                                   write_config(tmp_path, network_config))
+        assert code == 0 and payload["design"]["counts"][0] == 2**53 - 4
+        assert payload["J"] == 2**53
 
     @pytest.mark.parametrize("command, field, put", [
         ("eval", "J", lambda c, v: c.update(J=v)),

@@ -111,14 +111,15 @@ class _CountingEvaluator:
         return counted
 
 
-def _budgeted_instances():
-    """Eight fixed budgeted instances: P in [4, 6], J in [3P, 10P), K = 8
-    kinships of each kind in turn, costs U(1, 3) and a budget of 80-95 % of
-    the mean cost of J locations."""
-    rng = np.random.default_rng(7)
+def _budgeted_instances(seed=7, count=8, max_p=6):
+    """``count`` fixed budgeted instances: P in [4, max_p], J in [3P, 10P),
+    K = 8 kinships of each kind in turn, costs U(1, 3) and a budget of 80-95 %
+    of the mean cost of J locations.  The defaults are the eight of
+    "budgeted-8"; seed 11, 40 instances and P up to 8 are "gen-40"."""
+    rng = np.random.default_rng(seed)
     instances = []
-    while len(instances) < 8:
-        p = int(rng.integers(4, 7))
+    while len(instances) < count:
+        p = int(rng.integers(4, max_p + 1))
         j = int(rng.integers(3 * p, 10 * p))
         costs = rng.uniform(1.0, 3.0, p)
         budget = float(costs.mean() * j * rng.uniform(0.80, 0.95))
@@ -167,21 +168,51 @@ class TestWorkCounts:
         # together
         assert whats == Counter({"criterion system": report.iterations + 1})
 
-    def test_golden_row_work_counters(self, vc5, profile5):
-        """Work counters of the 30 golden exact solves."""
+    def test_golden_row_work_counters(self, vc5, profile5, monkeypatch):
+        """Work counters of the 30 golden exact solves: nodes, Newton
+        evaluations and the KKT systems the Newton steps solve (every
+        ``np.linalg.solve`` of a solve is one)."""
+        solves = Counter()
+        solve = np.linalg.solve
+
+        def counted(*args):
+            solves["kkt"] += 1
+            return solve(*args)
+
+        monkeypatch.setattr(np.linalg, "solve", counted)
         reports = [solve_exact(DesignProblem(vc5, profile5, helpers.family_block_kinship(r, f, m)),
                                ConstraintSet(J=40, P=5))
                    for r, f, m, *_ in helpers.GOLDEN_ROWS]
         assert all(r.certified and r.phi - r.lower_bound <= 1e-12 * r.phi for r in reports)
-        assert sum(r.nodes for r in reports) == 326
-        assert sum(r.iterations for r in reports) == 878
+        assert sum(r.nodes for r in reports) == 298
+        assert sum(r.iterations for r in reports) == 758
+        assert solves["kkt"] == 763
 
     def test_budgeted_work_counters(self):
         """Work counters of exact solves under a binding budget."""
         reports = [solve_exact(problem, cons) for problem, cons in _budgeted_instances()]
         assert all(r.certified and r.phi - r.lower_bound <= 1e-12 * r.phi for r in reports)
-        assert [r.nodes for r in reports] == [17, 25, 23, 14, 7, 12, 9, 10]
-        assert sum(r.iterations for r in reports) == 295
+        assert [r.nodes for r in reports] == [16, 19, 10, 9, 17, 11, 8, 10]
+        assert sum(r.iterations for r in reports) == 264
+
+    def test_generated_budgeted_work_counters(self):
+        """Work totals of the 40 "gen-40" budgeted exact solves, P up to 8."""
+        reports = [solve_exact(problem, cons)
+                   for problem, cons in _budgeted_instances(seed=11, count=40, max_p=8)]
+        assert all(r.certified for r in reports)
+        assert sum(r.nodes for r in reports) == 1055
+        assert sum(r.iterations for r in reports) == 3105
+
+    @pytest.mark.parametrize("J", [10**12, 10**15])
+    def test_huge_networks_are_certified_at_the_root(self, vc5, profile5, J):
+        # each box's Newton stops at a gap of tol relative to phi, so a prune
+        # that asked for less would leave every near-tie open; pruning at tol
+        # certifies each row's rounded root
+        reports = [solve_exact(DesignProblem(vc5, profile5, helpers.family_block_kinship(r, f, m)),
+                               ConstraintSet(J=J, P=5))
+                   for r, f, m, *_ in helpers.GOLDEN_ROWS]
+        assert all(r.certified and r.design.J == J for r in reports)
+        assert sum(r.nodes for r in reports) == 30
 
     def test_the_node_limit_stops_the_search_with_a_valid_bound(self, monkeypatch,
                                                                 vc5, profile5):
@@ -383,6 +414,27 @@ class TestGeneratedInstances:
         assert report.phi == pytest.approx(problem.phi(best), rel=1e-12)
         assert report.lower_bound <= report.phi
 
+    @settings(max_examples=40, deadline=None)
+    @given(_search_instances())
+    def test_every_child_bound_is_below_the_child_s_integer_points(self, instance):
+        problem, cons = instance
+        bounds, child_bound = [], optimizer._child_bound
+
+        def recorded(phi, x, g, lo, hi, costs, budget_w):
+            value = child_bound(phi, x, g, lo, hi, costs, budget_w)
+            bounds.append((lo * cons.J, hi * cons.J, value))
+            return value
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(optimizer, "_child_bound", recorded)
+            solve_exact(problem, cons)
+        for lo, hi, bound in bounds:
+            child = ConstraintSet(J=cons.J, min_per_region=np.rint(lo).astype(int),
+                                  max_per_region=np.rint(hi).astype(int),
+                                  costs=cons.costs, budget=cons.budget)
+            least = problem.phi(enumerate_exact_optimum(problem, child))
+            assert bound <= least + 1e-12 * abs(least)
+
     @settings(max_examples=25, deadline=None)
     @given(_tied_cost_sets(max_p=4, max_j=14, min_exponent=7, slacks=(1.0, 1.05, 1.2)),
            st.sampled_from(["cs", "block", "dense"]), st.integers(0, 2 ** 32 - 1))
@@ -503,6 +555,13 @@ class TestNewtonStep:
                  np.array([-0.7820426720607044, -0.5400694637244676]),
                  np.array([0.0, 0.3229057945509941]),
                  np.array([1.2186556029062805, 1.5032902985007413]), 0.0))
+    # a bound and then the budget row block, leaving two free coordinates
+    # that the sum and budget rows fix: the step there is 0, and the rows'
+    # multipliers alone decide the next working set
+    @example(qp=(np.array([-1.3, -0.6, 0.0]),
+                 np.array([[0.94, 0.32, -0.41], [0.32, 0.93, -0.62], [-0.41, -0.62, 3.59]]),
+                 np.array([-0.9, -0.1, -0.8]), np.array([0.3, 0.9, 0.6]),
+                 np.array([2.0, 3.0, 1.0]), 0.0))
     def test_qp_answer_is_kkt_and_beats_every_active_set(self, qp):
         g, q, lower, upper, costs, slack = qp
         d = optimizer._box_qp(g, q, lower, upper, costs, slack)
@@ -824,7 +883,7 @@ class TestExactSolver:
         start = round_to_exact(solve_approximate(problem, cons).design.weights, cons)
         assert problem.phi(start) == pytest.approx(11.0537, abs=1e-4)
         report = solve_exact(problem, cons)
-        assert (report.certified, report.nodes) == (True, 20)
+        assert (report.certified, report.nodes) == (True, 13)
         assert report.phi == pytest.approx(10.5515, abs=1e-4)
         best = enumerate_exact_optimum(problem, cons)
         np.testing.assert_array_equal(report.design.counts, best.counts)
