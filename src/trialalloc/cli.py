@@ -92,39 +92,48 @@ def load_config(path_or_name: str) -> list:
         if "label" in override and not isinstance(override["label"], str):
             raise ValidationError(f"batch[{i}].label must be a string, "
                                   f"got {override['label']!r}")
-        merged = _deep_merge(config, {k: v for k, v in override.items() if k != "label"})
+        entry = {k: v for k, v in override.items() if k != "label"}
+        merged = _deep_merge(config, entry)
+        _check_keys(entry, f"batch[{i}]: ", _variant(merged))
         _check_keys(merged)
         entries.append((override.get("label"), dict(merged, _base_dir=base_dir)))
     return entries
 
 
-def _check_keys(config: dict) -> None:
+def _variant(config: dict):
+    """The kinship variant a config names, or None."""
+    kinship = config.get("kinship")
+    return kinship.get("variant") if isinstance(kinship, dict) else None
+
+
+def _check_keys(config: dict, where: str = "", variant=None) -> None:
     """Reject a key outside :data:`_CONFIG_KEYS`, a settings block's keys,
     its kinship variant's keys or, in a design given as an object,
-    :data:`_DESIGN_KEYS`."""
+    :data:`_DESIGN_KEYS`.  Messages start with ``where``, the place of a
+    batch entry; ``variant`` is the kinship variant when the config does not
+    name one itself."""
     for key in config:
         if key not in _CONFIG_KEYS:
-            raise ValidationError(f"{key!r} is not a config key; "
+            raise ValidationError(f"{where}{key!r} is not a config key; "
                                   f"expected one of {', '.join(_CONFIG_KEYS)}")
-    kinship = config.get("kinship")
-    variant = kinship.get("variant") if isinstance(kinship, dict) else None
+    variant = _variant(config) or variant
     blocks = dict(_SETTINGS)
     if isinstance(variant, str) and variant in _KINSHIP_KEYS:
         blocks["kinship"] = _KINSHIP_KEYS[variant]
     for name, keys in blocks.items():
         block = config.get(name, {})
         if not isinstance(block, dict):
-            raise ValidationError(f"'{name}' must be an object")
+            raise ValidationError(f"{where}'{name}' must be an object")
         for key in block:
             if key not in keys:
-                raise ValidationError(f"{name}.{key} is not a setting; "
+                raise ValidationError(f"{where}{name}.{key} is not a setting; "
                                       f"expected one of {', '.join(keys)}")
     designs = {"design": config.get("design"),
                **{f"designs.{k}": v for k, v in config.get("designs", {}).items()}}
     for field, design in designs.items():
         for key in design if isinstance(design, dict) else ():
             if key not in _DESIGN_KEYS:
-                raise ValidationError(f"{field}.{key} is not a design key; "
+                raise ValidationError(f"{where}{field}.{key} is not a design key; "
                                       "expected counts or weights, and J")
 
 
@@ -153,6 +162,7 @@ def _build_variance(config: dict) -> VarianceComponents:
     if not isinstance(block, dict):
         raise ValidationError("'variance' must be an object")
     variant = config.get("model_variant", "cross_classified")
+    name = "variance"
     # A map keyed by model variant lets one file carry both parameter sets.
     if "sigma2_omega" not in block:
         if not isinstance(variant, str) or variant not in block:
@@ -160,9 +170,9 @@ def _build_variance(config: dict) -> VarianceComponents:
                 f"'variance' has no parameters for model_variant {variant!r} "
                 f"(available: {sorted(block)})"
             )
-        block = block[variant]
+        block, name = block[variant], f"variance.{variant}"
         if not isinstance(block, dict):
-            raise ValidationError(f"variance.{variant} must be an object")
+            raise ValidationError(f"{name} must be an object")
     fields = dict(block)
     fields.setdefault("model_variant", variant)
     try:
@@ -170,7 +180,9 @@ def _build_variance(config: dict) -> VarianceComponents:
             return VarianceComponents(**fields)
         return VarianceComponents.from_separate(**fields)
     except TypeError as exc:
-        raise ValidationError(f"'variance' block: {exc}") from exc
+        raise ValidationError(f"'{name}' block: {exc} (the error variance is "
+                              "sigma2_phi_plus_err_over_L, or sigma2_phi, sigma2_err "
+                              "and L)") from exc
 
 
 def _build_profile(config: dict) -> SubRegionProfile:
@@ -192,17 +204,20 @@ def _build_kinship(config: dict):
             return sigma2_alpha_for_unit_asv(K, m, number(block["r"], "r"))
         return number(raw, "sigma2_alpha")
 
-    def _count(name: str) -> int:
-        return int(integers(block[name], name))
+    def _count(name: str, least: int) -> int:
+        count = int(integers(block[name], name))
+        if count < least:
+            raise ValidationError(f"kinship.{name} must be >= {least}, got {count}")
+        return count
 
     try:
         if variant == "identity":
             spec = Identity(K=block["K"])
         elif variant == "cs":
-            K = _count("K")
+            K = _count("K", 2)
             spec = CompoundSymmetry(K=K, sigma2_alpha=_sigma2_alpha(K, K), r=block["r"])
         elif variant == "block_cs":
-            f, m = _count("f"), _count("m")
+            f, m = _count("f", 1), _count("m", 1)
             spec = BlockCompoundSymmetry(f=f, m=m, sigma2_alpha=_sigma2_alpha(f * m, m),
                                          r=block["r"])
         elif variant == "dense":
@@ -291,6 +306,8 @@ def _parse_design(raw, P: int, default_J=None, field: str = "design") -> Design:
         counts = integers(raw["counts"], field, P)
         if np.any(counts < 0):
             raise ValidationError(f"{field} counts must be non-negative, got {raw['counts']!r}")
+        # counts of at most 2**53 each can still sum beyond it
+        integers(int(counts.sum()), f"the sum of the {field} counts")
         design = Design.exact(counts)
         if J is not None and design.J != J:
             raise ValidationError(f"{field}.J is {J} but the counts sum to {design.J}")

@@ -8,7 +8,6 @@ matrix read from CSV.  Also provides the average-semivariance normalization
 from __future__ import annotations
 
 import csv
-import io
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Union
@@ -250,35 +249,47 @@ def validate_pd(n: np.ndarray) -> PdDiagnostic:
 def load_kinship_csv(path: str | Path, jitter: float = 0.0) -> DenseKinship:
     """Read a dense kinship matrix from a square numeric CSV.
 
-    Comma-separated with '.' decimal marks; an optional first header row of
-    genotype identifiers is detected and skipped.  The matrix must come out
-    square and symmetric.
+    Comma-separated with '.' decimal marks and optional double quotes
+    around cells; blank lines are skipped and nothing is a comment.  An
+    optional first header row of genotype identifiers is detected and
+    skipped.  The matrix must come out square and symmetric.  ``np.loadtxt``
+    parses the body; only a body it rejects is read again cell by cell, to
+    name the faulty row.
     """
-    text = Path(path).read_text()
-    rows = [row for row in csv.reader(io.StringIO(text)) if any(cell.strip() for cell in row)]
-    if not rows:
+    # a line of nothing but whitespace, commas and quotes holds no cell
+    lines = [line for line in Path(path).read_text().splitlines()
+             if line.strip(' \t\f\v,"')]
+    if not lines:
         raise ValidationError(f"kinship file {path} is empty")
-
-    def _numeric(row):
-        try:
-            return [float(cell) for cell in row]
-        except ValueError:
-            return None
-
-    first = _numeric(rows[0])
-    body = rows if first is not None else rows[1:]
-    parsed = []
-    for i, row in enumerate(body):
-        values = _numeric(row)
-        if values is None:
-            raise ValidationError(f"kinship file {path}: non-numeric entry in row {i + 1}")
-        parsed.append(values)
-    widths = {len(row) for row in parsed}
-    if len(widths) != 1:
-        raise ValidationError(f"kinship file {path}: ragged rows (widths {sorted(widths)})")
-    mat = np.array(parsed, dtype=float)
+    try:
+        _rows(path, lines[:1])
+    except ValidationError:                 # a header row of identifiers
+        lines = lines[1:]
+        if not lines:
+            raise ValidationError(f"kinship file {path} is empty below its header row")
+    try:
+        mat = np.loadtxt(lines, delimiter=",", quotechar='"', comments=None, ndmin=2)
+    except ValueError:
+        mat = _rows(path, lines)
     if mat.shape[0] != mat.shape[1]:
         raise ValidationError(
             f"kinship file {path}: matrix is {mat.shape[0]}x{mat.shape[1]}, expected square"
         )
     return DenseKinship(matrix=mat, jitter=jitter)
+
+
+def _rows(path, lines) -> np.ndarray:
+    """The CSV ``lines`` read cell by cell with ``float``, as a matrix; a
+    :class:`ValidationError` names the first non-numeric row, or else the
+    row widths when they differ."""
+    parsed = []
+    for i, row in enumerate(csv.reader(lines)):
+        try:
+            parsed.append([float(cell) for cell in row])
+        except ValueError:
+            raise ValidationError(
+                f"kinship file {path}: non-numeric entry in row {i + 1}") from None
+    widths = {len(row) for row in parsed}
+    if len(widths) != 1:
+        raise ValidationError(f"kinship file {path}: ragged rows (widths {sorted(widths)})")
+    return np.array(parsed, dtype=float)

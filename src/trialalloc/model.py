@@ -175,7 +175,8 @@ class SubRegionProfile:
                     f"ell must have one coefficient per sub-region ({v.shape[0]}), got {ell.shape}"
                 )
             if not np.all(ell > 0):
-                raise ValidationError("sub-regional coefficients must be strictly positive")
+                raise ValidationError(
+                    f"ell, the sub-regional coefficients, must be strictly positive, got {ell}")
             object.__setattr__(self, "ell", frozen_array(ell))
 
     @property

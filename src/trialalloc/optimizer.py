@@ -20,7 +20,10 @@ incumbent its optimum's rounding.  It splits a box on the fractional count
 whose moves to the two nearest integers raise the quadratic model most,
 gives each child the first-order bound of the parent's gradient over the
 child (no evaluation), and prunes every box whose bound comes within ``tol``
-of the incumbent.  Nothing is random.
+of the incumbent.  A box other than the root whose iterate's criterion
+already lies below the cutoff can never be pruned, so its relaxation stops
+early, at a gap of ``_BRANCH_GAP`` relative to the criterion, and it splits
+there when a count is fractional.  Nothing is random.
 """
 from __future__ import annotations
 
@@ -55,6 +58,8 @@ _INTEGRAL_TOL = 1e-7
 _NODE_LIMIT = 10_000
 # criterion evaluations a relaxation may take before it stops ``max_iter``
 _EVALUATION_LIMIT = 5000
+# relative gap at which a box that can no longer be pruned is split
+_BRANCH_GAP = 1e-3
 
 
 def __getattr__(name):
@@ -419,12 +424,14 @@ def _step_kept(phi_new, gap_new, phi, gap) -> bool:
                              and gap_new <= 0.5 * gap)
 
 
-def _newton(ev, y, lo, hi, costs, budget_w, tol, cutoff=np.inf):
+def _newton(ev, y, lo, hi, costs, budget_w, tol, cutoff=np.inf, j=None):
     """Projected Newton from the feasible point y (see :func:`solve_approximate`),
     also ``converged`` once the lower bound phi - gap reaches ``cutoff``, and
-    ``max_iter`` after ``_EVALUATION_LIMIT`` evaluations.  Returns the last
-    kept point, its phi, gap, gradient and Hessian, the evaluations and
-    status."""
+    ``max_iter`` after ``_EVALUATION_LIMIT`` evaluations.  With ``j`` it
+    ends ``branched`` at the first kept point x whose phi is below the
+    cutoff, whose gap is within ``_BRANCH_GAP`` relative to phi, and with a
+    fractional count J·x_i (:func:`_branch`).  Returns the last kept point,
+    its phi, gap, gradient and Hessian, the evaluations and status."""
     status = "max_iter"
     for it in range(1, _EVALUATION_LIMIT + 1):
         phi_y, g_y, hess_y = ev.newton_terms(y)
@@ -440,6 +447,10 @@ def _newton(ev, y, lo, hi, costs, budget_w, tol, cutoff=np.inf):
         x, phi_x, g, hess, gap = y, phi_y, g_y, hess_y, gap_y
         if done:
             status = "converged"
+            break
+        if (j is not None and phi_x < cutoff and gap <= _BRANCH_GAP * max(1.0, abs(phi_x))
+                and _branch(x, j, hess) is not None):
+            status = "branched"
             break
         if it == _EVALUATION_LIMIT:
             break
@@ -564,12 +575,18 @@ def solve_exact(problem: DesignProblem, constraints: ConstraintSet,
     until its bound phi - gap reaches the cutoff, which prunes the box.  The
     root box is the whole constraint set, run from the weight box's floor as
     :func:`solve_approximate` runs it, and the first incumbent is its
-    optimum's rounding.  A box whose relaxed optimum x has integral counts
-    J·x is a leaf.  Any other is split on the fractional count J·x_i = n + f
-    with the largest h_ii·f(1 - f), h the Hessian at x (:func:`_branch`).
-    Each child's bound is the greater of its parent's and the first-order
-    bound phi(x) + g·(s - x) of :func:`_child_bound`, which costs no
-    evaluation.  A child whose bound reaches the cutoff is closed unopened;
+    optimum's rounding.  Any other box branches early: its relaxation stops
+    at the first kept iterate x whose phi is below the cutoff, whose gap is
+    within ``_BRANCH_GAP`` relative to phi, and with a fractional count.
+    Such a box can no longer be pruned, so converging it to ``tol`` would
+    only tighten a bound that already lies below the cutoff; the root and
+    boxes whose iterate looks integral still run to ``tol``.  A box whose x
+    has integral counts J·x is a leaf.  Any other is split on the fractional
+    count J·x_i = n + f with the largest h_ii·f(1 - f), h the Hessian at x
+    (:func:`_branch`).  Each child's bound is the greater of its parent's
+    and the first-order bound phi(x) + g·(s - x) of :func:`_child_bound`,
+    which costs no evaluation and holds at any feasible x, phi being
+    convex.  A child whose bound reaches the cutoff is closed unopened;
     the nearer side goes first among equal bounds.  The search stops once
     the least open bound reaches the cutoff, or after ``_NODE_LIMIT``
     relaxations.
@@ -597,7 +614,7 @@ def solve_exact(problem: DesignProblem, constraints: ConstraintSet,
         lo, hi = lo_n / j, hi_n / j
         x, phi, gap, g, hess, its, node_status = _newton(
             ev, _start(parent_x, lo, hi, costs, budget_w), lo, hi, costs, budget_w,
-            tol, cutoff)
+            tol, cutoff, None if status is None else j)
         nodes += 1
         iterations += its
         bound = max(phi - gap, bound)           # the parent's bound holds here too

@@ -799,6 +799,31 @@ class TestConfigValidation:
         assert code == 2 and payload is None
         assert "error: batch[1].label must be a string" in err
 
+    @pytest.mark.parametrize("fixture, path, value, message", [
+        ("maize_network", ("subregions", "ell", 2), -477365.0,
+         "error: ell, the sub-regional coefficients, must be strictly positive"),
+        ("maize_family_blocks", ("batch", 1, "kinship", "f"), -6, "error: kinship.f must be >= 1"),
+        ("maize_family_blocks", ("batch", 1, "kinship", "m"), 0, "error: kinship.m must be >= 1"),
+        ("maize_family_blocks", ("batch", 2), {"value": {"kinship": {"f": 6}}},
+         "error: batch[2]: 'value' is not a config key"),
+        ("maize_family_blocks", ("batch", 0, "kinship"), {"variant": "block_cs", "K": 30},
+         "error: batch[0]: kinship.K is not a setting"),
+        ("maize_network", ("variance", "cross_classified"), {},
+         "error: 'variance.cross_classified' block:"),
+        ("maize_network", ("design", 0), 2 ** 53,
+         "error: the sum of the design counts must be at most 2**53"),
+    ], ids=["ell", "f", "m", "batch-entry", "batch-kinship", "variance-variant", "count-sum"])
+    def test_exit_2_names_the_field(self, tmp_path, capsys, fixture, path, value, message):
+        config = load_fixture(fixture)
+        config.pop("_base_dir", None)
+        parent = config
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = value
+        code, payload, err = run_cli(capsys, "eval", "--config", write_config(tmp_path, config))
+        assert code == 2 and payload is None
+        assert message in err
+
 
 class TestFlags:
     @pytest.mark.parametrize("argv", [

@@ -2,9 +2,10 @@
 command run on it in-process.
 
 Whatever the mutant, each command must end in a documented exit code (0
-success, 2 validation, 3 infeasible, 4 numerical), print strict JSON when it
-prints a report, let no exception or RuntimeWarning escape, and finish within
-a deadline.
+success, 2 validation, 3 infeasible, 4 numerical), name the mutated key in
+an exit 2's message (the nearest named block for a list entry), print strict
+JSON when it prints a report, let no exception or RuntimeWarning escape, and
+finish within a deadline.
 """
 from __future__ import annotations
 
@@ -12,10 +13,11 @@ import contextlib
 import copy
 import io
 import json
+import re
 import time
 import warnings
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from trialalloc.cli import main
 from trialalloc.fixtures import load_fixture
@@ -65,11 +67,9 @@ REPLACEMENTS = {
 }
 
 
-@st.composite
-def mutants(draw):
-    name = draw(st.sampled_from(sorted(BASES)))
-    path = draw(st.sampled_from(PATHS[name]))
-    replace = draw(st.sampled_from(sorted(REPLACEMENTS)).flatmap(REPLACEMENTS.get))
+def _mutant(name, path, replace):
+    """The fixture ``name`` with the value at ``path`` replaced (dropped when
+    ``replace`` is None), and the key an exit 2 must name."""
     config = copy.deepcopy(BASES[name])
     parent = config
     for key in path[:-1]:
@@ -78,16 +78,35 @@ def mutants(draw):
         del parent[path[-1]]
     else:
         parent[path[-1]] = replace(parent[path[-1]])
-    return config
+    # the mutated leaf's key or, for a list entry, the nearest named block
+    return config, next(key for key in reversed(path) if isinstance(key, str))
+
+
+@st.composite
+def mutants(draw):
+    name = draw(st.sampled_from(sorted(BASES)))
+    path = draw(st.sampled_from(PATHS[name]))
+    return _mutant(name, path,
+                   draw(st.sampled_from(sorted(REPLACEMENTS)).flatmap(REPLACEMENTS.get)))
 
 
 def _refuse_constant(name):
     raise ValueError(f"report holds {name}")
 
 
+def _negative(old):
+    return -abs(old)
+
+
 @settings(max_examples=50, deadline=None, derandomize=True)
 @given(mutants())
-def test_every_command_ends_cleanly_on_a_mutated_fixture(tmp_path_factory, config):
+@example(_mutant("maize_network", ("subregions", "ell", 1), _negative))
+@example(_mutant("maize_family_blocks", ("batch", 4, "kinship", "f"), _negative))
+@example(_mutant("maize_family_blocks", ("batch", 4, "kinship", "m"), _negative))
+@example(_mutant("maize_family_blocks", ("batch", 4), lambda old: {"value": old}))
+def test_every_command_ends_cleanly_on_a_mutated_fixture(tmp_path_factory, mutant):
+    config, key = mutant
+    named = re.compile(rf"(?<!\w){re.escape(key)}(?!\w)")
     path = tmp_path_factory.mktemp("mutant") / "config.json"
     path.write_text(json.dumps(config))
     for argv in COMMANDS:
@@ -99,6 +118,8 @@ def test_every_command_ends_cleanly_on_a_mutated_fixture(tmp_path_factory, confi
                 code = main([*argv, "--config", str(path)])
         elapsed = time.perf_counter() - start
         assert code in (0, 2, 3, 4), (argv, code, err.getvalue())
+        if code == 2:
+            assert named.search(err.getvalue()), (argv, key, err.getvalue())
         if code in (0, 3):
             json.loads(out.getvalue(), parse_constant=_refuse_constant)
         assert elapsed < DEADLINE_S, (argv, elapsed)

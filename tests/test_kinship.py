@@ -184,6 +184,23 @@ class TestCsvLoading:
         assert spec.K == 2
         assert spec.jitter == 1e-8
 
+    def test_quoted_cells_and_blank_lines(self, tmp_path):
+        path = tmp_path / "kin.csv"
+        path.write_text('\n"g1","g2"\n\n"1.0", 0.2\r\n , \n0.2,"1.5"\n\n')
+        np.testing.assert_array_equal(load_kinship_csv(path).matrix, [[1.0, 0.2], [0.2, 1.5]])
+
+    @pytest.mark.parametrize("text, message", [
+        ("1.0,0.2\n0.2,x\n", "non-numeric entry in row 2"),
+        ("g1,g2\n1.0,0.2\n0.2,1.5,\n", "non-numeric entry in row 2"),
+        ("1.0,0.2\n#0.2,1.5\n", "non-numeric entry in row 2"),
+        ("g1,g2\n\n", "empty below its header row"),
+    ])
+    def test_faulty_rows_are_named(self, tmp_path, text, message):
+        path = tmp_path / "kin.csv"
+        path.write_text(text)
+        with pytest.raises(ValidationError, match=message):
+            load_kinship_csv(path)
+
     def test_ragged_rejected(self, tmp_path):
         path = tmp_path / "kin.csv"
         path.write_text("1.0,0.2\n0.2\n")

@@ -184,24 +184,24 @@ class TestWorkCounts:
                                ConstraintSet(J=40, P=5))
                    for r, f, m, *_ in helpers.GOLDEN_ROWS]
         assert all(r.certified and r.phi - r.lower_bound <= 1e-12 * r.phi for r in reports)
-        assert sum(r.nodes for r in reports) == 298
-        assert sum(r.iterations for r in reports) == 758
-        assert solves["kkt"] == 763
+        assert sum(r.nodes for r in reports) == 296
+        assert sum(r.iterations for r in reports) == 605
+        assert solves["kkt"] == 533
 
     def test_budgeted_work_counters(self):
         """Work counters of exact solves under a binding budget."""
         reports = [solve_exact(problem, cons) for problem, cons in _budgeted_instances()]
         assert all(r.certified and r.phi - r.lower_bound <= 1e-12 * r.phi for r in reports)
-        assert [r.nodes for r in reports] == [16, 19, 10, 9, 17, 11, 8, 10]
-        assert sum(r.iterations for r in reports) == 264
+        assert [r.nodes for r in reports] == [17, 26, 10, 9, 17, 14, 11, 10]
+        assert sum(r.iterations for r in reports) == 188
 
     def test_generated_budgeted_work_counters(self):
         """Work totals of the 40 "gen-40" budgeted exact solves, P up to 8."""
         reports = [solve_exact(problem, cons)
                    for problem, cons in _budgeted_instances(seed=11, count=40, max_p=8)]
         assert all(r.certified for r in reports)
-        assert sum(r.nodes for r in reports) == 1055
-        assert sum(r.iterations for r in reports) == 3105
+        assert sum(r.nodes for r in reports) == 1137
+        assert sum(r.iterations for r in reports) == 2008
 
     @pytest.mark.parametrize("J", [10**12, 10**15])
     def test_huge_networks_are_certified_at_the_root(self, vc5, profile5, J):
@@ -434,6 +434,29 @@ class TestGeneratedInstances:
                                   costs=cons.costs, budget=cons.budget)
             least = problem.phi(enumerate_exact_optimum(problem, child))
             assert bound <= least + 1e-12 * abs(least)
+
+    @settings(max_examples=40, deadline=None)
+    @given(_search_instances())
+    def test_only_unprunable_fractional_boxes_branch_before_tol(self, instance):
+        problem, cons = instance
+        early, newton = [], optimizer._newton
+
+        def recorded(ev, y, lo, hi, costs, budget_w, tol, cutoff=np.inf, j=None):
+            result = newton(ev, y, lo, hi, costs, budget_w, tol, cutoff, j)
+            x, phi, gap, _, hess = result[:5]
+            # stopped above tol, yet not pruned
+            if gap > tol * max(1.0, abs(phi)) and phi - gap < cutoff:
+                early.append((cutoff, x, phi, hess))
+            return result
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(optimizer, "_newton", recorded)
+            report = solve_exact(problem, cons)
+        assert report.certified
+        for cutoff, x, phi, hess in early:
+            # the root runs before there is an incumbent, under an infinite cutoff
+            assert np.isfinite(cutoff) and phi < cutoff
+            assert optimizer._branch(x, cons.J, hess) is not None
 
     @settings(max_examples=25, deadline=None)
     @given(_tied_cost_sets(max_p=4, max_j=14, min_exponent=7, slacks=(1.0, 1.05, 1.2)),
